@@ -10,6 +10,7 @@ from affinesl2.wzwrep import (
     rho_T,
     rho_closed,
     rho_float,
+    rho_upper_triangular,
 )
 import random
 
@@ -39,7 +40,7 @@ print(f"T^{N} = Id:", TN.is_identity())
 rng = random.Random(7)
 r = random_matrix(N, rng)
 print(f"\nrandom matrix mod {N}: {r}")
-print("dispatch path:", dispatch_path(r, n))
+print("stratum:", dispatch_path(r, n))
 closed = rho_closed(r, n)
 word = decompose(lift(r))
 print("word for one lift:", word)
@@ -54,7 +55,7 @@ dev = max(
 )
 print(f"max |exact - float| = {dev:.2e}")
 
-# upper triangular matrices land on a different closed-form branch
+# upper triangular matrices also have a closed form of the paper's own
 u = ResidueMatrix(N, 1, 1, 0, 1)
-print(f"\n{u} dispatches to:", dispatch_path(u, n))
-print("and matches the oracle:", rho_closed(u, n) == evaluate_word(decompose(lift(u)), n))
+print(f"\n{u} lies in stratum:", dispatch_path(u, n))
+print("its closed form matches the oracle:", rho_upper_triangular(u, n) == evaluate_word(decompose(lift(u)), n))

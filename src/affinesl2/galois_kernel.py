@@ -22,6 +22,7 @@ from .wzwrep import (
     _float_S,
     _rho_float_coprime,
     _t_exponents,
+    _unit_shift,
     conductor,
     evaluate_word,
     rho_S,
@@ -223,18 +224,15 @@ def _sweep_rows(args):
     s = _float_S(n)
     hits = []
     for c, d in rows:
-        k = 0
-        while gcd((c * k + d) % N, N) != 1:
-            k += 1
+        a0, b0 = complete_row(N, c, d)
+        # the row's elements are a0 + tc, b0 + td; each shifts to W with top-left w.a + t w.c
+        k, w = _unit_shift(ResidueMatrix(N, a0, b0, c, d), n)
         tk = np.exp(2j * np.pi * np.array(_t_exponents(n, k)) / M)
         target = tk[:, np.newaxis] * s
-        a0, b0 = complete_row(N, c, d)
-        cw, dw = (c * k + d) % N, (-c) % N
         for t in range(N):
-            a, b = (a0 + t * c) % N, (b0 + t * d) % N
-            fw = _rho_float_coprime((a * k + b) % N, cw, dw, n)
+            fw = _rho_float_coprime((w.a + t * w.c) % N, w.c, w.d, n)
             if np.max(np.abs(fw - target)) < 1e-6:
-                hits.append((a, b, c, d))
+                hits.append(((a0 + t * c) % N, (b0 + t * d) % N, c, d))
     return hits
 
 

@@ -146,9 +146,11 @@ class ResidueMatrix:
     __slots__ = ("N", "a", "b", "c", "d")
 
     def __init__(self, N, a, b, c, d):
-        assert isinstance(N, int) and N >= 1
+        if not isinstance(N, int) or N < 1:
+            raise ValueError(f"modulus must be a positive int, got {N!r}")
         a, b, c, d = a % N, b % N, c % N, d % N
-        assert (a * d - b * c) % N == 1 % N, "determinant must be 1 mod N"
+        if (a * d - b * c) % N != 1 % N:
+            raise ValueError(f"determinant must be 1 mod {N}, got {(a * d - b * c) % N}")
         for name, v in zip(("N", "a", "b", "c", "d"), (N, a, b, c, d)):
             object.__setattr__(self, name, v)
 

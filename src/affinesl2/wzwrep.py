@@ -16,11 +16,10 @@ from .cyclotomic import (
     sqrt_int,
     zero,
 )
-from .modgroup import ResidueMatrix, decompose, lift
+from .modgroup import ResidueMatrix
 
 __all__ = [
     "conductor",
-    "LevelData",
     "RepMatrix",
     "rho_S",
     "rho_T",
@@ -42,34 +41,14 @@ __all__ = [
 ]
 
 _INT64_SAFE = 1 << 62
+# float64 holds every integer of magnitude below this exactly
+_FLOAT_EXACT = 1 << 53
 
 
 def conductor(n):
     """Return the order N of rho(T), also the level at which rho factors: 4n or 8n."""
     assert isinstance(n, int) and n >= 3
     return 4 * n if n % 2 == 0 else 8 * n
-
-
-class LevelData:
-    """Integer data attached to level k: n = k + 2, matrix size, moduli."""
-
-    def __init__(self, n):
-        assert isinstance(n, int) and n >= 3
-        self.n = n
-        self.k = n - 2
-        self.dim = n - 1
-        self.N = conductor(n)
-        # all generator entries live in Q(zeta_M)
-        self.M = 8 * n
-
-    @staticmethod
-    def from_level(k):
-        """Build from the level k = n - 2 instead of n."""
-        assert isinstance(k, int) and k >= 1
-        return LevelData(k + 2)
-
-    def __repr__(self):
-        return f"LevelData(n={self.n}, k={self.k}, dim={self.dim}, N={self.N})"
 
 
 def _max_abs(arr):
@@ -101,39 +80,47 @@ _TABLES = {}
 
 
 def _tables(M):
-    """Reduction data for Q(zeta_M): tail matrix, monomial rows, galois cache."""
+    """Reduction data for Q(zeta_M): rows[d] holds the power-basis coordinates of zeta_M^d, d < M."""
     tab = _TABLES.get(M)
     if tab is None:
-        rows = reduction_rows(M)
-        phi = euler_phi(M)
-        tail = np.array(rows[phi : 2 * phi - 1], dtype=np.int64)
-        rowmax = max(1, max(abs(v) for row in rows for v in row))
-        tab = {"rows": rows, "phi": phi, "tail": tail, "rowmax": rowmax, "mono": {}, "gal": {}}
+        rows = np.array(reduction_rows(M), dtype=np.int64)
+        tab = {"rows": rows, "phi": euler_phi(M), "rowmax": max(1, int(np.abs(rows).max()))}
         _TABLES[M] = tab
     return tab
 
 
-def _mono_matrix(M, e):
-    """phi x phi matrix of multiplication by zeta_M^e on the power basis."""
-    tab = _tables(M)
-    e %= M
-    mat = tab["mono"].get(e)
-    if mat is None:
-        mat = np.array([tab["rows"][(u + e) % M] for u in range(tab["phi"])], dtype=np.int64)
-        tab["mono"][e] = mat
-    return mat
+def _exact(bound, op, *arrays):
+    """op(*arrays) for integer arrays, where op forms sums of products of their entries.
+
+    bound caps the magnitude of every product and every partial sum op
+    forms.  Below 2^53 each of them is an integer that float64 holds
+    exactly, so op runs in float64 BLAS and is exact whatever the summation
+    order, FMA use or thread count; the result comes back as int64.
+    Otherwise, or when an operand is object dtype, op runs on Python ints.
+    """
+    if bound < _FLOAT_EXACT and all(x.dtype != object for x in arrays):
+        return op(*(x.astype(np.float64) for x in arrays)).astype(np.int64)
+    return op(*(x.astype(object) for x in arrays))
 
 
-def _galois_matrix(M, L):
-    """phi x phi matrix of the automorphism zeta_M -> zeta_M^L on the power basis."""
-    tab = _tables(M)
-    L %= M
-    assert gcd(L, M) == 1
-    mat = tab["gal"].get(L)
-    if mat is None:
-        mat = np.array([tab["rows"][(u * L) % M] for u in range(tab["phi"])], dtype=np.int64)
-        tab["gal"][L] = mat
-    return mat
+def _poly_matmul(a, b, tail):
+    """Matrix product of two (dim, dim, phi) coordinate arrays, reduced by the tail rows."""
+    dim, _, phi = a.shape
+    # prod[i, w, j] is the coefficient of x^w in entry (i, j), so each u adds
+    # one contiguous block of phi * dim values to each row i
+    prod = np.zeros((dim, 2 * phi - 1, dim), dtype=a.dtype)
+    flat = b.transpose(0, 2, 1).reshape(dim, phi * dim)
+    for u in range(phi):
+        coeff = a[:, :, u]
+        if not coeff.any():
+            continue
+        prod[:, u : u + phi, :] += (coeff @ flat).reshape(dim, phi, dim)
+    prod = prod.transpose(0, 2, 1)
+    head = prod[:, :, :phi]
+    spill = prod[:, :, phi:]
+    if spill.any():
+        head = head + np.tensordot(spill, tail, axes=([2], [0]))
+    return head
 
 
 class RepMatrix:
@@ -142,7 +129,13 @@ class RepMatrix:
     Numerators sit in an integer array of shape (dim, dim, phi(8n)) holding
     power-basis coordinates mod the 8n-th cyclotomic polynomial; the stored
     form is normalized (den > 0, no common factor), so equal matrices have
-    identical arrays and equality is array comparison.
+    identical arrays and equality is array comparison.  The array is int64,
+    or object (Python ints) once an entry reaches 2^62.
+
+    Products, row and column scalings and Galois maps bound every product
+    and partial sum they form from the operands' largest numerators.  Below
+    2^53 they run in float64 BLAS, which is exact there; at 2^53 or above,
+    or on object input, they run on Python ints.
     """
 
     __slots__ = ("n", "order", "arr", "den")
@@ -211,37 +204,15 @@ class RepMatrix:
         """Nested list of all entries as Cyclotomic scalars."""
         return [[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
 
-    def _widened(self, other):
-        """Pair of coefficient arrays in a dtype safe for the product."""
-        a, b = self.arr, other.arr
-        tab = _tables(self.order)
-        bound = _max_abs(a) * _max_abs(b) * self.dim * tab["phi"]
-        bound *= 1 + tab["phi"] * tab["rowmax"]
-        if bound >= _INT64_SAFE and (a.dtype != object or b.dtype != object):
-            a = a.astype(object)
-            b = b.astype(object)
-        return a, b
-
     def __mul__(self, other):
         if not isinstance(other, RepMatrix):
             return NotImplemented
         assert self.n == other.n
-        a, b = self._widened(other)
-        dim = self.dim
         tab = _tables(self.order)
         phi = tab["phi"]
-        prod = np.zeros((dim, dim, 2 * phi - 1), dtype=a.dtype)
-        flat = b.reshape(dim, dim * phi)
-        for u in range(phi):
-            coeff = a[:, :, u]
-            if not coeff.any():
-                continue
-            prod[:, :, u : u + phi] += (coeff @ flat).reshape(dim, dim, phi)
-        head = prod[:, :, :phi]
-        spill = prod[:, :, phi:]
-        if spill.any():
-            tail = tab["tail"] if a.dtype != object else tab["tail"].astype(object)
-            head = head + np.tensordot(spill, tail, axes=([2], [0]))
+        bound = _max_abs(self.arr) * _max_abs(other.arr) * self.dim * phi
+        bound *= 1 + phi * tab["rowmax"]
+        head = _exact(bound, _poly_matmul, self.arr, other.arr, tab["rows"][phi : 2 * phi - 1])
         return RepMatrix(self.n, head, self.den * other.den)
 
     def __neg__(self):
@@ -270,17 +241,20 @@ class RepMatrix:
         M = self.order
         tab = _tables(M)
         bound = _max_abs(self.arr) * tab["phi"] * tab["rowmax"]
-        arr = self.arr.astype(object) if (bound >= _INT64_SAFE and self.arr.dtype != object) else self.arr
-        out = np.empty_like(arr)
-        for j, e in enumerate(exps):
-            mono = _mono_matrix(M, e)
-            if arr.dtype == object:
-                mono = mono.astype(object)
-            if axis == 0:
-                out[j, :, :] = arr[j, :, :] @ mono
-            else:
-                out[:, j, :] = arr[:, j, :] @ mono
-        return RepMatrix(self.n, out, self.den)
+        u = np.arange(tab["phi"])
+
+        def scale(arr, rows):
+            out = np.empty_like(arr)
+            for j, e in enumerate(exps):
+                # row u of the map x -> zeta_M^e x is the coordinate vector of zeta_M^(u + e)
+                mono = rows[(u + e % M) % M]
+                if axis == 0:
+                    out[j, :, :] = arr[j, :, :] @ mono
+                else:
+                    out[:, j, :] = arr[:, j, :] @ mono
+            return out
+
+        return RepMatrix(self.n, _exact(bound, scale, self.arr, tab["rows"]), self.den)
 
     def scale_rows(self, exps):
         """Left-multiply by diag(zeta_M^exps)."""
@@ -292,14 +266,15 @@ class RepMatrix:
 
     def galois_map(self, L):
         """Apply zeta_M -> zeta_M^L to every entry; L must be coprime to M = 8n."""
-        mat = _galois_matrix(self.order, L)
-        arr = self.arr
-        bound = _max_abs(arr) * _tables(self.order)["phi"] * _tables(self.order)["rowmax"]
-        if bound >= _INT64_SAFE and arr.dtype != object:
-            arr = arr.astype(object)
-        if arr.dtype == object:
-            mat = mat.astype(object)
-        return RepMatrix(self.n, np.tensordot(arr, mat, axes=([2], [0])), self.den)
+        M = self.order
+        L %= M
+        assert gcd(L, M) == 1
+        tab = _tables(M)
+        bound = _max_abs(self.arr) * tab["phi"] * tab["rowmax"]
+        # row u of the automorphism is the coordinate vector of zeta_M^(u L)
+        mat = tab["rows"][np.arange(tab["phi"]) * L % M]
+        arr = _exact(bound, lambda a, m: np.tensordot(a, m, axes=([2], [0])), self.arr, mat)
+        return RepMatrix(self.n, arr, self.den)
 
     def dagger(self):
         """Conjugate transpose, computed exactly via the L = -1 automorphism."""
@@ -455,24 +430,12 @@ def kernel_sum(alpha, gamma, C, n):
     return _kernel_sum_direct(alpha, gamma, C, n)
 
 
-_SINPROD_CACHE = {}
-
-
-def _sin_product(n, x, y):
-    key = (n, x % (2 * n), y % (2 * n))
-    val = _SINPROD_CACHE.get(key)
-    if val is None:
-        val = sin_value(n, x) * sin_value(n, y)
-        _SINPROD_CACHE[key] = val
-    return val
-
-
 def _kernel_sum_direct(alpha, gamma, C, n):
     """The defining sum, valid for arbitrary integer first and second arguments."""
     M = 8 * n
     total = zero(M)
     for b in range(1, n):
-        term = _sin_product(n, alpha * b, gamma * b) * root_of_unity(M, 2 * C * b * b)
+        term = sin_value(n, alpha * b) * sin_value(n, gamma * b) * root_of_unity(M, 2 * C * b * b)
         total = total + term
     return total
 
@@ -527,7 +490,13 @@ def kernel_sum_closed(alpha, gamma, C, n):
 
 
 def dispatch_path(r, n):
-    """Name the evaluation route rho_closed takes: theorem1, upper, unit_d, or word."""
+    """Name the stratum of r: theorem1, upper, unit_d, or word.
+
+    theorem1 is gcd(c, N) = 1, upper is c = 0, and unit_d is gcd(d, 2n) = 1
+    with a closed branch of kernel_sum_closed for C' = -c/d; word is the
+    rest.  Each of the first three has a closed form of its own; rho_closed
+    takes one route on every stratum.
+    """
     N = conductor(n)
     r = _as_residue(r, n)
     if gcd(r.c, N) == 1:
@@ -535,7 +504,7 @@ def dispatch_path(r, n):
     if r.c % N == 0:
         return "upper"
     if gcd(r.d, 2 * n) == 1:
-        Cp = -r.c * pow(_odd_unit(r.d, n), -1, 8 * n) % (8 * n)
+        Cp = -r.c * pow(r.d, -1, 8 * n) % (8 * n)
         if gcd(Cp, 2 * n) == 1 or Cp % n == 0 or (Cp % 2 == 0 and gcd(Cp // 2, n) == 1):
             return "unit_d"
     return "word"
@@ -546,15 +515,6 @@ def _as_residue(r, n):
         assert r.N == conductor(n)
         return r
     return ResidueMatrix.from_list(conductor(n), r)
-
-
-def _odd_unit(x, n):
-    """Lift of x mod N to an odd residue mod 8n coprime to 2n."""
-    N = conductor(n)
-    x %= N
-    assert gcd(x, 2 * n) == 1
-    # for even n the class mod 4n is odd already; either lift mod 8n works
-    return x
 
 
 def _zeta8(n, e):
@@ -626,7 +586,7 @@ def rho_unit_d_closed(r, n):
     A, B, C, D = r.a, r.b, r.c, r.d
     M = 8 * n
     assert gcd(D, 2 * n) == 1
-    Dinv = pow(_odd_unit(D, n), -1, M)
+    Dinv = pow(D, -1, M)
     X = (B - 1) * Dinv % M
     Y = -(C + 1) * Dinv % M
     Cp = -C * Dinv % M
@@ -652,7 +612,9 @@ def rho_upper_triangular(r, n):
     assert r.c % N == 0
     A, B = r.a, r.b
     M = 8 * n
-    base = _zeta8(n, 2 * (A - 1) - A * B)
+    # the phases fix every entry up to one overall sign: the Jacobi symbol (2n|A),
+    # checked against the word oracle for every unit A at n = 3..12
+    base = _zeta8(n, 2 * (A - 1) - A * B) * jacobi(2 * n, A)
     dim = n - 1
     perm, signs = [], []
     for a in range(1, n):
@@ -668,28 +630,37 @@ def rho_upper_triangular(r, n):
     for a in range(1, n):
         val = base * root_of_unity(M, 2 * A * B * a * a) * signs[a - 1]
         entries[a - 1][perm[a - 1]] = val
-    built = RepMatrix.from_entries(n, entries)
-    # the formula fixes every entry up to one overall sign; pin it to the oracle
-    oracle = evaluate_word(decompose(lift(r)), n)
-    a0, l0 = 0, perm[0]
-    if oracle.entry(a0, l0) == built.entry(a0, l0):
-        return built
-    flipped = -built
-    assert oracle.entry(a0, l0) == flipped.entry(a0, l0)
-    return flipped
+    return RepMatrix.from_entries(n, entries)
+
+
+def _unit_shift(r, n):
+    """The least k >= 0 with gcd(ck + d, N) = 1, and W = r T^k S = (ak + b, -a, ck + d, -c).
+
+    W lies in the theorem1 stratum, and r = W S^-1 T^-k.
+    """
+    N = conductor(n)
+    for k in range(N):
+        if gcd(r.c * k + r.d, N) == 1:
+            return k, ResidueMatrix(N, r.a * k + r.b, -r.a, r.c * k + r.d, -r.c)
+    raise ValueError(f"no unit ck + d mod {N}: ({r.c}, {r.d}) is not the bottom row of an SL2 matrix")
 
 
 def rho_closed(r, n):
-    """Evaluate rho exactly, preferring closed forms and falling back to the word oracle."""
+    """Evaluate rho exactly, by one route for every matrix.
+
+    gcd(c, N) = 1 goes to rho_theorem1.  Any other matrix is shifted to
+    W = r T^k S in that stratum (see _unit_shift), and
+    rho(r) = rho_theorem1(W) rho(S) rho(T)^-k, as rho(S) is real, symmetric
+    and orthogonal, so its own inverse.  The paper's other closed forms
+    (rho_unit_d_closed, rho_upper_triangular, rho_coprime_closed,
+    rho_coprime_legendre) are identities checked against the word oracle,
+    not routes of this function.
+    """
     r = _as_residue(r, n)
-    path = dispatch_path(r, n)
-    if path == "theorem1":
+    if gcd(r.c, conductor(n)) == 1:
         return rho_theorem1(r, n)
-    if path == "upper":
-        return rho_upper_triangular(r, n)
-    if path == "unit_d":
-        return rho_unit_d_closed(r, n)
-    return evaluate_word(decompose(lift(r)), n)
+    k, w = _unit_shift(r, n)
+    return (rho_theorem1(w, n) * rho_S(n)).scale_cols(_t_exponents(n, -k))
 
 
 def g_parity_check(n):
@@ -743,10 +714,6 @@ def rho_float(r, n):
     N = conductor(n)
     if gcd(r.c, N) == 1:
         return _rho_float_coprime(r.a, r.c, r.d, n)
-    k = 0
-    while gcd((r.c * k + r.d) % N, N) != 1:
-        k += 1
-    # M T^k S has bottom-left entry C k + D, a unit; undo with S^-1 T^-k
-    w = _rho_float_coprime((r.a * k + r.b) % N, (r.c * k + r.d) % N, (-r.c) % N, n)
-    s = _float_S(n)
-    return (w @ s) * np.conj(_float_T_diag(n, k))[np.newaxis, :]
+    k, w = _unit_shift(r, n)
+    fw = _rho_float_coprime(w.a, w.c, w.d, n)
+    return (fw @ _float_S(n)) * np.conj(_float_T_diag(n, k))[np.newaxis, :]

@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -24,7 +25,11 @@ from affinesl2.wzwrep import (
     kernel_sum,
     kernel_sum_closed,
     rho_closed,
+    rho_coprime_closed,
+    rho_coprime_legendre,
     rho_S,
+    rho_unit_d_closed,
+    rho_upper_triangular,
 )
 from affinesl2.galois_kernel import (
     bantay_sigma_S_identity,
@@ -88,6 +93,34 @@ def test_criterion_01_closed_forms_match_the_word_oracle():
     ok = mismatches == 0 and checked == 1400 and elapsed < 120
     _report(1, ok, f"{checked} matrices over {len(seen_cases)} (n, case) strata, "
                    f"{mismatches} mismatches, {elapsed:.1f}s (limit 120s)")
+
+
+def test_paper_forms_match_the_word_oracle_on_their_strata():
+    """rho_closed takes one route, so each closed form of the paper is replayed here.
+
+    The matrices are criterion 01's; each form runs on the stratum it covers.
+    """
+    forms = {
+        "theorem1": [rho_coprime_closed],
+        "upper": [rho_upper_triangular],
+        "unit_d": [rho_unit_d_closed],
+    }
+    checked = Counter()
+    for n in (3, 4, 5, 6, 7, 10, 12):
+        rng = random.Random(1000 + n)
+        for r in _stratified_matrices(n, 200, rng):
+            case = dispatch_path(r, n)
+            fs = forms.get(case, [])
+            if case == "theorem1" and n % 2:
+                fs = fs + [rho_coprime_legendre]
+            if not fs:
+                continue
+            want = evaluate_word(decompose(lift(r)), n)
+            for f in fs:
+                assert f(r, n) == want, (f.__name__, n, r)
+                checked[f.__name__] += 1
+    # every form, the odd-n Legendre one included, ran at least once
+    assert len(checked) == 4, checked
 
 
 def test_criterion_02_kernel_sum_branches_are_exact():

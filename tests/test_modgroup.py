@@ -80,7 +80,7 @@ def test_residue_matrix_group_ops():
     assert (r * r.inverse()).is_identity()
     assert (-r).entries() == [[19, 17], [20, 23]]
     assert r.canonical_up_to_sign() == min(r, -r, key=lambda x: x.key())
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ResidueMatrix(N, 1, 1, 1, 1)
 
 

@@ -1,7 +1,10 @@
 """Tests for the representation matrices and their closed evaluations."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from math import gcd
 
 import numpy as np
@@ -9,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinesl2.cyclotomic import embed, one, root_of_unity, sqrt_int
+import affinesl2
+from affinesl2.cyclotomic import embed, galois, one, root_of_unity, sqrt_int, zero
 from affinesl2.modgroup import ResidueMatrix, STWord, decompose, lift, random_matrix
 from affinesl2.wzwrep import (
+    _FLOAT_EXACT,
     RepMatrix,
+    _exact,
     conductor,
     dispatch_path,
     evaluate_word,
@@ -181,14 +187,14 @@ def test_coprime_c_forms_agree(n, seed):
 
 def test_upper_triangular_form():
     """c = 0 matrices evaluate to decorated permutations, matching the oracle."""
-    for n in (3, 4, 5, 6):
+    for n in range(3, 13):
         N = conductor(n)
         for a in range(1, N):
             if gcd(a, N) != 1:
                 continue
             d = pow(a, -1, N)
-            for b in (0, 1, 5):
-                r = ResidueMatrix(N, a, (a * b) % N, 0, d)
+            for b in (0, 1, 3, 7):
+                r = ResidueMatrix(N, a, b, 0, d)
                 got = rho_upper_triangular(r, n)
                 assert got == evaluate_word(decompose(lift(r)), n), (n, a, b)
 
@@ -244,3 +250,106 @@ def test_large_level_closed_vs_oracle_once():
     n = 12
     r = random_matrix(conductor(n), random.Random(77))
     assert rho_closed(r, n) == evaluate_word(decompose(lift(r)), n)
+
+
+def test_bad_input_raises_value_error_under_optimize():
+    """Validation does not rest on assert: under python -O bad input still raises, and nothing spins."""
+    code = """
+import types
+from affinesl2.modgroup import ResidueMatrix
+from affinesl2.wzwrep import _unit_shift, rho_closed, rho_float
+cases = [
+    lambda: ResidueMatrix(40, 2, 0, 0, 2),
+    lambda: ResidueMatrix(0, 1, 0, 0, 1),
+    lambda: rho_float([[2, 0], [0, 2]], 5),
+    lambda: rho_closed([[2, 0], [0, 2]], 5),
+    lambda: _unit_shift(types.SimpleNamespace(a=2, b=0, c=0, d=2), 5),
+]
+for i, case in enumerate(cases):
+    try:
+        case()
+    except ValueError:
+        continue
+    raise SystemExit(f"case {i} accepted")
+assert False, "asserts are live"
+print("ok")
+"""
+    src = os.path.dirname(os.path.dirname(affinesl2.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
+
+
+def test_exact_kernel_float_path_below_2_53():
+    """Just below 2^53 the float64 path equals the Python-int product exactly."""
+    rng = np.random.default_rng(53)
+    k = 8
+    amax = bmax = (1 << 25) - 1
+    bound = amax * bmax * k
+    assert bound < _FLOAT_EXACT <= 2 * bound
+    for _ in range(10):
+        a = rng.integers(-amax, amax + 1, size=(5, k), dtype=np.int64)
+        b = rng.integers(-bmax, bmax + 1, size=(k, 6), dtype=np.int64)
+        # odd extremes put some partial sums right at the bound
+        a[0, :] = amax
+        b[:, 0] = bmax
+        a[1, ::2] = -amax
+        got = _exact(bound, np.matmul, a, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+        assert got[0, 0] == bound
+
+
+def test_exact_kernel_python_ints_from_2_53():
+    """At a bound of 2^53 or more the product runs on Python ints."""
+    rng = np.random.default_rng(54)
+    k = 8
+    amax, bmax = (1 << 26) + 1, (1 << 26) + 3
+    a = rng.integers(-amax, amax + 1, size=(4, k), dtype=np.int64)
+    b = rng.integers(-bmax, bmax + 1, size=(k, 3), dtype=np.int64)
+    a[0, :], b[:, 0] = amax, bmax
+    want = (a.astype(object) @ b.astype(object)).tolist()
+    for bound in (_FLOAT_EXACT, amax * bmax * k):
+        got = _exact(bound, np.matmul, a, b)
+        assert got.dtype == object
+        assert got.tolist() == want
+
+
+def _entrywise_product(x, y):
+    """x * y through Cyclotomic scalars, as the Python-int reference."""
+    out = []
+    for i in range(x.dim):
+        row = []
+        for j in range(x.dim):
+            acc = zero(x.order)
+            for m in range(x.dim):
+                acc = acc + x.entry(i, m) * y.entry(m, j)
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_rep_matrix_with_numerators_scaled_by_2_40(n):
+    """Products, scalings and Galois maps beyond 2^53 are exact and narrow back to int64."""
+    S, T = rho_S(n), rho_T(n)
+    # over denominator 1 the factor 2^40 cannot cancel
+    big = RepMatrix(n, S.arr * (1 << 40), 1)
+    assert big.arr.dtype == np.int64 and np.abs(big.arr).max() >= 1 << 40
+    other = S * T
+    prod = big * other
+    assert prod.entries() == _entrywise_product(big, other)
+    assert prod.arr.dtype == np.int64
+    # big / (2^40 den^2) is S over den, so this product is S^2 = Id
+    small = RepMatrix(n, S.arr, S.den * S.den * (1 << 40))
+    assert (big * small).is_identity()
+    exps = [3 * j + 1 for j in range(n - 1)]
+    L = 8 * n - 3
+    # scaling and Galois maps bound their sums by max |numerator| * phi, so 2^56 crosses 2^53
+    for x in (big, RepMatrix(n, S.arr * (1 << 56), 1)):
+        assert x.scale_cols(exps).entries() == [
+            [x.entry(i, j) * root_of_unity(8 * n, e) for j, e in enumerate(exps)] for i in range(n - 1)
+        ]
+        assert x.galois_map(L).entries() == [[galois(L, v) for v in row] for row in x.entries()]
