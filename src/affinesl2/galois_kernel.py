@@ -20,8 +20,8 @@ from .modgroup import (
 from .wzwrep import (
     RepMatrix,
     _float_S,
+    _float_T_diag,
     _rho_float_coprime,
-    _t_exponents,
     _unit_shift,
     conductor,
     evaluate_word,
@@ -45,6 +45,12 @@ __all__ = [
     "genus",
     "phi2_image_is_normal",
 ]
+
+# r is a kernel candidate when max|rho_float(r) - Id| falls below this cut
+FLOAT_CUT = 1e-6
+# the enumeration refuses to trust the cut once a deviation lands in this band:
+# accepted deviations are rounding error, rejected ones are of order one
+MARGIN_BAND = (1e-9, 1e-3)
 
 
 class SignedPermutation:
@@ -135,7 +141,7 @@ def in_kernel(r, n):
     N = conductor(n)
     r = r if isinstance(r, ResidueMatrix) else ResidueMatrix.from_list(N, r)
     dev = np.max(np.abs(rho_float(r, n) - np.eye(n - 1)))
-    if dev >= 1e-6:
+    if dev >= FLOAT_CUT:
         return False
     return rho_closed(r, n).is_identity()
 
@@ -178,10 +184,18 @@ def expected_kernel_slice(n):
 
 
 class KernelReport:
-    """Result of a full kernel enumeration at level n - 2."""
+    """Result of a full kernel enumeration at level n - 2.
 
-    def __init__(self, n, kernel):
+    accepted_dev is the largest float deviation max|rho_float(r) - Id| among
+    the exactly confirmed kernel elements, rejected_dev the smallest among
+    the elements the float filter rejected: the observed margin around
+    FLOAT_CUT.  They stay out of to_text().
+    """
+
+    def __init__(self, n, kernel, accepted_dev, rejected_dev):
         self.n = n
+        self.accepted_dev = accepted_dev
+        self.rejected_dev = rejected_dev
         self.N = conductor(n)
         self.kernel = sorted(kernel, key=lambda r: r.key())
         order = sl2_order(self.N)
@@ -217,47 +231,73 @@ class KernelReport:
 
 
 def _sweep_rows(args):
-    """Float-filter kernel candidates over a chunk of bottom rows; returns key tuples."""
+    """Float-filter kernel candidates over a chunk of bottom rows (c, d).
+
+    The N elements of a row are r_t = T^t r_0, t < N, for the completion
+    r_0 = (a0, b0, c, d).  All of them shift by the same k (see _unit_shift)
+    to W_t = T^t W_0, which differ only in the top-left entry
+    A = W_0.a + t W_0.c, so one _rho_float_coprime call over the N values of
+    A gives the row's (N, n-1, n-1) block of float matrices.  r_t is a
+    candidate when rho(W_t) lies within FLOAT_CUT of rho(T)^k rho(S).
+    Returns the candidates' key tuples, in row order then t order, with the
+    largest deviation among them and the smallest among the rest.
+    """
     n, rows = args
     N = conductor(n)
-    M = 8 * n
     s = _float_S(n)
+    t = np.arange(N)
     hits = []
+    accepted, rejected = 0.0, np.inf
     for c, d in rows:
         a0, b0 = complete_row(N, c, d)
-        # the row's elements are a0 + tc, b0 + td; each shifts to W with top-left w.a + t w.c
         k, w = _unit_shift(ResidueMatrix(N, a0, b0, c, d), n)
-        tk = np.exp(2j * np.pi * np.array(_t_exponents(n, k)) / M)
-        target = tk[:, np.newaxis] * s
-        for t in range(N):
-            fw = _rho_float_coprime((w.a + t * w.c) % N, w.c, w.d, n)
-            if np.max(np.abs(fw - target)) < 1e-6:
-                hits.append(((a0 + t * c) % N, (b0 + t * d) % N, c, d))
-    return hits
+        target = _float_T_diag(n, k)[:, np.newaxis] * s
+        fw = _rho_float_coprime((w.a + t * w.c) % N, w.c, w.d, n)
+        dev = np.abs(fw - target).max(axis=(1, 2))
+        hit = dev < FLOAT_CUT
+        accepted = max(accepted, dev.max(initial=0.0, where=hit))
+        rejected = min(rejected, dev.min(initial=np.inf, where=~hit))
+        for i in np.flatnonzero(hit).tolist():
+            hits.append(((a0 + i * c) % N, (b0 + i * d) % N, c, d))
+    return hits, float(accepted), float(rejected)
 
 
 def enumerate_kernel(n, bound=64, workers=1):
-    """Enumerate Ker rho by a float sweep over SL2(Z/NZ) plus exact confirmation."""
+    """Enumerate Ker rho by a float sweep over SL2(Z/NZ) plus exact confirmation.
+
+    Raises ValueError when N exceeds bound, and RuntimeError when the float
+    filter's margin closes: a deviation inside MARGIN_BAND, or a candidate
+    that exact evaluation does not confirm.
+    """
     N = conductor(n)
-    assert N <= bound, f"enumeration bound exceeded: N = {N} > {bound}"
+    if N > bound:
+        raise ValueError(f"enumeration bound exceeded: N = {N} > {bound}")
     rows = list(unimodular_rows(N))
     if workers > 1:
         step = (len(rows) + 4 * workers - 1) // (4 * workers)
         chunks = [(n, rows[i : i + step]) for i in range(0, len(rows), step)]
-        hits = []
+        hits, accepted, rejected = [], 0.0, np.inf
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_sweep_rows, chunks):
+            for part, acc, rej in pool.map(_sweep_rows, chunks):
                 hits.extend(part)
+                accepted, rejected = max(accepted, acc), min(rejected, rej)
         hits.sort()
     else:
-        hits = _sweep_rows((n, rows))
+        hits, accepted, rejected = _sweep_rows((n, rows))
+    lo, hi = MARGIN_BAND
+    if accepted >= lo or rejected <= hi:
+        raise RuntimeError(
+            f"float filter margin closed at n = {n}: accepted deviations reach {accepted:.3g}, "
+            f"rejected ones start at {rejected:.3g}, and none may lie in [{lo:g}, {hi:g}]"
+        )
     kernel = []
     for a, b, c, d in hits:
         r = ResidueMatrix(N, a, b, c, d)
-        if rho_closed(r, n).is_identity():
-            kernel.append(r)
+        if not rho_closed(r, n).is_identity():
+            raise RuntimeError(f"float candidate {r} at n = {n} fails exact confirmation")
+        kernel.append(r)
     assert kernel, "kernel must contain the identity"
-    return KernelReport(n, kernel)
+    return KernelReport(n, kernel, accepted, rejected)
 
 
 def _embed_factor(m, q, N):
@@ -274,7 +314,8 @@ def _embed_factor(m, q, N):
 
 def factor_kernel_sl2z8(n):
     """Kernel classes of rho restricted to the mod-8 factor, in SL2(Z/8Z)/{+-1}."""
-    assert n % 2 == 1 and n % 4 == 3
+    if n % 4 != 3:
+        raise ValueError(f"the mod-8 factor kernel needs n = 3 mod 4, got n = {n}")
     N = conductor(n)
     classes = set()
     for m in enumerate_group(8):

@@ -47,7 +47,8 @@ _FLOAT_EXACT = 1 << 53
 
 def conductor(n):
     """Return the order N of rho(T), also the level at which rho factors: 4n or 8n."""
-    assert isinstance(n, int) and n >= 3
+    if not isinstance(n, int) or n < 3:
+        raise ValueError(f"n = k + 2 must be an integer >= 3, got {n!r}")
     return 4 * n if n % 2 == 0 else 8 * n
 
 
@@ -695,17 +696,26 @@ def _float_T_diag(n, e):
 
 
 def _rho_float_coprime(A, C, D, n):
-    """Float entries for gcd(C, N) = 1: Jacobi symbol times twisted sine and phases."""
+    """Float entries for gcd(C, N) = 1: Jacobi symbol times twisted sine and phases.
+
+    A may be an integer or an array of integers of shape K; the result is
+    (n-1, n-1) or K + (n-1, n-1).  A enters only through the eighth-root
+    prefactor and the row phases, so the matrices T^t W, which differ only in
+    A = W.a + t W.c, share the sines, column phases, sign and C^-1 in one call.
+    """
     M = 8 * n
     Codd = C % conductor(n)
     Cinv = pow(Codd, -1, M)
     a = np.arange(1, n)
+    a2 = a * a
+    A = np.asarray(A)[..., np.newaxis]
+    # the eighth-root prefactor zeta_8^(-(A+D)/C) and the row phases
+    # zeta_4n^(A a^2 / C), as one exponent of zeta_8n
+    row = np.exp(2j * np.pi / M * (Cinv * (2 * A * a2 - n * (A + D)) % M))
+    col = np.exp(2j * np.pi / M * (2 * Cinv * D * a2 % M))
+    sines = np.sin(np.pi / n * (Cinv * np.outer(a, a) % (2 * n)))
     pref = jacobi(-2 * n, Codd) * np.sqrt(2.0 / n)
-    pref = pref * np.exp(2j * np.pi * (-(A + D) * Cinv % 8) / 8)
-    sines = np.sin(np.pi * (Cinv * np.outer(a, a) % (2 * n)) / n)
-    row = np.exp(2j * np.pi * (Cinv * A * a * a % (4 * n)) / (4 * n))
-    col = np.exp(2j * np.pi * (Cinv * D * a * a % (4 * n)) / (4 * n))
-    return pref * sines * np.outer(row, col)
+    return (pref * row)[..., np.newaxis] * (sines * col)
 
 
 def rho_float(r, n):

@@ -3,12 +3,23 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
-from affinesl2.modgroup import ResidueMatrix, local_generators, random_matrix, sl2_order
-from affinesl2.wzwrep import RepMatrix, conductor, evaluate_word, rho_S, rho_T
+from affinesl2 import galois_kernel
+from affinesl2.modgroup import (
+    ResidueMatrix,
+    enumerate_group,
+    local_generators,
+    random_matrix,
+    sl2_order,
+    unimodular_rows,
+)
+from affinesl2.wzwrep import RepMatrix, conductor, evaluate_word, rho_float, rho_S, rho_T
 from affinesl2.galois_kernel import (
+    FLOAT_CUT,
     KernelReport,
+    _sweep_rows,
     SignedPermutation,
     bantay_sigma_S_identity,
     enumerate_kernel,
@@ -89,12 +100,13 @@ def test_in_kernel_detects_scalars():
 
 
 def test_kernel_n5_matches_the_known_sixteen():
-    report = enumerate_kernel(5)
-    assert len(report.kernel) == 16
-    assert report.matches_known is True
-    assert report.image_order == sl2_order(40) // 16
-    slice_ = [r for r in report.kernel if gcd(r.d, 10) == 1]
-    assert sorted(r.key() for r in slice_) == sorted(r.key() for r in expected_kernel_slice(5))
+    for n, bound in ((5, 64), (9, 88), (11, 88)):
+        report = enumerate_kernel(n, bound=bound)
+        assert len(report.kernel) == 16, n
+        assert report.matches_known is True, n
+        assert report.image_order == sl2_order(conductor(n)) // 16, n
+        slice_ = [r for r in report.kernel if gcd(r.d, 2 * n) == 1]
+        assert sorted(r.key() for r in slice_) == sorted(r.key() for r in expected_kernel_slice(n)), n
 
 
 def test_kernel_n4_has_off_diagonal_square_roots():
@@ -109,12 +121,14 @@ def test_kernel_n4_has_off_diagonal_square_roots():
 
 
 def test_kernel_n6_is_plus_minus_scalars():
-    report = enumerate_kernel(6)
-    N = conductor(6)
-    want = sorted(
-        ResidueMatrix(N, u, 0, 0, u).key() for u in (1, N - 1, 13, N - 13)
-    )
-    assert sorted(r.key() for r in report.kernel) == want
+    for n in (6, 16):
+        report = enumerate_kernel(n)
+        N = conductor(n)
+        want = sorted(
+            ResidueMatrix(N, u, 0, 0, u).key() for u in (1, N - 1, 2 * n + 1, N - 2 * n - 1)
+        )
+        assert sorted(r.key() for r in report.kernel) == want, n
+        assert report.matches_known is True, n
 
 
 def test_kernel_n3_is_large_and_unlisted():
@@ -136,6 +150,34 @@ def test_worker_pool_enumeration_is_deterministic():
     solo = enumerate_kernel(4, workers=1)
     pooled = enumerate_kernel(4, workers=2)
     assert [r.key() for r in solo.kernel] == [r.key() for r in pooled.kernel]
+    assert (solo.accepted_dev, solo.rejected_dev) == (pooled.accepted_dev, pooled.rejected_dev)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sweep_matches_the_per_element_float_reference(n):
+    """The row-batched sweep flags exactly the elements rho_float, one at a time, puts within the cut."""
+    N = conductor(n)
+    hits, _, _ = _sweep_rows((n, list(unimodular_rows(N))))
+    eye = np.eye(n - 1)
+    want = [r.key() for r in enumerate_group(N) if np.abs(rho_float(r, n) - eye).max() < FLOAT_CUT]
+    assert hits == want
+
+
+def test_kernel_margin_is_recorded_and_guarded(monkeypatch):
+    """The report carries the filter's observed margin; a closed margin or a false candidate raises."""
+    report = enumerate_kernel(5)
+    assert report.accepted_dev < 1e-12
+    assert report.rejected_dev > 0.3
+    assert "dev" not in report.to_text()
+    float_S = galois_kernel._float_S
+    with monkeypatch.context() as m:
+        m.setattr(galois_kernel, "_float_S", lambda n: float_S(n) + 1e-5)
+        with pytest.raises(RuntimeError, match="margin closed"):
+            enumerate_kernel(5)
+    with monkeypatch.context() as m:
+        m.setattr(galois_kernel, "rho_closed", lambda r, n: -RepMatrix.identity(n))
+        with pytest.raises(RuntimeError, match="exact confirmation"):
+            enumerate_kernel(4)
 
 
 def test_kernel_report_text():

@@ -256,14 +256,19 @@ def test_bad_input_raises_value_error_under_optimize():
     """Validation does not rest on assert: under python -O bad input still raises, and nothing spins."""
     code = """
 import types
+from affinesl2.galois_kernel import enumerate_kernel, factor_kernel_sl2z8
 from affinesl2.modgroup import ResidueMatrix
-from affinesl2.wzwrep import _unit_shift, rho_closed, rho_float
+from affinesl2.wzwrep import _unit_shift, conductor, rho_closed, rho_float
 cases = [
     lambda: ResidueMatrix(40, 2, 0, 0, 2),
     lambda: ResidueMatrix(0, 1, 0, 0, 1),
     lambda: rho_float([[2, 0], [0, 2]], 5),
     lambda: rho_closed([[2, 0], [0, 2]], 5),
     lambda: _unit_shift(types.SimpleNamespace(a=2, b=0, c=0, d=2), 5),
+    lambda: enumerate_kernel(9),
+    lambda: conductor(2),
+    lambda: conductor(5.0),
+    lambda: factor_kernel_sl2z8(5),
 ]
 for i, case in enumerate(cases):
     try:
