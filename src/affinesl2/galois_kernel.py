@@ -153,7 +153,8 @@ def expected_kernel_slice(n):
     even quotient in d = nL + d0 only then); n = 4 carries four extra elements
     frozen here from exhaustive enumeration, and n = 3 has no short list at all.
     """
-    assert n >= 4
+    if n < 4:
+        raise ValueError(f"the known kernel list needs n >= 4, got {n}")
     N = conductor(n)
     if n % 2 == 1:
         base = [
@@ -345,7 +346,8 @@ def _is_prime(p):
 
 def genus(p):
     """Genus of the curve carrying the level p - 2 character vector, p prime, p = 3 mod 4."""
-    assert _is_prime(p) and p >= 7 and p % 4 == 3
+    if not (_is_prime(p) and p >= 7 and p % 4 == 3):
+        raise ValueError(f"{p} is not a prime p >= 7 with p = 3 mod 4")
     g = 1 + Fraction(12 * p * (p * p - 1)) * (Fraction(1, 6) - Fraction(1, 8 * p))
     assert g.denominator == 1
     alt = (4 * p**3 - 3 * p * p - 4 * p + 5) // 2

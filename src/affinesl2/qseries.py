@@ -1,8 +1,8 @@
-"""Truncated q-series with fractional exponents: eta powers, characters, identities."""
+"""Truncated q-series with a rational leading exponent: eta powers, characters, identities."""
 
 import cmath
 from fractions import Fraction
-from math import ceil, gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .wzwrep import rho_S
 
@@ -26,13 +26,15 @@ def _canonical(c):
 
 
 class QSeries:
-    """A truncated series sum of coeffs[j] * q^((offset + j)/den).
+    """A truncated series sum of coeffs[j] * q^(offset/den + j).
 
-    The retained window is exact: every exponent from offset/den through
-    (offset + truncation)/den has its true coefficient stored (zeros
-    included), and nothing is claimed beyond it.  The leading coefficient is
-    nonzero unless the series is identically zero, in which case the window
-    is kept as bookkeeping.
+    The leading exponent offset/den is rational; the coefficients sit at
+    integer steps from it.  The retained window is exact: every step from 0
+    through truncation has its true coefficient stored (zeros included), and
+    nothing is claimed beyond it.  The leading coefficient is nonzero unless
+    the series is identically zero, in which case the window is kept as
+    bookkeeping.  A product adds the leads and keeps the shorter window; a
+    sum needs leads that differ by an integer.
     """
 
     __slots__ = ("den", "offset", "coeffs")
@@ -47,17 +49,13 @@ class QSeries:
         if lead == len(coeffs):
             lead = 0
         self.den = den
-        self.offset = offset + lead
+        self.offset = offset + lead * den
         self.coeffs = coeffs[lead:]
 
     @property
     def truncation(self):
-        """Highest retained relative index."""
+        """Highest retained step."""
         return len(self.coeffs) - 1
-
-    def end(self):
-        """Grid index of the last retained exponent."""
-        return self.offset + self.truncation
 
     def is_zero(self):
         """True when every retained coefficient vanishes."""
@@ -67,53 +65,36 @@ class QSeries:
         return Fraction(self.offset, self.den)
 
     def end_exponent(self):
-        return Fraction(self.end(), self.den)
-
-    def _promoted(self, den):
-        assert den % self.den == 0
-        step = den // self.den
-        if step == 1:
-            return self
-        coeffs = [0] * (self.truncation * step + 1)
-        for j, c in enumerate(self.coeffs):
-            coeffs[j * step] = c
-        return QSeries(den, self.offset * step, coeffs)
-
-    def shifted(self, delta):
-        """Multiply by q^(delta/den)."""
-        return QSeries(self.den, self.offset + delta, self.coeffs)
+        return self.leading_exponent() + self.truncation
 
     def coefficient_at(self, exponent):
         """Coefficient of q^exponent; exponent must not exceed the window."""
-        e = Fraction(exponent)
-        if e < self.leading_exponent():
+        step = Fraction(exponent) - self.leading_exponent()
+        if step < 0 or step.denominator != 1:
             return 0
-        assert e <= self.end_exponent(), "exponent beyond the reliable window"
-        idx = e * self.den - self.offset
-        if idx.denominator != 1:
-            return 0
-        return self.coeffs[int(idx)]
+        if step > self.truncation:
+            raise ValueError("exponent beyond the reliable window")
+        return self.coeffs[int(step)]
 
     def table(self, count):
-        """Coefficients at integer steps from the leading exponent."""
-        lead = self.leading_exponent()
-        return [self.coefficient_at(lead + j) for j in range(count)]
+        """The first count coefficients, at integer steps from the leading exponent."""
+        if count > len(self.coeffs):
+            raise ValueError("exponent beyond the reliable window")
+        return self.coeffs[:count]
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        den = lcm(self.den, other.den)
-        a, b = self._promoted(den), other._promoted(den)
-        offset = min(a.offset, b.offset)
-        end = min(a.end(), b.end())
-        assert end >= offset, "addition windows do not overlap"
-        coeffs = [0] * (end - offset + 1)
-        for src in (a, b):
-            for j, c in enumerate(src.coeffs):
-                pos = src.offset + j - offset
-                if 0 <= pos < len(coeffs):
-                    coeffs[pos] += c
-        return QSeries(den, offset, coeffs)
+        gap = other.leading_exponent() - self.leading_exponent()
+        if gap.denominator != 1:
+            raise ValueError("cannot add series whose leading exponents differ by a fraction")
+        a, b = (self, other) if gap >= 0 else (other, self)
+        gap = abs(int(gap))
+        coeffs = a.coeffs[: min(a.truncation, gap + b.truncation) + 1]
+        for j in range(gap, len(coeffs)):
+            coeffs[j] += b.coeffs[j - gap]
+        den = lcm(a.den, b.den)
+        return QSeries(den, a.offset * (den // a.den), coeffs)
 
     def __neg__(self):
         return QSeries(self.den, self.offset, [-c for c in self.coeffs])
@@ -130,12 +111,10 @@ class QSeries:
             return QSeries(self.den, self.offset, [c * other for c in self.coeffs])
         if not isinstance(other, QSeries):
             return NotImplemented
-        den = lcm(self.den, other.den)
-        a, b = self._promoted(den), other._promoted(den)
-        rel_end = min(a.truncation, b.truncation)
+        rel_end = min(self.truncation, other.truncation)
         coeffs = [0] * (rel_end + 1)
-        terms_a = [(j, c) for j, c in enumerate(a.coeffs) if c != 0 and j <= rel_end]
-        terms_b = [(j, c) for j, c in enumerate(b.coeffs) if c != 0 and j <= rel_end]
+        terms_a = [(j, c) for j, c in enumerate(self.coeffs[: rel_end + 1]) if c != 0]
+        terms_b = [(j, c) for j, c in enumerate(other.coeffs[: rel_end + 1]) if c != 0]
         if len(terms_a) > len(terms_b):
             terms_a, terms_b = terms_b, terms_a
         for u, cu in terms_a:
@@ -143,7 +122,9 @@ class QSeries:
                 if u + v > rel_end:
                     break
                 coeffs[u + v] += cu * cv
-        return QSeries(den, a.offset + b.offset, coeffs)
+        den = lcm(self.den, other.den)
+        offset = self.offset * (den // self.den) + other.offset * (den // other.den)
+        return QSeries(den, offset, coeffs)
 
     __rmul__ = __mul__
 
@@ -167,11 +148,7 @@ class QSeries:
             if c == 0:
                 continue
             mag = c if not parts else abs(c)
-            if j == 0:
-                term = f"{mag}"
-            else:
-                r = Fraction(j, self.den)
-                term = f"{mag} q^{r.numerator if r.denominator == 1 else f'({r})'}"
+            term = f"{mag} q^{j}" if j else f"{mag}"
             if parts:
                 parts.append("+" if (c > 0) else "-")
             parts.append(term)
@@ -201,16 +178,21 @@ def _descending_product_coeffs(truncation):
 
 
 def eta_inverse_cubed(truncation):
-    """The series 1/prod(1-q^m)^3 through q^truncation (no q^(1/8) prefactor)."""
+    """The series 1/prod(1-q^m)^3 through q^truncation (no q^(1/8) prefactor).
+
+    Jacobi's identity prod(1-q^m)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2) gives
+    the product with O(sqrt(truncation)) terms; its inverse follows term by term.
+    """
     assert truncation >= 0
-    f = _descending_product_coeffs(truncation)
-    inv = [0] * (truncation + 1)
-    inv[0] = 1
-    for k in range(1, truncation + 1):
-        inv[k] = -sum(f[j] * inv[k - j] for j in range(1, k + 1))
-    sq = [sum(inv[j] * inv[k - j] for j in range(k + 1)) for k in range(truncation + 1)]
-    cube = [sum(sq[j] * inv[k - j] for j in range(k + 1)) for k in range(truncation + 1)]
-    return QSeries(1, 0, cube)
+    jacobi = []
+    k = 1
+    while k * (k + 1) // 2 <= truncation:
+        jacobi.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
+        k += 1
+    inv = [1] + [0] * truncation
+    for t in range(1, truncation + 1):
+        inv[t] = -sum(c * inv[t - e] for e, c in jacobi if e <= t)
+    return QSeries(1, 0, inv)
 
 
 def sigma1(m):
@@ -242,26 +224,26 @@ def log_eta_expansion_check(truncation):
 
 
 def character(lam, n, truncation):
-    """The level n-2 character with shifted weight lam, reliable through q^truncation."""
-    assert 1 <= lam <= n - 1 and truncation >= 0
-    D = 24 * n
-    cutoff = ceil((4 * n * (truncation + 1)) ** 0.5)
-    offset = 6 * lam * lam
-    end = D * (truncation + 1)
-    coeffs = [0] * (end - offset + 1)
-    x = lam
-    while x <= cutoff:
-        if 6 * x * x <= end:
-            coeffs[6 * x * x - offset] += x
-        x += 2 * n
-    x = lam - 2 * n
-    while x >= -cutoff:
-        if 6 * x * x <= end:
-            coeffs[6 * x * x - offset] += x
-        x -= 2 * n
-    theta = QSeries(D, offset, coeffs)
-    # the eta prefactor contributes q^(-1/8) = a grid shift by -3n
-    return (theta * eta_inverse_cubed(truncation + 2)).shifted(-3 * n)
+    """The level n-2 character with shifted weight lam, exact through truncation steps.
+
+    chi_lam = theta_lam / eta^3 with theta_lam = sum over x = lam (mod 2n) of
+    x q^(x^2/4n).  The term x = lam + 2nm sits m(lam + nm) >= 0 steps past
+    lam^2/4n, so theta is built on the step lattice, and the eta prefactor
+    q^(-1/8) puts the lead at lam^2/4n - 1/8 = (6 lam^2 - 3n)/24n.  The result
+    keeps exactly truncation + 1 coefficients from that lead.
+    """
+    if not 1 <= lam <= n - 1:
+        raise ValueError(f"weight {lam} is not in 1..{n - 1}")
+    if truncation < 0:
+        raise ValueError(f"truncation {truncation} is negative")
+    theta = [0] * (truncation + 1)
+    # m(lam + nm) >= m^2 unless m = -1, which sits n - lam >= 1 steps in
+    r = isqrt(truncation)
+    for m in range(-r, r + 1):
+        step = m * (lam + n * m)
+        if step <= truncation:
+            theta[step] += lam + 2 * n * m
+    return QSeries(24 * n, 6 * lam * lam - 3 * n, theta) * eta_inverse_cubed(truncation)
 
 
 def verify_k1_identity(truncation):
@@ -295,7 +277,7 @@ def numeric_eval(s, tau):
     total = 0j
     for j, c in enumerate(s.coeffs):
         if c != 0:
-            total += complex(c) * cmath.exp(2j * cmath.pi * tau * (s.offset + j) / s.den)
+            total += complex(c) * cmath.exp(2j * cmath.pi * tau * (s.offset + j * s.den) / s.den)
     return total
 
 

@@ -104,6 +104,14 @@ def test_characters_table(capsys):
     assert series and "q^(-1/24) * (1 + 3 q^1" in series[0]
 
 
+def test_characters_table_at_level_four(capsys):
+    """Weights whose lead exceeds 7/8 still print terms + 1 coefficients."""
+    code, lines = _capture(capsys, ["characters", "--level", "4", "--terms", "9"])
+    assert code == 0
+    coeffs = [l.split()[3:] for l in lines if l.split()[2:3] == ["coeffs"]]
+    assert len(coeffs) == 5 and all(len(c) == 10 for c in coeffs)
+
+
 def test_characters_numeric(capsys):
     code, lines = _capture(capsys, ["characters", "--level", "1", "--terms", "40", "--numeric", "1j"])
     assert code == 0

@@ -199,7 +199,7 @@ def test_genus_values():
     assert genus(11) == 2461
     assert genus(19) == 13141
     assert genus(23) == 23497
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         genus(13)
 
 

@@ -256,8 +256,9 @@ def test_bad_input_raises_value_error_under_optimize():
     """Validation does not rest on assert: under python -O bad input still raises, and nothing spins."""
     code = """
 import types
-from affinesl2.galois_kernel import enumerate_kernel, factor_kernel_sl2z8
+from affinesl2.galois_kernel import enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus
 from affinesl2.modgroup import ResidueMatrix
+from affinesl2.qseries import QSeries, character
 from affinesl2.wzwrep import _unit_shift, conductor, rho_closed, rho_float
 cases = [
     lambda: ResidueMatrix(40, 2, 0, 0, 2),
@@ -269,6 +270,14 @@ cases = [
     lambda: conductor(2),
     lambda: conductor(5.0),
     lambda: factor_kernel_sl2z8(5),
+    lambda: character(5, 3, 5),
+    lambda: character(3, 3, 5),
+    lambda: character(0, 3, 5),
+    lambda: character(1, 3, -1),
+    lambda: genus(13),
+    lambda: genus(9),
+    lambda: expected_kernel_slice(3),
+    lambda: QSeries(2, 1, [1, 1]) + QSeries(1, 0, [1, 1]),
 ]
 for i, case in enumerate(cases):
     try:
