@@ -263,6 +263,29 @@ def _sweep_rows(args):
     return hits, float(accepted), float(rejected)
 
 
+def _confirmed(n, hits, accepted, rejected):
+    """Check the float filter's margin, then confirm each candidate key exactly.
+
+    Raises RuntimeError when a deviation lies inside MARGIN_BAND or a
+    candidate is not exactly in the kernel; returns the candidates as
+    ResidueMatrix values, in order.
+    """
+    lo, hi = MARGIN_BAND
+    if accepted >= lo or rejected <= hi:
+        raise RuntimeError(
+            f"float filter margin closed at n = {n}: accepted deviations reach {accepted:.3g}, "
+            f"rejected ones start at {rejected:.3g}, and none may lie in [{lo:g}, {hi:g}]"
+        )
+    N = conductor(n)
+    kernel = []
+    for key in hits:
+        r = ResidueMatrix(N, *key)
+        if not rho_closed(r, n).is_identity():
+            raise RuntimeError(f"float candidate {r} at n = {n} fails exact confirmation")
+        kernel.append(r)
+    return kernel
+
+
 def enumerate_kernel(n, bound=64, workers=1):
     """Enumerate Ker rho by a float sweep over SL2(Z/NZ) plus exact confirmation.
 
@@ -285,46 +308,29 @@ def enumerate_kernel(n, bound=64, workers=1):
         hits.sort()
     else:
         hits, accepted, rejected = _sweep_rows((n, rows))
-    lo, hi = MARGIN_BAND
-    if accepted >= lo or rejected <= hi:
-        raise RuntimeError(
-            f"float filter margin closed at n = {n}: accepted deviations reach {accepted:.3g}, "
-            f"rejected ones start at {rejected:.3g}, and none may lie in [{lo:g}, {hi:g}]"
-        )
-    kernel = []
-    for a, b, c, d in hits:
-        r = ResidueMatrix(N, a, b, c, d)
-        if not rho_closed(r, n).is_identity():
-            raise RuntimeError(f"float candidate {r} at n = {n} fails exact confirmation")
-        kernel.append(r)
+    kernel = _confirmed(n, hits, accepted, rejected)
     assert kernel, "kernel must contain the identity"
     return KernelReport(n, kernel, accepted, rejected)
 
 
-def _embed_factor(m, q, N):
-    """CRT-embed m in SL2(Z/qZ) to SL2(Z/NZ): m mod q, identity mod N/q."""
-    e = idempotents(N)[q]
-    return ResidueMatrix(
-        N,
-        m.a * e + (1 - e),
-        m.b * e,
-        m.c * e,
-        m.d * e + (1 - e),
-    )
-
-
 def factor_kernel_sl2z8(n):
-    """Kernel classes of rho restricted to the mod-8 factor, in SL2(Z/8Z)/{+-1}."""
+    """Kernel classes of rho restricted to the mod-8 factor, in SL2(Z/8Z)/{+-1}.
+
+    An element of SL2(Z/8Z) embeds by CRT as itself mod 8 and the identity
+    mod N/8.  One _sweep_rows pass over the 48 embedded bottom rows filters
+    every element with such a row; the hits whose top row is (1, 0) mod N/8
+    are the embedded ones, and they get the margin guard and exact
+    confirmation of enumerate_kernel.
+    """
     if n % 4 != 3:
         raise ValueError(f"the mod-8 factor kernel needs n = 3 mod 4, got n = {n}")
     N = conductor(n)
-    classes = set()
-    for m in enumerate_group(8):
-        cand = m.canonical_up_to_sign()
-        if cand in classes:
-            continue
-        if in_kernel(_embed_factor(m, 8, N), n):
-            classes.add(cand)
+    e, rest = idempotents(N)[8], N // 8
+    rows = sorted((c * e % N, (d * e + 1 - e) % N) for c, d in unimodular_rows(8))
+    hits, accepted, rejected = _sweep_rows((n, rows))
+    embedded = [key for key in hits if (key[0] % rest, key[1] % rest) == (1, 0)]
+    kernel = _confirmed(n, embedded, accepted, rejected)
+    classes = {ResidueMatrix(8, r.a, r.b, r.c, r.d).canonical_up_to_sign() for r in kernel}
     return sorted(classes, key=lambda r: r.key())
 
 

@@ -183,7 +183,8 @@ def eta_inverse_cubed(truncation):
     Jacobi's identity prod(1-q^m)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2) gives
     the product with O(sqrt(truncation)) terms; its inverse follows term by term.
     """
-    assert truncation >= 0
+    if truncation < 0:
+        raise ValueError(f"truncation {truncation} is negative")
     jacobi = []
     k = 1
     while k * (k + 1) // 2 <= truncation:
@@ -271,9 +272,11 @@ def verify_t_parametrization(truncation):
 
 def numeric_eval(s, tau):
     """Evaluate the series at q^(1/D) = e(tau/D); tau in the upper half plane."""
-    assert isinstance(s, QSeries)
+    if not isinstance(s, QSeries):
+        raise TypeError(f"numeric_eval needs a QSeries, got {type(s).__name__}")
     tau = complex(tau)
-    assert tau.imag > 0, "tau must lie in the upper half plane"
+    if tau.imag <= 0:
+        raise ValueError(f"tau = {tau} does not lie in the upper half plane")
     total = 0j
     for j, c in enumerate(s.coeffs):
         if c != 0:
@@ -283,10 +286,12 @@ def numeric_eval(s, tau):
 
 def s_transform_check(n, tau, truncation=400, tol=1e-8):
     """Check chi(-1/tau) = rho(S) chi(tau) numerically for all weights at level n-2."""
-    assert tol > 0
+    if not tol > 0:
+        raise ValueError(f"tolerance {tol} is not positive")
     tau = complex(tau)
+    if tau.imag <= 0:
+        raise ValueError(f"tau = {tau} does not lie in the upper half plane")
     stau = -1 / tau
-    assert tau.imag > 0 and stau.imag > 0
     chars = [character(lam, n, truncation) for lam in range(1, n)]
     smat = rho_S(n).to_floats()
     worst = 0.0

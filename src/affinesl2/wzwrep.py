@@ -133,7 +133,7 @@ class RepMatrix:
     identical arrays and equality is array comparison.  The array is int64,
     or object (Python ints) once an entry reaches 2^62.
 
-    Products, row and column scalings and Galois maps bound every product
+    Products, column scalings and Galois maps bound every product
     and partial sum they form from the operands' largest numerators.  Below
     2^53 they run in float64 BLAS, which is exact there; at 2^53 or above,
     or on object input, they run on Python ints.
@@ -236,8 +236,8 @@ class RepMatrix:
         """True when this is exactly the identity matrix."""
         return self == RepMatrix.identity(self.n)
 
-    def _scaled(self, exps, axis):
-        """Multiply row (axis 0) or column (axis 1) j by zeta_M^exps[j]."""
+    def scale_cols(self, exps):
+        """Right-multiply by diag(zeta_M^exps)."""
         assert len(exps) == self.dim
         M = self.order
         tab = _tables(M)
@@ -248,22 +248,10 @@ class RepMatrix:
             out = np.empty_like(arr)
             for j, e in enumerate(exps):
                 # row u of the map x -> zeta_M^e x is the coordinate vector of zeta_M^(u + e)
-                mono = rows[(u + e % M) % M]
-                if axis == 0:
-                    out[j, :, :] = arr[j, :, :] @ mono
-                else:
-                    out[:, j, :] = arr[:, j, :] @ mono
+                out[:, j, :] = arr[:, j, :] @ rows[(u + e % M) % M]
             return out
 
         return RepMatrix(self.n, _exact(bound, scale, self.arr, tab["rows"]), self.den)
-
-    def scale_rows(self, exps):
-        """Left-multiply by diag(zeta_M^exps)."""
-        return self._scaled(exps, 0)
-
-    def scale_cols(self, exps):
-        """Right-multiply by diag(zeta_M^exps)."""
-        return self._scaled(exps, 1)
 
     def galois_map(self, L):
         """Apply zeta_M -> zeta_M^L to every entry; L must be coprime to M = 8n."""
@@ -343,13 +331,22 @@ def _t_exponents(n, e):
     return [e * (2 * a * a - n) % M for a in range(1, n)]
 
 
+def _sqrt_2n(n):
+    """sqrt(2n) as a Cyclotomic of order 8n, shared by rho_S and the theorem1 table."""
+    cache = _gen_cache(n)
+    root = cache.get("sqrt")
+    if root is None:
+        root = sqrt_int(2 * n, 8 * n)
+        cache["sqrt"] = root
+    return root
+
+
 def rho_S(n):
     """The symmetric matrix rho(S) with entries sqrt(2/n) sin(pi a b / n), exactly."""
     cache = _gen_cache(n)
     mat = cache.get("S")
     if mat is None:
-        M = 8 * n
-        root = sqrt_int(2 * n, M)
+        root = _sqrt_2n(n)
         sins = [sin_value(n, m) for m in range(2 * n)]
         entries = [
             [root * sins[(a * b) % (2 * n)] / n for b in range(1, n)] for a in range(1, n)
@@ -513,7 +510,8 @@ def dispatch_path(r, n):
 
 def _as_residue(r, n):
     if isinstance(r, ResidueMatrix):
-        assert r.N == conductor(n)
+        if r.N != conductor(n):
+            raise ValueError(f"{r} is a residue mod {r.N}, but rho at n = {n} needs mod {conductor(n)}")
         return r
     return ResidueMatrix.from_list(conductor(n), r)
 
@@ -572,13 +570,46 @@ def rho_coprime_legendre(r, n):
     return RepMatrix.from_entries(n, entries)
 
 
+def _sqrt_table(n):
+    """(Q, den): row j < 8n of Q over den holds the power-basis coordinates of sqrt(2n) zeta_8n^j."""
+    cache = _gen_cache(n)
+    got = cache.get("Q")
+    if got is None:
+        M = 8 * n
+        rows = _tables(M)["rows"][:M]
+        root = _sqrt_2n(n)
+        j = np.arange(M)
+        table = np.zeros_like(rows)
+        for v, c in enumerate(root.num):
+            if c:
+                table += c * rows[(j + v) % M]
+        got = (table, root.den)
+        cache["Q"] = got
+    return got
+
+
 def rho_theorem1(r, n):
-    """rho on gcd(C, N) = 1 matrices as a Galois twist of rho(T^A S T^D)."""
+    """rho on gcd(c, N) = 1 matrices, as one gather from a table of sqrt(2n) zeta_8n^j.
+
+    rho(A, B; C, D) is sigma_L of rho(T^A S T^D) for L = C^-1 mod 8n.  Entry
+    (a, b) of rho(T^A S T^D) is sqrt(2n)/(2n) (zeta^p' - zeta^q') with
+    zeta = zeta_8n and p', q' = A(2a^2 - n) + D(2b^2 - n) + 6n +- 4ab, and
+    sigma_L sends sqrt(2n) to (2n|L) sqrt(2n) (Coste-Gannon), so the entry is
+    (2n|L) sqrt(2n)/(2n) (zeta^(L p') - zeta^(L q')).
+    """
     r = _as_residue(r, n)
-    N = conductor(n)
-    assert gcd(r.c, N) == 1
-    sandwich = rho_S(n).scale_rows(_t_exponents(n, r.a)).scale_cols(_t_exponents(n, r.d))
-    return sandwich.galois_map(pow(r.c % (8 * n), -1, 8 * n))
+    if gcd(r.c, conductor(n)) != 1:
+        raise ValueError(f"rho_theorem1 needs gcd(c, N) = 1, got {r} at n = {n}")
+    M = 8 * n
+    L = pow(r.c % M, -1, M)
+    table, den = _sqrt_table(n)
+    a = np.arange(1, n)
+    t = 2 * a * a - n
+    base = (r.a * t[:, np.newaxis] + r.d * t[np.newaxis, :] + 6 * n) % M
+    cross = 4 * np.outer(a, a)
+    p = L * (base + cross) % M
+    q = L * (base - cross) % M
+    return RepMatrix(n, jacobi(2 * n, L) * (table[p] - table[q]), 2 * n * den)
 
 
 def rho_unit_d_closed(r, n):
@@ -649,10 +680,11 @@ def _unit_shift(r, n):
 def rho_closed(r, n):
     """Evaluate rho exactly, by one route for every matrix.
 
-    gcd(c, N) = 1 goes to rho_theorem1.  Any other matrix is shifted to
-    W = r T^k S in that stratum (see _unit_shift), and
-    rho(r) = rho_theorem1(W) rho(S) rho(T)^-k, as rho(S) is real, symmetric
-    and orthogonal, so its own inverse.  The paper's other closed forms
+    gcd(c, N) = 1 goes to rho_theorem1, one table gather.  Any other matrix
+    is shifted to W = r T^k S in that stratum (see _unit_shift), and
+    rho(r) = rho(W) rho(S^-1 T^-k) = rho_theorem1(W) rho_theorem1(0, -1; 1, -k),
+    as S^-1 T^-k = -(0, -1; 1, -k) and rho(-1) = rho(S)^2 = 1: two gathers
+    and one product.  The paper's other closed forms
     (rho_unit_d_closed, rho_upper_triangular, rho_coprime_closed,
     rho_coprime_legendre) are identities checked against the word oracle,
     not routes of this function.
@@ -661,7 +693,7 @@ def rho_closed(r, n):
     if gcd(r.c, conductor(n)) == 1:
         return rho_theorem1(r, n)
     k, w = _unit_shift(r, n)
-    return (rho_theorem1(w, n) * rho_S(n)).scale_cols(_t_exponents(n, -k))
+    return rho_theorem1(w, n) * rho_theorem1(ResidueMatrix(w.N, 0, -1, 1, -k), n)
 
 
 def g_parity_check(n):

@@ -10,6 +10,7 @@ from affinesl2 import galois_kernel
 from affinesl2.modgroup import (
     ResidueMatrix,
     enumerate_group,
+    idempotents,
     local_generators,
     random_matrix,
     sl2_order,
@@ -206,6 +207,19 @@ def test_genus_values():
 def test_factor_kernel_classes_at_n7():
     classes = factor_kernel_sl2z8(7)
     assert [r.key() for r in classes] == [(1, 0, 0, 1), (1, 4, 4, 1), (3, 0, 4, 3), (3, 4, 0, 3)]
+
+
+@pytest.mark.parametrize("n", [7, 11])
+def test_factor_kernel_matches_the_per_element_filter(n):
+    """The batched sweep finds the classes that in_kernel finds on each embedded element."""
+    N = conductor(n)
+    e = idempotents(N)[8]
+    want = set()
+    for m in enumerate_group(8):
+        embedded = ResidueMatrix(N, m.a * e + 1 - e, m.b * e, m.c * e, m.d * e + 1 - e)
+        if in_kernel(embedded, n):
+            want.add(m.canonical_up_to_sign())
+    assert factor_kernel_sl2z8(n) == sorted(want, key=lambda r: r.key())
 
 
 def test_factor_generator_orders():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affinesl2
-from affinesl2.cyclotomic import embed, galois, one, root_of_unity, sqrt_int, zero
+from affinesl2.cyclotomic import embed, galois, jacobi, one, root_of_unity, sqrt_int, zero
 from affinesl2.modgroup import ResidueMatrix, STWord, decompose, lift, random_matrix
 from affinesl2.wzwrep import (
     _FLOAT_EXACT,
@@ -185,6 +185,40 @@ def test_coprime_c_forms_agree(n, seed):
         assert rho_coprime_legendre(r, n) == want
 
 
+def _galois_twist_reference(r, n):
+    """sigma_L applied to rho(T)^A rho(S) rho(T)^D, L = C^-1 mod 8n: the composed theorem1 form."""
+    M = 8 * n
+
+    def t_power(e):
+        return RepMatrix.identity(n).scale_cols([e * (2 * a * a - n) % M for a in range(1, n)])
+
+    return (t_power(r.a) * rho_S(n) * t_power(r.d)).galois_map(pow(r.c % M, -1, M))
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 20])
+def test_theorem1_gather_matches_the_galois_twist(n):
+    """The table gather equals the Galois twist of T^A S T^D for every unit C and several A, D."""
+    N = conductor(n)
+    units = [c for c in range(1, N) if gcd(c, N) == 1]
+    pairs = [(0, 0), (1, N - 1), (5, 3), (N - 2, 7)]
+    if n == 20:
+        units, pairs = [7], [(3, 11)]
+    for C in units:
+        for A, D in pairs:
+            r = ResidueMatrix(N, A, (A * D - 1) * pow(C, -1, N), C, D)
+            assert rho_theorem1(r, n) == _galois_twist_reference(r, n), (n, r)
+
+
+def test_galois_action_on_sqrt_2n_is_the_jacobi_symbol():
+    """sigma_L(sqrt(2n)) = (2n|L) sqrt(2n) for every unit L mod 8n."""
+    for n in range(3, 13):
+        M = 8 * n
+        root = sqrt_int(2 * n, M)
+        for L in range(1, M):
+            if gcd(L, M) == 1:
+                assert galois(L, root) == root * jacobi(2 * n, L), (n, L)
+
+
 def test_upper_triangular_form():
     """c = 0 matrices evaluate to decorated permutations, matching the oracle."""
     for n in range(3, 13):
@@ -258,8 +292,8 @@ def test_bad_input_raises_value_error_under_optimize():
 import types
 from affinesl2.galois_kernel import enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus
 from affinesl2.modgroup import ResidueMatrix
-from affinesl2.qseries import QSeries, character
-from affinesl2.wzwrep import _unit_shift, conductor, rho_closed, rho_float
+from affinesl2.qseries import QSeries, character, eta_inverse_cubed, numeric_eval, s_transform_check
+from affinesl2.wzwrep import _unit_shift, conductor, rho_closed, rho_float, rho_theorem1
 cases = [
     lambda: ResidueMatrix(40, 2, 0, 0, 2),
     lambda: ResidueMatrix(0, 1, 0, 0, 1),
@@ -278,6 +312,11 @@ cases = [
     lambda: genus(9),
     lambda: expected_kernel_slice(3),
     lambda: QSeries(2, 1, [1, 1]) + QSeries(1, 0, [1, 1]),
+    lambda: rho_closed(ResidueMatrix(40, 0, 39, 1, 0), 7),
+    lambda: rho_theorem1(ResidueMatrix(56, 1, 0, 2, 1), 7),
+    lambda: numeric_eval(character(1, 3, 20), 0.5 - 1j),
+    lambda: s_transform_check(3, 0.1 - 0.9j, truncation=20),
+    lambda: eta_inverse_cubed(-2),
 ]
 for i, case in enumerate(cases):
     try:
