@@ -89,7 +89,7 @@ def _cmd_eval(args):
     N = conductor(n)
     try:
         m = parse_matrix(args.matrix)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad --matrix: {exc}")
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if det % N != 1 % N:

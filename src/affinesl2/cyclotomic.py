@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 __all__ = [
@@ -23,6 +24,12 @@ __all__ = [
     "cyclotomic_poly",
     "reduction_rows",
 ]
+
+# Per-order caches keep the data of this many field orders.  A level n uses
+# the orders 8n, 4n, 2n and n, and cyclotomic_poly recurses over every divisor
+# of 8n: for n = 3..12, the levels the verify-small and characters workloads
+# build in set-up, that is 30 orders, so neither workload rebuilds one.
+MAX_ORDERS = 64
 
 
 def xgcd(a, b):
@@ -102,33 +109,22 @@ def _polydiv_exact(a, b):
     return q
 
 
-_CYCLO_CACHE = {}
-
-
+@lru_cache(maxsize=MAX_ORDERS)
 def cyclotomic_poly(M):
     """Return the M-th cyclotomic polynomial as a low-to-high coefficient tuple."""
     assert isinstance(M, int) and M >= 1
-    got = _CYCLO_CACHE.get(M)
-    if got is not None:
-        return got
     p = [-1] + [0] * (M - 1) + [1]
     for d in range(1, M):
         if M % d == 0:
             p = _polydiv_exact(p, cyclotomic_poly(d))
     out = tuple(p)
     assert len(out) == euler_phi(M) + 1 and out[-1] == 1
-    _CYCLO_CACHE[M] = out
     return out
 
 
-_ROWS_CACHE = {}
-
-
+@lru_cache(maxsize=MAX_ORDERS)
 def reduction_rows(M):
     """Return rows[d] = coefficients of x^d mod Phi_M for d up to max(M, 2*phi(M)-1)."""
-    got = _ROWS_CACHE.get(M)
-    if got is not None:
-        return got
     phi = euler_phi(M)
     poly = cyclotomic_poly(M)
     rows = []
@@ -144,9 +140,7 @@ def reduction_rows(M):
                 for j in range(phi):
                     row[j] -= top * poly[j]
         rows.append(tuple(row))
-    out = tuple(rows)
-    _ROWS_CACHE[M] = out
-    return out
+    return tuple(rows)
 
 
 class Cyclotomic:
@@ -161,10 +155,13 @@ class Cyclotomic:
     __slots__ = ("order", "num", "den")
 
     def __init__(self, order, num, den=1):
-        assert isinstance(order, int) and order >= 1
-        assert isinstance(den, int) and den != 0
+        if not isinstance(order, int) or order < 1:
+            raise ValueError(f"order must be an integer >= 1, got {order!r}")
+        if not isinstance(den, int) or den == 0:
+            raise ValueError(f"denominator must be a nonzero integer, got {den!r}")
         num = [int(c) for c in num]
-        assert len(num) == euler_phi(order)
+        if len(num) != euler_phi(order):
+            raise ValueError(f"Q(zeta_{order}) needs {euler_phi(order)} coordinates, got {len(num)}")
         if den < 0:
             den = -den
             num = [-c for c in num]
@@ -387,7 +384,8 @@ def galois(L, x):
     """Apply the field morphism zeta_M -> zeta_M^L to x; requires gcd(L, M) = 1."""
     M = x.order
     L %= M
-    assert gcd(L, M) == 1, "galois conjugation needs gcd(L, M) = 1"
+    if gcd(L, M) != 1:
+        raise ValueError(f"galois conjugation needs gcd(L, M) = 1, got L = {L}, M = {M}")
     rows = reduction_rows(M)
     out = [0] * len(x.num)
     for j, c in enumerate(x.num):
@@ -402,9 +400,11 @@ def galois(L, x):
 def _sqrt_prime(p, M):
     """Return sqrt(p) in Q(zeta_M) for prime p, via quadratic Gauss sums."""
     if p == 2:
-        assert M % 8 == 0, "sqrt(2) needs 8 | M"
+        if M % 8:
+            raise ValueError(f"sqrt(2) needs 8 | M, got M = {M}")
         return root_of_unity(M, M // 8) + root_of_unity(M, -(M // 8) % M)
-    assert M % p == 0, f"sqrt({p}) needs {p} | M"
+    if M % p:
+        raise ValueError(f"sqrt({p}) needs {p} | M, got M = {M}")
     g = zero(M)
     step = M // p
     for t in range(p):
@@ -412,7 +412,8 @@ def _sqrt_prime(p, M):
     if p % 4 == 1:
         return g
     # g = i*sqrt(p) here, so multiply by -i
-    assert M % 4 == 0, f"sqrt({p}) needs 4 | M when {p} = 3 mod 4"
+    if M % 4:
+        raise ValueError(f"sqrt({p}) needs 4 | M when {p} = 3 mod 4, got M = {M}")
     return root_of_unity(M, 3 * (M // 4)) * g
 
 
@@ -423,7 +424,8 @@ def sqrt_int(m, M):
     each prime appearing to an odd power in m admits a square root in
     Q(zeta_M): p | M when p = 1 mod 4, 4p | M when p = 3 mod 4, 8 | M for p = 2.
     """
-    assert isinstance(m, int) and m >= 1
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"sqrt_int needs an integer m >= 1, got {m!r}")
     out = one(M)
     rational = 1
     for p, e in factorize(m).items():
@@ -433,18 +435,16 @@ def sqrt_int(m, M):
     return out * rational
 
 
-_EMBED_CACHE = {}
+@lru_cache(maxsize=MAX_ORDERS)
+def _embed_roots(M):
+    """The complex values of the power basis 1, zeta_M, ..., zeta_M^(phi(M)-1)."""
+    return tuple(cmath.exp(2j * cmath.pi * j / M) for j in range(euler_phi(M)))
 
 
 def embed(x):
     """Return the complex value of x under zeta_M -> exp(2*pi*i/M)."""
-    M = x.order
-    roots = _EMBED_CACHE.get(M)
-    if roots is None:
-        roots = [cmath.exp(2j * cmath.pi * j / M) for j in range(euler_phi(M))]
-        _EMBED_CACHE[M] = roots
     total = 0j
-    for c, w in zip(x.num, roots):
+    for c, w in zip(x.num, _embed_roots(x.order)):
         if c:
             total += c * w
     return total / x.den

@@ -13,7 +13,6 @@ from .modgroup import (
     complete_row,
     enumerate_group,
     idempotents,
-    local_generators,
     sl2_order,
     unimodular_rows,
 )
@@ -21,6 +20,7 @@ from .wzwrep import (
     RepMatrix,
     _float_S,
     _float_T_diag,
+    _as_residue,
     _rho_float_coprime,
     _unit_shift,
     conductor,
@@ -120,7 +120,7 @@ def sigma_perm(d, n):
 def sigma_covariance_check(L, r, n):
     """Check sigma_L(rho(R)) = rho of R with B scaled by L and C by L^{-1}."""
     N = conductor(n)
-    r = r if isinstance(r, ResidueMatrix) else ResidueMatrix.from_list(N, r)
+    r = _as_residue(r, n)
     assert gcd(L, N) == 1
     Linv = pow(L, -1, N)
     twisted = ResidueMatrix(N, r.a, r.b * L, r.c * Linv, r.d)
@@ -138,8 +138,7 @@ def bantay_sigma_S_identity(C, n):
 
 def in_kernel(r, n):
     """True when rho(r) is the identity: float filter, then exact confirmation."""
-    N = conductor(n)
-    r = r if isinstance(r, ResidueMatrix) else ResidueMatrix.from_list(N, r)
+    r = _as_residue(r, n)
     dev = np.max(np.abs(rho_float(r, n) - np.eye(n - 1)))
     if dev >= FLOAT_CUT:
         return False

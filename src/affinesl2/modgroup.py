@@ -98,12 +98,11 @@ class STWord:
 def parse_matrix(text):
     """Parse a matrix string like [[a,b],[c,d]] into a list of lists of ints."""
     m = json.loads(text)
-    assert (
-        isinstance(m, list)
-        and len(m) == 2
-        and all(isinstance(r, list) and len(r) == 2 for r in m)
-    ), "expected [[a,b],[c,d]]"
-    return [[int(x) for x in r] for r in m]
+    if not (isinstance(m, list) and len(m) == 2 and all(isinstance(r, list) and len(r) == 2 for r in m)):
+        raise ValueError(f"expected [[a,b],[c,d]], got {text}")
+    if not all(type(x) is int for r in m for x in r):
+        raise ValueError(f"matrix entries must be integers, got {text}")
+    return m
 
 
 def format_matrix(m):
@@ -250,8 +249,10 @@ def lift(r, shift=0):
     shift = 0, 1, 2, ... selects successive lifts with different bottom rows,
     so independent lifts of the same residue matrix can be compared.
     """
-    assert isinstance(r, ResidueMatrix)
-    assert isinstance(shift, int) and shift >= 0
+    if not isinstance(r, ResidueMatrix):
+        raise TypeError(f"lift needs a ResidueMatrix, got {r!r}")
+    if not isinstance(shift, int) or shift < 0:
+        raise ValueError(f"shift must be an integer >= 0, got {shift!r}")
     N = r.N
     c = r.c if r.c != 0 else N
     d = r.d

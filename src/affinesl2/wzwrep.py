@@ -1,6 +1,7 @@
 """The level-k affine sl2 modular representation: generators, word oracle, closed forms."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -8,7 +9,6 @@ import numpy as np
 from .cyclotomic import (
     Cyclotomic,
     euler_phi,
-    from_rational,
     jacobi,
     one,
     reduction_rows,
@@ -43,6 +43,13 @@ __all__ = [
 _INT64_SAFE = 1 << 62
 # float64 holds every integer of magnitude below this exactly
 _FLOAT_EXACT = 1 << 53
+# Per-level caches keep the data of this many levels n.  The verify-small and
+# characters workloads build n = 3..12 in set-up, ten levels, and neither may
+# rebuild one while it runs.
+MAX_LEVELS = 16
+# Value caches keep every sine (2n of them) and Gauss sum (moduli n, 2n and 4n:
+# 7n of them) of MAX_LEVELS levels up to n = 32.
+MAX_VALUES = 9 * 32 * MAX_LEVELS
 
 
 def conductor(n):
@@ -77,17 +84,11 @@ def _gcd_all(arr, seed):
     return g
 
 
-_TABLES = {}
-
-
+@lru_cache(maxsize=MAX_LEVELS)
 def _tables(M):
     """Reduction data for Q(zeta_M): rows[d] holds the power-basis coordinates of zeta_M^d, d < M."""
-    tab = _TABLES.get(M)
-    if tab is None:
-        rows = np.array(reduction_rows(M), dtype=np.int64)
-        tab = {"rows": rows, "phi": euler_phi(M), "rowmax": max(1, int(np.abs(rows).max()))}
-        _TABLES[M] = tab
-    return tab
+    rows = np.array(reduction_rows(M), dtype=np.int64)
+    return {"rows": rows, "phi": euler_phi(M), "rowmax": max(1, int(np.abs(rows).max()))}
 
 
 def _exact(bound, op, *arrays):
@@ -156,12 +157,6 @@ class RepMatrix:
         self.order = 8 * n
         self.arr = arr
         self.den = den
-
-    @staticmethod
-    def zeros(n):
-        """The zero matrix at level n - 2."""
-        dim, phi = n - 1, euler_phi(8 * n)
-        return RepMatrix(n, np.zeros((dim, dim, phi), dtype=np.int64), 1)
 
     @staticmethod
     def identity(n):
@@ -257,7 +252,8 @@ class RepMatrix:
         """Apply zeta_M -> zeta_M^L to every entry; L must be coprime to M = 8n."""
         M = self.order
         L %= M
-        assert gcd(L, M) == 1
+        if gcd(L, M) != 1:
+            raise ValueError(f"galois_map needs gcd(L, {M}) = 1, got L = {L}")
         tab = _tables(M)
         bound = _max_abs(self.arr) * tab["phi"] * tab["rowmax"]
         # row u of the automorphism is the coordinate vector of zeta_M^(u L)
@@ -298,31 +294,16 @@ class RepMatrix:
         return f"RepMatrix(n={self.n}, dim={self.dim}, den={self.den})"
 
 
-_GEN_CACHE = {}
-
-
-def _gen_cache(n):
-    cache = _GEN_CACHE.get(n)
-    if cache is None:
-        cache = {}
-        _GEN_CACHE[n] = cache
-    return cache
-
-
-_SIN_CACHE = {}
-
-
 def sin_value(n, m):
     """sin(pi m / n) as a Cyclotomic of order 8n, for any integer m."""
-    key = (n, m % (2 * n))
-    val = _SIN_CACHE.get(key)
-    if val is None:
-        M = 8 * n
-        m4 = 4 * key[1]
-        # sin x = (e^{ix} - e^{-ix}) / 2i and 1/i = zeta_M^{-2n}
-        val = (root_of_unity(M, m4) - root_of_unity(M, -m4)) * root_of_unity(M, 6 * n) / 2
-        _SIN_CACHE[key] = val
-    return val
+    return _sin_value(n, m % (2 * n))
+
+
+@lru_cache(maxsize=MAX_VALUES)
+def _sin_value(n, m):
+    M = 8 * n
+    # sin x = (e^{ix} - e^{-ix}) / 2i and 1/i = zeta_M^{-2n}
+    return (root_of_unity(M, 4 * m) - root_of_unity(M, -4 * m)) * root_of_unity(M, 6 * n) / 2
 
 
 def _t_exponents(n, e):
@@ -331,54 +312,39 @@ def _t_exponents(n, e):
     return [e * (2 * a * a - n) % M for a in range(1, n)]
 
 
+@lru_cache(maxsize=MAX_LEVELS)
 def _sqrt_2n(n):
     """sqrt(2n) as a Cyclotomic of order 8n, shared by rho_S and the theorem1 table."""
-    cache = _gen_cache(n)
-    root = cache.get("sqrt")
-    if root is None:
-        root = sqrt_int(2 * n, 8 * n)
-        cache["sqrt"] = root
-    return root
+    return sqrt_int(2 * n, 8 * n)
 
 
+@lru_cache(maxsize=MAX_LEVELS)
 def rho_S(n):
     """The symmetric matrix rho(S) with entries sqrt(2/n) sin(pi a b / n), exactly."""
-    cache = _gen_cache(n)
-    mat = cache.get("S")
-    if mat is None:
-        root = _sqrt_2n(n)
-        sins = [sin_value(n, m) for m in range(2 * n)]
-        entries = [
-            [root * sins[(a * b) % (2 * n)] / n for b in range(1, n)] for a in range(1, n)
-        ]
-        mat = RepMatrix.from_entries(n, entries)
-        cache["S"] = mat
-    return mat
+    root = _sqrt_2n(n)
+    # entry (a, b) depends on a b mod 2n only
+    vals = [root * sin_value(n, m) / n for m in range(2 * n)]
+    return RepMatrix.from_entries(n, [[vals[a * b % (2 * n)] for b in range(1, n)] for a in range(1, n)])
 
 
+@lru_cache(maxsize=MAX_LEVELS)
 def rho_T(n):
     """The diagonal matrix rho(T) with entries e(a^2/4n - 1/8), exactly."""
-    cache = _gen_cache(n)
-    mat = cache.get("T")
-    if mat is None:
-        mat = RepMatrix.identity(n).scale_cols(_t_exponents(n, 1))
-        cache["T"] = mat
-    return mat
+    return RepMatrix.identity(n).scale_cols(_t_exponents(n, 1))
+
+
+@lru_cache(maxsize=MAX_LEVELS)
+def _s_powers(n):
+    """(rho(S), rho(S)^2, rho(S)^3), the powers computed as products."""
+    s = rho_S(n)
+    s2 = s * s
+    return s, s2, s * s2
 
 
 def _s_power(n, e):
     """rho(S)^(e mod 4), or None for the identity power."""
     f = e % 4
-    if f == 0:
-        return None
-    cache = _gen_cache(n)
-    key = f"S{f}"
-    mat = cache.get(key)
-    if mat is None:
-        s = rho_S(n)
-        mat = s if f == 1 else s * _s_power(n, f - 1)
-        cache[key] = mat
-    return mat
+    return _s_powers(n)[f - 1] if f else None
 
 
 def evaluate_word(word, n):
@@ -394,19 +360,17 @@ def evaluate_word(word, n):
     return acc
 
 
-_GAUSS_CACHE = {}
-
-
 def gauss_sum(C, N):
     """Quadratic Gauss sum over Z/NZ: sum of e(C b^2 / N), as a Cyclotomic of order N."""
     assert N >= 1
-    key = (C % N, N)
-    val = _GAUSS_CACHE.get(key)
-    if val is None:
-        val = zero(N)
-        for b in range(N):
-            val = val + root_of_unity(N, C * b * b)
-        _GAUSS_CACHE[key] = val
+    return _gauss_sum(C % N, N)
+
+
+@lru_cache(maxsize=MAX_VALUES)
+def _gauss_sum(C, N):
+    val = zero(N)
+    for b in range(N):
+        val = val + root_of_unity(N, C * b * b)
     return val
 
 
@@ -424,12 +388,8 @@ def gauss_sum_closed(c, n):
 
 def kernel_sum(alpha, gamma, C, n):
     """Triple sum of sin(pi a b/n) sin(pi b g/n) e(C b^2/4n) over b = 1..n-1, directly."""
-    assert 1 <= alpha <= n - 1 and 1 <= gamma <= n - 1
-    return _kernel_sum_direct(alpha, gamma, C, n)
-
-
-def _kernel_sum_direct(alpha, gamma, C, n):
-    """The defining sum, valid for arbitrary integer first and second arguments."""
+    if not (1 <= alpha <= n - 1 and 1 <= gamma <= n - 1):
+        raise ValueError(f"kernel_sum needs 1 <= alpha, gamma <= {n - 1}, got {alpha}, {gamma}")
     M = 8 * n
     total = zero(M)
     for b in range(1, n):
@@ -531,6 +491,12 @@ def rho_coprime_closed(r, n):
     U = (A + 1) * Cinv % M
     V = (D + 1) * Cinv % M
     pref = _zeta8(n, 2 - C - U - V) * gauss_sum(C, 4 * n).promoted(M) / (2 * n)
+    return _coprime_entries(pref, A, Cinv, D, n)
+
+
+def _coprime_entries(pref, A, Cinv, D, n):
+    """The matrix with entry (a, l) = pref sin(pi Cinv a l / n) zeta_8n^(2 Cinv (A a^2 + D l^2))."""
+    M = 8 * n
     entries = []
     for a in range(1, n):
         row = []
@@ -559,33 +525,21 @@ def rho_coprime_legendre(r, n):
     Cinv = pow(C, -1, M)
     g = _legendre_g(C, n)
     pref = sqrt_int(2 * n, M) * _zeta8(n, g - (A + D + 3) * C) * Fraction(jacobi(C, n), n)
-    entries = []
-    for a in range(1, n):
-        row = []
-        for l in range(1, n):
-            val = pref * sin_value(n, Cinv * a * l)
-            val = val * root_of_unity(M, 2 * Cinv * (A * a * a + D * l * l))
-            row.append(val)
-        entries.append(row)
-    return RepMatrix.from_entries(n, entries)
+    return _coprime_entries(pref, A, Cinv, D, n)
 
 
+@lru_cache(maxsize=MAX_LEVELS)
 def _sqrt_table(n):
     """(Q, den): row j < 8n of Q over den holds the power-basis coordinates of sqrt(2n) zeta_8n^j."""
-    cache = _gen_cache(n)
-    got = cache.get("Q")
-    if got is None:
-        M = 8 * n
-        rows = _tables(M)["rows"][:M]
-        root = _sqrt_2n(n)
-        j = np.arange(M)
-        table = np.zeros_like(rows)
-        for v, c in enumerate(root.num):
-            if c:
-                table += c * rows[(j + v) % M]
-        got = (table, root.den)
-        cache["Q"] = got
-    return got
+    M = 8 * n
+    rows = _tables(M)["rows"][:M]
+    root = _sqrt_2n(n)
+    j = np.arange(M)
+    table = np.zeros_like(rows)
+    for v, c in enumerate(root.num):
+        if c:
+            table += c * rows[(j + v) % M]
+    return table, root.den
 
 
 def rho_theorem1(r, n):

@@ -1,9 +1,13 @@
 """Tests for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import affinesl2
 from affinesl2.cli import run
 
 
@@ -64,6 +68,20 @@ def test_eval_usage_errors(capsys):
     assert run(["eval", "--level", "2", "--matrix", "[[1,0],[16,1]]", "--path", "theorem1"]) == 2
     assert run(["eval", "--level", "1"]) == 2
     assert run(["frobnicate"]) == 2
+
+
+def test_eval_shape_error_under_optimize():
+    """Under python -O a matrix of the wrong shape is still a shape error, not a determinant error."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affinesl2.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "affinesl2", "eval", "--level", "3", "--matrix", "[[1,2,3],[3,4]]"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert "bad --matrix: expected [[a,b],[c,d]]" in done.stderr, done.stderr
 
 
 def test_st_matrices_exact_records(capsys):

@@ -87,8 +87,10 @@ def test_residue_matrix_group_ops():
 def test_parse_and_format():
     assert parse_matrix("[[0,-1],[1,0]]") == [[0, -1], [1, 0]]
     assert format_matrix([[1, 2], [3, 4]]) == "[[1,2],[3,4]]"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         parse_matrix("[[1,2,3]]")
+    with pytest.raises(ValueError):
+        parse_matrix("[[1.9,0],[0,1]]")
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 6, 8, 12])

@@ -1,0 +1,54 @@
+"""Package-wide hygiene: bounded caches and no unused imports."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import affinesl2
+
+MODULES = [importlib.import_module(f"affinesl2.{m.name}") for m in pkgutil.iter_modules(affinesl2.__path__)]
+
+
+def test_every_cache_is_a_bounded_lru_cache():
+    """Each cached builder has a finite maxsize, and no module keeps a dict as a cache."""
+    cached = {}
+    for mod in MODULES:
+        for name, value in vars(mod).items():
+            if hasattr(value, "cache_parameters"):
+                cached[f"{mod.__name__}.{name}"] = value.cache_parameters()["maxsize"]
+            assert not (isinstance(value, dict) and not name.startswith("__")), f"{mod.__name__}.{name} is a dict"
+    assert all(isinstance(size, int) and size > 0 for size in cached.values()), cached
+    builders = {
+        "affinesl2.cyclotomic": ["cyclotomic_poly", "reduction_rows", "_embed_roots"],
+        "affinesl2.wzwrep": ["_tables", "_sqrt_2n", "rho_S", "rho_T", "_s_powers", "_sqrt_table", "_sin_value", "_gauss_sum"],
+    }
+    for mod, names in builders.items():
+        for name in names:
+            assert f"{mod}.{name}" in cached, f"{mod}.{name} is not cached"
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    exported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used | exported]
+
+
+def test_no_unused_imports():
+    """Every name a source module imports is used in it or listed in its __all__."""
+    src = Path(affinesl2.__file__).parent
+    unused = [entry for path in sorted(src.glob("*.py")) for entry in _unused_imports(path)]
+    assert unused == []

@@ -19,6 +19,7 @@ from affinesl2.wzwrep import (
     _FLOAT_EXACT,
     RepMatrix,
     _exact,
+    _sqrt_table,
     conductor,
     dispatch_path,
     evaluate_word,
@@ -291,9 +292,10 @@ def test_bad_input_raises_value_error_under_optimize():
     code = """
 import types
 from affinesl2.galois_kernel import enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus
-from affinesl2.modgroup import ResidueMatrix
+from affinesl2.cyclotomic import Cyclotomic, galois, root_of_unity, sqrt_int
+from affinesl2.modgroup import ResidueMatrix, lift, parse_matrix
 from affinesl2.qseries import QSeries, character, eta_inverse_cubed, numeric_eval, s_transform_check
-from affinesl2.wzwrep import _unit_shift, conductor, rho_closed, rho_float, rho_theorem1
+from affinesl2.wzwrep import _unit_shift, conductor, kernel_sum, rho_closed, rho_float, rho_S, rho_theorem1
 cases = [
     lambda: ResidueMatrix(40, 2, 0, 0, 2),
     lambda: ResidueMatrix(0, 1, 0, 0, 1),
@@ -317,6 +319,14 @@ cases = [
     lambda: numeric_eval(character(1, 3, 20), 0.5 - 1j),
     lambda: s_transform_check(3, 0.1 - 0.9j, truncation=20),
     lambda: eta_inverse_cubed(-2),
+    lambda: parse_matrix("[[1,2,3],[3,4]]"),
+    lambda: Cyclotomic(8, [1, 2]),
+    lambda: galois(2, root_of_unity(8, 1)),
+    lambda: rho_S(3).galois_map(2),
+    lambda: sqrt_int(3, 8),
+    lambda: lift(ResidueMatrix(40, 1, 0, 0, 1), -1),
+    lambda: parse_matrix("[[1.9,0],[0,1]]"),
+    lambda: kernel_sum(0, 1, 1, 5),
 ]
 for i, case in enumerate(cases):
     try:
@@ -406,3 +416,19 @@ def test_rep_matrix_with_numerators_scaled_by_2_40(n):
             [x.entry(i, j) * root_of_unity(8 * n, e) for j, e in enumerate(exps)] for i in range(n - 1)
         ]
         assert x.galois_map(L).entries() == [[galois(L, v) for v in row] for row in x.entries()]
+
+
+def test_level_caches_stay_bounded_and_rebuild_bit_identically():
+    """Cycling more levels than a per-level cache holds evicts the oldest; a rebuild equals the first build."""
+    first = rho_S(3), rho_T(3), _sqrt_table(3)
+    bound = rho_S.cache_parameters()["maxsize"]
+    for n in range(4, 4 + bound):
+        rho_S(n), rho_T(n), _sqrt_table(n)
+        assert rho_S.cache_info().currsize <= bound
+    again = rho_S(3), rho_T(3), _sqrt_table(3)
+    for old, new in zip(first[:2], again[:2]):
+        assert new is not old, "level 3 was not evicted"
+        assert (new.den, new.arr.dtype) == (old.den, old.arr.dtype) and np.array_equal(new.arr, old.arr)
+    (old_q, old_den), (new_q, new_den) = first[2], again[2]
+    assert new_q is not old_q and new_den == old_den and new_q.dtype == old_q.dtype
+    assert np.array_equal(new_q, old_q)
