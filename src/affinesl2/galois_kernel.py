@@ -57,9 +57,12 @@ class SignedPermutation:
     """A signed permutation of the index set {1, ..., n-1} with a global sign."""
 
     def __init__(self, n, perm, signs, symbol=1):
-        assert sorted(perm) == list(range(1, n))
-        assert all(s in (1, -1) for s in signs) and len(signs) == n - 1
-        assert symbol in (1, -1)
+        if sorted(perm) != list(range(1, n)):
+            raise ValueError(f"{perm} is not a permutation of 1..{n - 1}")
+        if len(signs) != n - 1 or any(s not in (1, -1) for s in signs):
+            raise ValueError(f"need {n - 1} signs of +-1, got {signs}")
+        if symbol not in (1, -1):
+            raise ValueError(f"the symbol must be +-1, got {symbol}")
         self.n = n
         self.perm = tuple(perm)
         self.signs = tuple(signs)
@@ -96,14 +99,17 @@ class SignedPermutation:
 
 def sigma_on_matrix(L, m):
     """Apply the Galois automorphism zeta -> zeta^L to every entry of m."""
-    assert isinstance(m, RepMatrix)
-    assert gcd(L, m.order) == 1, f"L = {L} not coprime to {m.order}"
+    if not isinstance(m, RepMatrix):
+        raise TypeError(f"sigma_on_matrix needs a RepMatrix, got {type(m).__name__}")
+    if gcd(L, m.order) != 1:
+        raise ValueError(f"L = {L} is not coprime to {m.order}")
     return m.galois_map(L)
 
 
 def sigma_perm(d, n):
     """The signed permutation carrying sigma_d across the rows of rho(S)."""
-    assert d > 0 and gcd(d, 2 * n) == 1
+    if d <= 0 or gcd(d, 2 * n) != 1:
+        raise ValueError(f"sigma_perm needs d > 0 with gcd(d, 2n) = 1, got d = {d}, n = {n}")
     perm, signs = [], []
     for a in range(1, n):
         u = a * d % (2 * n)
@@ -121,7 +127,8 @@ def sigma_covariance_check(L, r, n):
     """Check sigma_L(rho(R)) = rho of R with B scaled by L and C by L^{-1}."""
     N = conductor(n)
     r = _as_residue(r, n)
-    assert gcd(L, N) == 1
+    if gcd(L, N) != 1:
+        raise ValueError(f"L = {L} is not coprime to N = {N}")
     Linv = pow(L, -1, N)
     twisted = ResidueMatrix(N, r.a, r.b * L, r.c * Linv, r.d)
     return sigma_on_matrix(L, rho_closed(r, n)) == rho_closed(twisted, n)
@@ -130,7 +137,8 @@ def sigma_covariance_check(L, r, n):
 def bantay_sigma_S_identity(C, n):
     """Check sigma_{C^{-1}}(S) = T^{C^{-1}} S T^C S T^{C^{-1}} exactly."""
     N = conductor(n)
-    assert gcd(C, N) == 1
+    if gcd(C, N) != 1:
+        raise ValueError(f"C = {C} is not coprime to N = {N}")
     L = pow(C % N, -1, N)
     word = STWord.T(L) * STWord.S() * STWord.T(C % N) * STWord.S() * STWord.T(L)
     return rho_S(n).galois_map(L) == evaluate_word(word, n)

@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
 from .cyclotomic import (
     Cyclotomic,
+    cyclotomic_poly,
     euler_phi,
+    factorize,
     jacobi,
     one,
     reduction_rows,
@@ -105,24 +107,169 @@ def _exact(bound, op, *arrays):
     return op(*(x.astype(object) for x in arrays))
 
 
-def _poly_matmul(a, b, tail):
-    """Matrix product of two (dim, dim, phi) coordinate arrays, reduced by the tail rows."""
-    dim, _, phi = a.shape
-    # prod[i, w, j] is the coefficient of x^w in entry (i, j), so each u adds
-    # one contiguous block of phi * dim values to each row i
-    prod = np.zeros((dim, 2 * phi - 1, dim), dtype=a.dtype)
-    flat = b.transpose(0, 2, 1).reshape(dim, phi * dim)
-    for u in range(phi):
-        coeff = a[:, :, u]
-        if not coeff.any():
-            continue
-        prod[:, u : u + phi, :] += (coeff @ flat).reshape(dim, phi, dim)
-    prod = prod.transpose(0, 2, 1)
-    head = prod[:, :, :phi]
-    spill = prod[:, :, phi:]
-    if spill.any():
-        head = head + np.tensordot(spill, tail, axes=([2], [0]))
-    return head
+# Products run modulo primes p = 1 (mod M) below this limit, where Q(zeta_M)
+# splits completely: zeta_M -> x_j, one map to Z/p for each of the phi(M)
+# primitive M-th roots x_j mod p, turns a matrix over Q(zeta_M) into phi(M)
+# evaluation planes over Z/p, and a product into phi(M) products of planes.
+# Every value stays an integer held exactly in float64 when, with residues
+# kept centered (|r| <= (p + 1)/2):
+#   dim (p + 2)^2 < 2^53    for a product of planes (and for gathered planes,
+#                           differences of two residues, |d| <= p - 1);
+#   phi (p/2 + 2)^2 < 2^53  for the change of basis by V or V^-1.
+# _center reduces any such value x by x - p rint(x / p): q = rint(x / p) is an
+# integer, x - p q is exact and = x (mod p), and |x - p q| <= (p + 1)/2; for
+# |x| < 2^52, where rint(x / p) is the nearest integer, |x - p q| <= (p - 1)/2.
+_PRIME_LIMIT = 1 << 21
+
+
+def _center(x, p, tmp=None):
+    """Reduce the float64 integer array x mod p in place, to [-(p+1)/2, (p+1)/2].
+
+    tmp, if given, is a contiguous work array of x's size.  Reusing it
+    matters in a product: the allocator maps a fresh temporary of a
+    megabyte anew on every call, and paging it in costs more than the
+    arithmetic.
+    """
+    q = np.divide(x, p, out=None if tmp is None else tmp.reshape(x.shape))
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+# Every product the benchmark workloads form needs one prime (n <= 12) or two
+# (n = 20, 31), so four per level keep the primes of MAX_LEVELS levels.
+@lru_cache(maxsize=4 * MAX_LEVELS)
+def _prime_tables(M, i):
+    """(p, x, V, Vinv) for the i-th largest prime p = 1 (mod M) below 2^21.
+
+    x holds the phi(M) primitive M-th roots of unity mod p, the roots of
+    Phi_M mod p.  V[u, j] = x_j^u takes power-basis coordinates to the values
+    at the x_j, and Vinv takes them back: row j of Vinv holds the
+    coefficients of the Lagrange polynomial Phi_M(t) / ((t - x_j) Phi_M'(x_j)),
+    found by synthetic division.  V and Vinv are centered residues in float64.
+    """
+    top = _prime_tables(M, i - 1)[0] if i else _PRIME_LIMIT
+    # the candidates q = 1 (mod M) below top, largest first
+    candidates = range(top - 1 - (top - 2) % M, 2, -M)
+    p = next((q for q in candidates if factorize(q) == {q: 1}), None)
+    if p is None:
+        raise ValueError(f"fewer than {i + 1} primes p = 1 (mod {M}) lie below 2^21")
+    phi, dim = euler_phi(M), M // 8 - 1
+    if dim * (p + 2) ** 2 >= _FLOAT_EXACT or phi * (p + 4) ** 2 >= 4 * _FLOAT_EXACT:
+        raise ValueError(f"planes mod {p} are not exact in float64 at M = {M}")
+    # w = c^((p-1)/M) has order dividing M; take the first c where it is exactly M
+    prime_factors = list(factorize(M))
+    for c in range(2, p):
+        w = pow(c, (p - 1) // M, p)
+        if all(pow(w, M // f, p) != 1 for f in prime_factors):
+            break
+    x = np.array([pow(w, e, p) for e in range(1, M) if gcd(e, M) == 1], dtype=np.int64)
+    V = np.ones((phi, phi), dtype=np.int64)
+    for u in range(1, phi):
+        V[u] = V[u - 1] * x % p
+    poly = np.array(cyclotomic_poly(M), dtype=np.int64) % p
+    # Phi_M(t) = (t - x_j) q_j(t): q_j[phi - 1] = 1, q_j[u - 1] = Phi_M[u] + x_j q_j[u]
+    quot = np.ones((phi, phi), dtype=np.int64)
+    for u in range(phi - 1, 0, -1):
+        quot[:, u - 1] = (poly[u] + x * quot[:, u]) % p
+    # Phi_M'(x_j) = q_j(x_j)
+    deriv = (quot * V.T % p).sum(axis=1) % p
+    inv = np.array([pow(int(d), -1, p) for d in deriv], dtype=np.int64)
+    Vinv = quot * inv[:, np.newaxis] % p
+    return p, x, _center(V.astype(np.float64), p), _center(Vinv.astype(np.float64), p)
+
+
+def _product_bound(amax, bmax, M):
+    """Bound on the coordinates of a product of matrices whose coordinates are at most amax and bmax."""
+    tab = _tables(M)
+    phi = tab["phi"]
+    # phi products per power of zeta in each of dim terms, then the tail rows
+    return amax * bmax * (M // 8 - 1) * phi * (1 + phi * tab["rowmax"])
+
+
+def _num_primes(M, bound):
+    """The least k with p_0 ... p_(k-1) > 2 bound, so that CRT recovers every |x| <= bound."""
+    k, modulus = 1, _prime_tables(M, 0)[0]
+    while modulus <= 2 * bound:
+        modulus *= _prime_tables(M, k)[0]
+        k += 1
+    return k
+
+
+def _residues(arr, amax, p):
+    """Residues r mod p, |r| <= (p + 1)/2, of an integer array whose entries are at most amax, as float64."""
+    if amax <= p // 2:
+        return arr.astype(np.float64)
+    if arr.dtype == object or amax >= _FLOAT_EXACT:
+        # integer % first, so the float conversion never rounds
+        arr = arr % p
+    return _center(arr.astype(np.float64), p)
+
+
+def _planes(coords, amax, M, k):
+    """The (k phi, m) evaluation planes of m coordinate rows (m, phi), mod each of k primes."""
+    m, phi = coords.shape
+    out = np.empty((k, phi, m))
+    tmp = np.empty((phi, m))
+    for s in range(k):
+        p, _, V, _ = _prime_tables(M, s)
+        np.matmul(V.T, _residues(coords, amax, p).T, out=out[s])
+        _center(out[s], p, tmp)
+    return out.reshape(k * phi, m)
+
+
+def _crt(residues, primes, tmp):
+    """The integers x with |x| < prod(primes)/2 and x = residues[s] (mod primes[s]).
+
+    residues is a (k, ...) float64 array with |residues| <= (p + 1)/2; it is
+    overwritten, and tmp is a work array of one residues[s]'s size.
+    Garner's mixed radix x = t_0 + p_0 (t_1 + p_1 (t_2 + ...)) with every
+    digit t_s centered in [-(p_s-1)/2, (p_s-1)/2] makes x the centered
+    representative.  Each digit comes from values below 2^43 in float64; x
+    is assembled in float64 while prod(primes) < 2^53 and on Python ints
+    beyond.
+    """
+    for s, p in enumerate(primes):
+        r = residues[s]
+        if s:
+            # t_0 + p_0 (t_1 + ...) mod p, by Horner over the digits so far
+            acc = residues[s - 1]
+            for j in range(s - 2, -1, -1):
+                acc = _center(acc * primes[j] + residues[j], p, tmp)
+            r -= acc
+            r *= pow(prod(primes[:s]), -1, p)
+        _center(r, p, tmp)
+    if prod(primes) >= _FLOAT_EXACT:
+        residues = residues.astype(np.int64).astype(object)
+    out = residues[-1]
+    for j in range(len(primes) - 2, -1, -1):
+        out *= primes[j]
+        out += residues[j]
+    return out if out.dtype == object else out.astype(np.int64)
+
+
+def _multimodular_product(M, k, a, b):
+    """Power-basis coordinates of the products a[j] b[j] of (k phi, dim, dim) evaluation planes.
+
+    Exact when every coordinate of the product has magnitude below half the
+    product of the k primes (see _num_primes).  One batched matmul forms all
+    k phi products; V^-1 takes the planes of each prime back to coordinates,
+    and CRT combines the primes.  a and b are overwritten.
+    """
+    phi, dim = euler_phi(M), a.shape[1]
+    planes = np.matmul(a, b).reshape(k, phi, dim * dim)
+    # a and b are free now: a is the work array, b takes the residues
+    work = a.reshape(k, phi * dim * dim)
+    residues = b.reshape(k, dim * dim, phi)
+    primes = []
+    for s in range(k):
+        p, _, _, Vinv = _prime_tables(M, s)
+        _center(planes[s], p, work[s])
+        np.matmul(planes[s].T, Vinv, out=residues[s])
+        _center(residues[s], p, work[s])
+        primes.append(p)
+    return _crt(residues, primes, work[0]).reshape(dim, dim, phi)
 
 
 class RepMatrix:
@@ -134,16 +281,26 @@ class RepMatrix:
     identical arrays and equality is array comparison.  The array is int64,
     or object (Python ints) once an entry reaches 2^62.
 
-    Products, column scalings and Galois maps bound every product
-    and partial sum they form from the operands' largest numerators.  Below
-    2^53 they run in float64 BLAS, which is exact there; at 2^53 or above,
-    or on object input, they run on Python ints.
+    A product is multimodular.  The operands' largest numerators bound the
+    product's coordinates, and the bound fixes the number k of primes
+    p = 1 (mod 8n) below 2^21 whose product exceeds twice it.  Mod each
+    prime a matrix becomes phi(8n) evaluation planes, one per primitive
+    8n-th root mod p; one batched float64 matmul multiplies all k phi(8n)
+    planes, an inverse Vandermonde matrix takes each prime's planes back to
+    coordinates, and CRT combines the primes.  Every value stays an integer
+    below 2^53, which float64 holds exactly (see _PRIME_LIMIT), so the
+    result is exact whatever the summation order, FMA use or thread count.
+
+    Column scalings and Galois maps bound every product and partial sum
+    they form from the largest numerator.  Below 2^53 they run in float64
+    BLAS; at 2^53 or above, or on object input, they run on Python ints.
     """
 
     __slots__ = ("n", "order", "arr", "den")
 
     def __init__(self, n, arr, den=1):
-        assert den != 0
+        if den == 0:
+            raise ValueError("a RepMatrix needs a nonzero denominator")
         if den < 0:
             den = -den
             arr = -arr
@@ -172,7 +329,8 @@ class RepMatrix:
         """Build from a nested list of Cyclotomic entries with order dividing 8n."""
         M = 8 * n
         dim = n - 1
-        assert len(entries) == dim and all(len(row) == dim for row in entries)
+        if len(entries) != dim or any(len(row) != dim for row in entries):
+            raise ValueError(f"rho at n = {n} has {dim} x {dim} entries")
         scaled = [[x.promoted(M) for x in row] for row in entries]
         den = 1
         for row in scaled:
@@ -203,13 +361,14 @@ class RepMatrix:
     def __mul__(self, other):
         if not isinstance(other, RepMatrix):
             return NotImplemented
-        assert self.n == other.n
-        tab = _tables(self.order)
-        phi = tab["phi"]
-        bound = _max_abs(self.arr) * _max_abs(other.arr) * self.dim * phi
-        bound *= 1 + phi * tab["rowmax"]
-        head = _exact(bound, _poly_matmul, self.arr, other.arr, tab["rows"][phi : 2 * phi - 1])
-        return RepMatrix(self.n, head, self.den * other.den)
+        if self.n != other.n:
+            raise ValueError(f"cannot multiply matrices of levels n = {self.n} and n = {other.n}")
+        M, dim = self.order, self.dim
+        amax, bmax = _max_abs(self.arr), _max_abs(other.arr)
+        k = _num_primes(M, _product_bound(amax, bmax, M))
+        a = _planes(self.arr.reshape(dim * dim, -1), amax, M, k).reshape(-1, dim, dim)
+        b = _planes(other.arr.reshape(dim * dim, -1), bmax, M, k).reshape(-1, dim, dim)
+        return RepMatrix(self.n, _multimodular_product(M, k, a, b), self.den * other.den)
 
     def __neg__(self):
         return RepMatrix(self.n, -self.arr, self.den)
@@ -233,7 +392,8 @@ class RepMatrix:
 
     def scale_cols(self, exps):
         """Right-multiply by diag(zeta_M^exps)."""
-        assert len(exps) == self.dim
+        if len(exps) != self.dim:
+            raise ValueError(f"scale_cols needs {self.dim} exponents, got {len(exps)}")
         M = self.order
         tab = _tables(M)
         bound = _max_abs(self.arr) * tab["phi"] * tab["rowmax"]
@@ -376,7 +536,8 @@ def _gauss_sum(C, N):
 
 def gauss_sum_closed(c, n):
     """Closed form 2 (1 + i^{nc}) (c|n) sqrt(n)-unit for the Gauss sum mod 4n, n odd."""
-    assert n % 2 == 1 and gcd(c, 2 * n) == 1
+    if n % 2 == 0 or gcd(c, 2 * n) != 1:
+        raise ValueError(f"gauss_sum_closed needs odd n and gcd(c, 2n) = 1, got c = {c}, n = {n}")
     M = 4 * n
     i_pow = root_of_unity(M, n * (n * c % 4))
     # S(1, n) is sqrt(n) for n = 1 mod 4 and i sqrt(n) for n = 3 mod 4
@@ -486,7 +647,8 @@ def rho_coprime_closed(r, n):
     r = _as_residue(r, n)
     A, C, D = r.a, r.c, r.d
     M = 8 * n
-    assert gcd(C, 2 * n) == 1
+    if gcd(C, 2 * n) != 1:
+        raise ValueError(f"rho_coprime_closed needs gcd(c, 2n) = 1, got {r} at n = {n}")
     Cinv = pow(C % M, -1, M)
     U = (A + 1) * Cinv % M
     V = (D + 1) * Cinv % M
@@ -517,11 +679,11 @@ def _legendre_g(C, n):
 
 def rho_coprime_legendre(r, n):
     """rho on gcd(C, 2n) = 1 matrices for odd n, via the Legendre symbol form."""
-    assert n % 2 == 1
     r = _as_residue(r, n)
     A, C, D = r.a, r.c, r.d
     M = 8 * n
-    assert gcd(C, 2 * n) == 1
+    if n % 2 == 0 or gcd(C, 2 * n) != 1:
+        raise ValueError(f"rho_coprime_legendre needs odd n and gcd(c, 2n) = 1, got {r} at n = {n}")
     Cinv = pow(C, -1, M)
     g = _legendre_g(C, n)
     pref = sqrt_int(2 * n, M) * _zeta8(n, g - (A + D + 3) * C) * Fraction(jacobi(C, n), n)
@@ -542,6 +704,39 @@ def _sqrt_table(n):
     return table, root.den
 
 
+@lru_cache(maxsize=MAX_LEVELS)
+def _sqrt_planes(n):
+    """(planes, k): _sqrt_table(n) in evaluation form, mod the k primes a product of two gathers needs.
+
+    Row s phi + j of planes holds, in column e < 8n, the image of
+    den sqrt(2n) zeta_8n^e at the j-th evaluation point mod the s-th prime,
+    as a centered residue in float64.
+    """
+    M = 8 * n
+    table, _ = _sqrt_table(n)
+    # a gathered numerator is a difference of two table rows
+    amax = 2 * _max_abs(table)
+    k = _num_primes(M, _product_bound(amax, amax, M))
+    return _planes(table, amax, M, k), k
+
+
+def _theorem1_exponents(r, n):
+    """(p, q) with rho_theorem1(r, n) = sqrt(2n)/(2n) (zeta_8n^p - zeta_8n^q), entrywise.
+
+    r must have gcd(c, N) = 1.  The Jacobi sign of rho_theorem1 is folded in:
+    p and q trade places where it is -1.
+    """
+    M = 8 * n
+    L = pow(r.c % M, -1, M)
+    a = np.arange(1, n)
+    t = 2 * a * a - n
+    base = (r.a * t[:, np.newaxis] + r.d * t[np.newaxis, :] + 6 * n) % M
+    cross = 4 * np.outer(a, a)
+    p = L * (base + cross) % M
+    q = L * (base - cross) % M
+    return (p, q) if jacobi(2 * n, L) == 1 else (q, p)
+
+
 def rho_theorem1(r, n):
     """rho on gcd(c, N) = 1 matrices, as one gather from a table of sqrt(2n) zeta_8n^j.
 
@@ -554,16 +749,9 @@ def rho_theorem1(r, n):
     r = _as_residue(r, n)
     if gcd(r.c, conductor(n)) != 1:
         raise ValueError(f"rho_theorem1 needs gcd(c, N) = 1, got {r} at n = {n}")
-    M = 8 * n
-    L = pow(r.c % M, -1, M)
     table, den = _sqrt_table(n)
-    a = np.arange(1, n)
-    t = 2 * a * a - n
-    base = (r.a * t[:, np.newaxis] + r.d * t[np.newaxis, :] + 6 * n) % M
-    cross = 4 * np.outer(a, a)
-    p = L * (base + cross) % M
-    q = L * (base - cross) % M
-    return RepMatrix(n, jacobi(2 * n, L) * (table[p] - table[q]), 2 * n * den)
+    p, q = _theorem1_exponents(r, n)
+    return RepMatrix(n, table[p] - table[q], 2 * n * den)
 
 
 def rho_unit_d_closed(r, n):
@@ -571,7 +759,8 @@ def rho_unit_d_closed(r, n):
     r = _as_residue(r, n)
     A, B, C, D = r.a, r.b, r.c, r.d
     M = 8 * n
-    assert gcd(D, 2 * n) == 1
+    if gcd(D, 2 * n) != 1:
+        raise ValueError(f"rho_unit_d_closed needs gcd(d, 2n) = 1, got {r} at n = {n}")
     Dinv = pow(D, -1, M)
     X = (B - 1) * Dinv % M
     Y = -(C + 1) * Dinv % M
@@ -585,7 +774,8 @@ def rho_unit_d_closed(r, n):
         row = []
         for l in range(1, n):
             closed = kernel_sum_closed(aD, l, Cp, n)
-            assert closed is not None, "no closed branch for this matrix"
+            if closed is None:
+                raise ValueError(f"kernel_sum_closed has no branch for C' = {Cp} at n = {n}: {r}")
             row.append(pref * row_phase * closed[1])
         entries.append(row)
     return RepMatrix.from_entries(n, entries)
@@ -595,7 +785,8 @@ def rho_upper_triangular(r, n):
     """rho on C = 0 matrices: a signed permutation times root-of-unity phases."""
     r = _as_residue(r, n)
     N = conductor(n)
-    assert r.c % N == 0
+    if r.c % N:
+        raise ValueError(f"rho_upper_triangular needs c = 0 mod {N}, got {r}")
     A, B = r.a, r.b
     M = 8 * n
     # the phases fix every entry up to one overall sign: the Jacobi symbol (2n|A),
@@ -638,7 +829,9 @@ def rho_closed(r, n):
     is shifted to W = r T^k S in that stratum (see _unit_shift), and
     rho(r) = rho(W) rho(S^-1 T^-k) = rho_theorem1(W) rho_theorem1(0, -1; 1, -k),
     as S^-1 T^-k = -(0, -1; 1, -k) and rho(-1) = rho(S)^2 = 1: two gathers
-    and one product.  The paper's other closed forms
+    and one product.  Both factors are gathered straight into evaluation
+    planes (_sqrt_planes) and multiplied by the RepMatrix product's
+    multimodular algorithm.  The paper's other closed forms
     (rho_unit_d_closed, rho_upper_triangular, rho_coprime_closed,
     rho_coprime_legendre) are identities checked against the word oracle,
     not routes of this function.
@@ -647,7 +840,16 @@ def rho_closed(r, n):
     if gcd(r.c, conductor(n)) == 1:
         return rho_theorem1(r, n)
     k, w = _unit_shift(r, n)
-    return rho_theorem1(w, n) * rho_theorem1(ResidueMatrix(w.N, 0, -1, 1, -k), n)
+    planes, nprimes = _sqrt_planes(n)
+    factors = []
+    for x in (w, ResidueMatrix(w.N, 0, -1, 1, -k)):
+        p, q = _theorem1_exponents(x, n)
+        # np.take keeps the (k phi, dim, dim) result contiguous for the batched matmul
+        gathered = np.take(planes, p, axis=1)
+        gathered -= np.take(planes, q, axis=1)
+        factors.append(gathered)
+    den = _sqrt_table(n)[1]
+    return RepMatrix(n, _multimodular_product(8 * n, nprimes, *factors), (2 * n * den) ** 2)
 
 
 def g_parity_check(n):

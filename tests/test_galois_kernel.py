@@ -39,7 +39,7 @@ from affinesl2.galois_kernel import (
 def test_signed_permutation_validation_and_text():
     p = SignedPermutation(5, (3, 4, 1, 2), (1, -1, -1, 1), -1)
     assert str(p) == "(1->3, 2->4, 3->1, 4->2) signs +--+ symbol -1"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         SignedPermutation(5, (1, 1, 2, 3), (1, 1, 1, 1))
 
 

@@ -21,7 +21,10 @@ def test_every_cache_is_a_bounded_lru_cache():
     assert all(isinstance(size, int) and size > 0 for size in cached.values()), cached
     builders = {
         "affinesl2.cyclotomic": ["cyclotomic_poly", "reduction_rows", "_embed_roots"],
-        "affinesl2.wzwrep": ["_tables", "_sqrt_2n", "rho_S", "rho_T", "_s_powers", "_sqrt_table", "_sin_value", "_gauss_sum"],
+        "affinesl2.wzwrep": [
+            "_tables", "_sqrt_2n", "rho_S", "rho_T", "_s_powers", "_sqrt_table", "_sin_value", "_gauss_sum",
+            "_prime_tables", "_sqrt_planes",
+        ],
     }
     for mod, names in builders.items():
         for name in names:

@@ -13,12 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affinesl2
-from affinesl2.cyclotomic import embed, galois, jacobi, one, root_of_unity, sqrt_int, zero
+from affinesl2.cyclotomic import cyclotomic_poly, embed, euler_phi, galois, jacobi, one, root_of_unity, sqrt_int, zero
 from affinesl2.modgroup import ResidueMatrix, STWord, decompose, lift, random_matrix
 from affinesl2.wzwrep import (
     _FLOAT_EXACT,
     RepMatrix,
     _exact,
+    _max_abs,
+    _num_primes,
+    _prime_tables,
+    _product_bound,
     _sqrt_table,
     conductor,
     dispatch_path,
@@ -280,11 +284,16 @@ def test_rep_matrix_scalar_and_galois():
     assert S.dagger() * S == RepMatrix.identity(n)
 
 
+def test_product_of_two_levels_names_them():
+    with pytest.raises(ValueError, match="levels n = 5 and n = 7"):
+        rho_S(5) * rho_S(7)
+
+
 def test_large_level_closed_vs_oracle_once():
-    """A single large-n check keeps the wide-integer paths honest."""
-    n = 12
-    r = random_matrix(conductor(n), random.Random(77))
-    assert rho_closed(r, n) == evaluate_word(decompose(lift(r)), n)
+    """A single large-n check per level keeps the wide-integer paths honest."""
+    for n in (12, 31, 50):
+        r = random_matrix(conductor(n), random.Random(77))
+        assert rho_closed(r, n) == evaluate_word(decompose(lift(r)), n), n
 
 
 def test_bad_input_raises_value_error_under_optimize():
@@ -292,10 +301,14 @@ def test_bad_input_raises_value_error_under_optimize():
     code = """
 import types
 from affinesl2.galois_kernel import enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus
-from affinesl2.cyclotomic import Cyclotomic, galois, root_of_unity, sqrt_int
+from affinesl2.cyclotomic import Cyclotomic, galois, one, root_of_unity, sqrt_int
 from affinesl2.modgroup import ResidueMatrix, lift, parse_matrix
 from affinesl2.qseries import QSeries, character, eta_inverse_cubed, numeric_eval, s_transform_check
-from affinesl2.wzwrep import _unit_shift, conductor, kernel_sum, rho_closed, rho_float, rho_S, rho_theorem1
+from affinesl2.galois_kernel import SignedPermutation, bantay_sigma_S_identity, sigma_covariance_check
+from affinesl2.galois_kernel import sigma_on_matrix, sigma_perm
+from affinesl2.wzwrep import RepMatrix, _unit_shift, conductor, gauss_sum_closed, kernel_sum, rho_closed
+from affinesl2.wzwrep import rho_coprime_closed, rho_coprime_legendre, rho_float, rho_S, rho_theorem1
+from affinesl2.wzwrep import rho_unit_d_closed, rho_upper_triangular
 cases = [
     lambda: ResidueMatrix(40, 2, 0, 0, 2),
     lambda: ResidueMatrix(0, 1, 0, 0, 1),
@@ -327,6 +340,25 @@ cases = [
     lambda: lift(ResidueMatrix(40, 1, 0, 0, 1), -1),
     lambda: parse_matrix("[[1.9,0],[0,1]]"),
     lambda: kernel_sum(0, 1, 1, 5),
+    lambda: RepMatrix(3, rho_S(3).arr, 0),
+    lambda: rho_S(5).scale_cols([1, 2]),
+    lambda: RepMatrix.from_entries(3, [[one(24)]]),
+    lambda: rho_S(5) * rho_S(7),
+    lambda: rho_upper_triangular(ResidueMatrix(40, 1, 0, 1, 1), 5),
+    lambda: rho_unit_d_closed(ResidueMatrix(40, 1, 1, 1, 2), 5),
+    lambda: rho_unit_d_closed(ResidueMatrix(72, 1, 0, 3, 1), 9),
+    lambda: rho_coprime_closed(ResidueMatrix(40, 1, 0, 2, 1), 5),
+    lambda: rho_coprime_legendre(ResidueMatrix(16, 1, 0, 1, 1), 4),
+    lambda: rho_coprime_legendre(ResidueMatrix(40, 1, 0, 2, 1), 5),
+    lambda: gauss_sum_closed(1, 4),
+    lambda: gauss_sum_closed(5, 5),
+    lambda: SignedPermutation(5, (1, 1, 2, 3), (1, 1, 1, 1)),
+    lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1)),
+    lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1), 0),
+    lambda: sigma_perm(2, 5),
+    lambda: sigma_on_matrix(2, rho_S(5)),
+    lambda: sigma_covariance_check(2, ResidueMatrix(40, 1, 0, 0, 1), 5),
+    lambda: bantay_sigma_S_identity(2, 5),
 ]
 for i, case in enumerate(cases):
     try:
@@ -432,3 +464,56 @@ def test_level_caches_stay_bounded_and_rebuild_bit_identically():
     (old_q, old_den), (new_q, new_den) = first[2], again[2]
     assert new_q is not old_q and new_den == old_den and new_q.dtype == old_q.dtype
     assert np.array_equal(new_q, old_q)
+
+
+def _random_coords(n, rng, amax, dtype=np.int64):
+    """A random (dim, dim, phi) coordinate array with entries in [-amax, amax] and a few at +-amax."""
+    dim, phi = n - 1, euler_phi(8 * n)
+    arr = np.array([rng.randint(-amax, amax) for _ in range(dim * dim * phi)], dtype=object)
+    arr[:: 7] = amax
+    arr[3 :: 11] = -amax
+    return arr.reshape(dim, dim, phi).astype(dtype)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_rep_matrix_product_matches_the_schoolbook_product(n):
+    """The multimodular product equals the product of Cyclotomic entries, for one to many primes."""
+    rng = random.Random(n)
+    M = 8 * n
+    cases = [
+        (_random_coords(n, rng, 9), _random_coords(n, rng, 9)),
+        (_random_coords(n, rng, 1 << 40), _random_coords(n, rng, 1 << 40)),
+        (_random_coords(n, rng, (1 << 61) - 1), _random_coords(n, rng, 1 << 20)),
+        (_random_coords(n, rng, 1 << 70, object), _random_coords(n, rng, 1 << 61)),
+    ]
+    primes = []
+    for a, b in cases:
+        x, y = RepMatrix(n, a, rng.randint(1, 99)), RepMatrix(n, b, rng.randint(1, 99))
+        primes.append(_num_primes(M, _product_bound(_max_abs(x.arr), _max_abs(y.arr), M)))
+        assert (x * y).entries() == _entrywise_product(x, y)
+    # the last cases need three or more primes, where CRT runs on Python ints
+    assert primes[0] <= 2 and primes[-1] >= 5 and primes[-2] >= 3, primes
+    # three or four primes and odd coordinates beyond 2^53: float64 would round them
+    full = RepMatrix(n, np.full((n - 1, n - 1, euler_phi(M)), (1 << 25) - 1, dtype=np.int64), 1)
+    square = full * full
+    assert _max_abs(square.arr) >= 1 << 54
+    assert square.entries() == _entrywise_product(full, full)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_prime_tables_evaluate_at_the_roots_of_phi(n):
+    """Each builder prime is p = 1 (mod 8n); its points are the roots of Phi_8n mod p and V^-1 inverts V."""
+    M, phi = 8 * n, euler_phi(8 * n)
+    poly = cyclotomic_poly(M)
+    seen = set()
+    for i in range(3):
+        p, x, V, Vinv = _prime_tables(M, i)
+        assert p < 1 << 21 and p % M == 1 and p not in seen
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+        seen.add(p)
+        roots = [int(v) for v in x]
+        assert len(set(roots)) == phi
+        assert all(sum(c * pow(v, u, p) for u, c in enumerate(poly)) % p == 0 for v in roots)
+        assert np.array_equal(V.astype(np.int64) % p, np.array([[pow(v, u, p) for v in roots] for u in range(phi)]))
+        ident = (V.astype(np.int64) @ Vinv.astype(np.int64)) % p
+        assert np.array_equal(ident, np.eye(phi, dtype=np.int64))
