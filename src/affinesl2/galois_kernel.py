@@ -10,7 +10,6 @@ from .cyclotomic import jacobi
 from .modgroup import (
     ResidueMatrix,
     STWord,
-    complete_row,
     enumerate_group,
     idempotents,
     sl2_order,
@@ -18,16 +17,13 @@ from .modgroup import (
 )
 from .wzwrep import (
     RepMatrix,
-    _float_S,
-    _float_T_diag,
     _as_residue,
-    _rho_float_coprime,
-    _unit_shift,
+    _theorem1_exponents,
+    _theorem1_tables,
     conductor,
     evaluate_word,
     rho_S,
     rho_closed,
-    rho_float,
 )
 
 __all__ = [
@@ -46,11 +42,9 @@ __all__ = [
     "phi2_image_is_normal",
 ]
 
-# r is a kernel candidate when max|rho_float(r) - Id| falls below this cut
-FLOAT_CUT = 1e-6
-# the enumeration refuses to trust the cut once a deviation lands in this band:
-# accepted deviations are rounding error, rejected ones are of order one
-MARGIN_BAND = (1e-9, 1e-3)
+# stage 1 of the kernel sweep tests at most this many elements at once: a
+# larger block raises the sweep's peak memory and gains no speed
+_CHUNK = 1 << 13
 
 
 class SignedPermutation:
@@ -145,11 +139,7 @@ def bantay_sigma_S_identity(C, n):
 
 
 def in_kernel(r, n):
-    """True when rho(r) is the identity: float filter, then exact confirmation."""
-    r = _as_residue(r, n)
-    dev = np.max(np.abs(rho_float(r, n) - np.eye(n - 1)))
-    if dev >= FLOAT_CUT:
-        return False
+    """True when rho(r) is exactly the identity."""
     return rho_closed(r, n).is_identity()
 
 
@@ -194,16 +184,14 @@ def expected_kernel_slice(n):
 class KernelReport:
     """Result of a full kernel enumeration at level n - 2.
 
-    accepted_dev is the largest float deviation max|rho_float(r) - Id| among
-    the exactly confirmed kernel elements, rejected_dev the smallest among
-    the elements the float filter rejected: the observed margin around
-    FLOAT_CUT.  They stay out of to_text().
+    survivors counts the elements that passed stage 1 of the exact sweep
+    (entry (1, 1) of rho equal to 1) and went on to the full-block test;
+    it stays out of to_text().
     """
 
-    def __init__(self, n, kernel, accepted_dev, rejected_dev):
+    def __init__(self, n, kernel, survivors):
         self.n = n
-        self.accepted_dev = accepted_dev
-        self.rejected_dev = rejected_dev
+        self.survivors = survivors
         self.N = conductor(n)
         self.kernel = sorted(kernel, key=lambda r: r.key())
         order = sl2_order(self.N)
@@ -238,67 +226,96 @@ class KernelReport:
         return "\n".join(lines)
 
 
-def _sweep_rows(args):
-    """Float-filter kernel candidates over a chunk of bottom rows (c, d).
+def _same_difference(e, f, g, h, M):
+    """Where zeta^e - zeta^f = zeta^g - zeta^h, for zeta = zeta_M, M even; elementwise.
 
-    The N elements of a row are r_t = T^t r_0, t < N, for the completion
-    r_0 = (a0, b0, c, d).  All of them shift by the same k (see _unit_shift)
-    to W_t = T^t W_0, which differ only in the top-left entry
-    A = W_0.a + t W_0.c, so one _rho_float_coprime call over the N values of
-    A gives the row's (N, n-1, n-1) block of float matrices.  r_t is a
-    candidate when rho(W_t) lies within FLOAT_CUT of rho(T)^k rho(S).
-    Returns the candidates' key tuples, in row order then t order, with the
-    largest deviation among them and the smallest among the rest.
+    e, f, g and h are integers or integer arrays in [0, M).  Two roots of
+    unity are fixed, up to order, by their sum unless the sum is 0, and the
+    equation is zeta^e + zeta^h = zeta^g + zeta^f.  So it holds exactly when
+      (e = g and f = h)  or  (e = f and g = h)  or  (e = h + M/2 and g = f + M/2),
+    all mod M: the two pairs agree, both sides vanish, or both sums vanish.
+    """
+    half = M // 2
+    return (e == g) & (f == h) | (e == f) & (g == h) | (e == (h + half) % M) & (g == (f + half) % M)
+
+
+def _least_shifts(c, d, n):
+    """The least k >= 0 with ck + d a unit mod N, elementwise over the integer arrays c and d."""
+    N = conductor(n)
+    unit = _theorem1_tables(n)["inv"] != 0
+    k = np.zeros_like(c)
+    pending = ~unit[d]
+    for shift in range(1, N):
+        if not pending.any():
+            return k
+        found = pending & unit[(c * shift + d) % N]
+        k[found] = shift
+        pending &= ~found
+    raise ValueError(f"a bottom row mod {N} is not unimodular")
+
+
+def _sweep_rows(args):
+    """Kernel elements among the elements of SL2(Z/NZ) with the given bottom rows (c, d), exactly.
+
+    An element r with bottom row (c, d) and the least k >= 0 with ck + d a
+    unit mod N (_unit_shift) is r = W S^-1 T^-k for W = r T^k S, which lies
+    in the theorem1 stratum with C = ck + d and D = -c.  So rho(r) = 1
+    exactly when rho_theorem1(W) = rho_theorem1(T^k S), T^k S = (k, -1; 1, 0).
+    Entry (a, b) of either side is sqrt(2n)/(2n) (zeta^p - zeta^q), zeta =
+    zeta_8n, with (p, q) from _theorem1_exponents, and _same_difference
+    decides each entry from the exponents alone.  As r runs over the N
+    elements of the row, the top-left entry A of W runs over every residue
+    mod N, and W = (A, B; C, D) with B = (A D - 1) C^-1 gives back
+    r = (-B, A + B k; c, d).
+
+    Stage 1 tests entry (1, 1) of every (row, A) pair, a chunk of at most
+    _CHUNK pairs at a time; stage 2 tests the whole block on the pairs that
+    pass.  Returns the key tuples of the kernel elements, and the number of
+    pairs that passed stage 1.
     """
     n, rows = args
-    N = conductor(n)
-    s = _float_S(n)
-    t = np.arange(N)
-    hits = []
-    accepted, rejected = 0.0, np.inf
-    for c, d in rows:
-        a0, b0 = complete_row(N, c, d)
-        k, w = _unit_shift(ResidueMatrix(N, a0, b0, c, d), n)
-        target = _float_T_diag(n, k)[:, np.newaxis] * s
-        fw = _rho_float_coprime((w.a + t * w.c) % N, w.c, w.d, n)
-        dev = np.abs(fw - target).max(axis=(1, 2))
-        hit = dev < FLOAT_CUT
-        accepted = max(accepted, dev.max(initial=0.0, where=hit))
-        rejected = min(rejected, dev.min(initial=np.inf, where=~hit))
-        for i in np.flatnonzero(hit).tolist():
-            hits.append(((a0 + i * c) % N, (b0 + i * d) % N, c, d))
-    return hits, float(accepted), float(rejected)
+    N, M = conductor(n), 8 * n
+    inv = _theorem1_tables(n)["inv"]
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    A = np.arange(N)
+    hits, survivors = [], 0
+    step = max(1, _CHUNK // N)
+    for start in range(0, len(rows), step):
+        c, d = rows[start : start + step].T
+        k = _least_shifts(c, d, n)
+        C, D = (c * k + d) % N, -c % N
+        e, f = (x[..., 0, 0] for x in _theorem1_exponents(A, C[:, np.newaxis], D[:, np.newaxis], n, 1))
+        g, h = (x[..., 0, 0] for x in _theorem1_exponents(k[:, np.newaxis], 1, 0, n, 1))
+        i, A1 = np.nonzero(_same_difference(e, f, g, h, M))
+        survivors += len(i)
+        c, d, k, C, D = c[i], d[i], k[i], C[i], D[i]
+        e, f = _theorem1_exponents(A1, C, D, n)
+        g, h = _theorem1_exponents(k, 1, 0, n)
+        j = np.flatnonzero(_same_difference(e, f, g, h, M).all(axis=(1, 2)))
+        B = (A1[j] * D[j] - 1) * inv[C[j]] % N
+        top = np.stack([-B % N, (A1[j] + B * k[j]) % N, c[j], d[j]], axis=1)
+        hits.extend(map(tuple, top.tolist()))
+    return hits, survivors
 
 
-def _confirmed(n, hits, accepted, rejected):
-    """Check the float filter's margin, then confirm each candidate key exactly.
-
-    Raises RuntimeError when a deviation lies inside MARGIN_BAND or a
-    candidate is not exactly in the kernel; returns the candidates as
-    ResidueMatrix values, in order.
-    """
-    lo, hi = MARGIN_BAND
-    if accepted >= lo or rejected <= hi:
-        raise RuntimeError(
-            f"float filter margin closed at n = {n}: accepted deviations reach {accepted:.3g}, "
-            f"rejected ones start at {rejected:.3g}, and none may lie in [{lo:g}, {hi:g}]"
-        )
+def _confirmed(n, hits):
+    """Confirm each kernel key exactly by rho_closed; RuntimeError if one fails."""
     N = conductor(n)
     kernel = []
     for key in hits:
         r = ResidueMatrix(N, *key)
         if not rho_closed(r, n).is_identity():
-            raise RuntimeError(f"float candidate {r} at n = {n} fails exact confirmation")
+            raise RuntimeError(f"sweep candidate {r} at n = {n} fails exact confirmation")
         kernel.append(r)
     return kernel
 
 
 def enumerate_kernel(n, bound=64, workers=1):
-    """Enumerate Ker rho by a float sweep over SL2(Z/NZ) plus exact confirmation.
+    """Enumerate Ker rho by an exact exponent sweep over SL2(Z/NZ) plus confirmation by rho_closed.
 
-    Raises ValueError when N exceeds bound, and RuntimeError when the float
-    filter's margin closes: a deviation inside MARGIN_BAND, or a candidate
-    that exact evaluation does not confirm.
+    Raises ValueError when N exceeds bound, and RuntimeError when a sweep
+    candidate is not confirmed.  With workers > 1 a process pool sweeps
+    chunks of bottom rows; the report is the same as with one process.
     """
     N = conductor(n)
     if N > bound:
@@ -307,36 +324,34 @@ def enumerate_kernel(n, bound=64, workers=1):
     if workers > 1:
         step = (len(rows) + 4 * workers - 1) // (4 * workers)
         chunks = [(n, rows[i : i + step]) for i in range(0, len(rows), step)]
-        hits, accepted, rejected = [], 0.0, np.inf
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part, acc, rej in pool.map(_sweep_rows, chunks):
-                hits.extend(part)
-                accepted, rejected = max(accepted, acc), min(rejected, rej)
-        hits.sort()
+            parts = list(pool.map(_sweep_rows, chunks))
+        hits = [key for part, _ in parts for key in part]
+        survivors = sum(count for _, count in parts)
     else:
-        hits, accepted, rejected = _sweep_rows((n, rows))
-    kernel = _confirmed(n, hits, accepted, rejected)
+        hits, survivors = _sweep_rows((n, rows))
+    kernel = _confirmed(n, sorted(hits))
     assert kernel, "kernel must contain the identity"
-    return KernelReport(n, kernel, accepted, rejected)
+    return KernelReport(n, kernel, survivors)
 
 
 def factor_kernel_sl2z8(n):
     """Kernel classes of rho restricted to the mod-8 factor, in SL2(Z/8Z)/{+-1}.
 
     An element of SL2(Z/8Z) embeds by CRT as itself mod 8 and the identity
-    mod N/8.  One _sweep_rows pass over the 48 embedded bottom rows filters
-    every element with such a row; the hits whose top row is (1, 0) mod N/8
-    are the embedded ones, and they get the margin guard and exact
-    confirmation of enumerate_kernel.
+    mod N/8.  One exact sweep (_sweep_rows) over the 48 embedded bottom rows
+    finds every kernel element with such a row; the hits whose top row is
+    (1, 0) mod N/8 are the embedded ones, and each is confirmed by
+    rho_closed as in enumerate_kernel.
     """
     if n % 4 != 3:
         raise ValueError(f"the mod-8 factor kernel needs n = 3 mod 4, got n = {n}")
     N = conductor(n)
     e, rest = idempotents(N)[8], N // 8
     rows = sorted((c * e % N, (d * e + 1 - e) % N) for c, d in unimodular_rows(8))
-    hits, accepted, rejected = _sweep_rows((n, rows))
-    embedded = [key for key in hits if (key[0] % rest, key[1] % rest) == (1, 0)]
-    kernel = _confirmed(n, embedded, accepted, rejected)
+    hits, _ = _sweep_rows((n, rows))
+    embedded = sorted(key for key in hits if (key[0] % rest, key[1] % rest) == (1, 0))
+    kernel = _confirmed(n, embedded)
     classes = {ResidueMatrix(8, r.a, r.b, r.c, r.d).canonical_up_to_sign() for r in kernel}
     return sorted(classes, key=lambda r: r.key())
 
@@ -373,10 +388,12 @@ def phi2_image_is_normal(n, bound=40):
     """Check the kernel's projection to each CRT factor is a normal subgroup."""
     N = conductor(n)
     facs = sorted(idempotents(N))
-    assert len(facs) >= 2
+    if len(facs) < 2:
+        raise ValueError(f"N = {N} has one prime factor, so the kernel projects to one factor only")
+    if facs[-1] > bound:
+        raise ValueError(f"factor enumeration bound exceeded: {facs[-1]} > {bound}")
     kernel = enumerate_kernel(n).kernel
     for q in facs:
-        assert q <= bound, f"factor enumeration bound exceeded: {q} > {bound}"
         proj = {ResidueMatrix(q, r.a, r.b, r.c, r.d).key() for r in kernel}
         for g in enumerate_group(q):
             ginv = g.inverse()

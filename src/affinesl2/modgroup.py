@@ -40,7 +40,8 @@ class STWord:
     def __init__(self, tokens=()):
         merged = []
         for letter, e in tokens:
-            assert letter in ("S", "T")
+            if letter not in ("S", "T"):
+                raise ValueError(f"an STWord letter must be 'S' or 'T', got {letter!r}")
             e = int(e)
             if e == 0:
                 continue
@@ -65,7 +66,8 @@ class STWord:
         return STWord([("S", e)])
 
     def __mul__(self, other):
-        assert isinstance(other, STWord)
+        if not isinstance(other, STWord):
+            return NotImplemented
         return STWord(self.tokens + other.tokens)
 
     def inverse(self):
@@ -166,7 +168,10 @@ class ResidueMatrix:
         return [[self.a, self.b], [self.c, self.d]]
 
     def __mul__(self, other):
-        assert isinstance(other, ResidueMatrix) and other.N == self.N
+        if not isinstance(other, ResidueMatrix):
+            return NotImplemented
+        if other.N != self.N:
+            raise ValueError(f"cannot multiply residue matrices mod {self.N} and mod {other.N}")
         return ResidueMatrix(
             self.N,
             self.a * other.a + self.b * other.c,
@@ -218,7 +223,8 @@ def decompose(m):
     right until the bottom-left entry vanishes, then emit the remaining
     (+-)T^b prefix, with -1 rendered as S^2.
     """
-    assert mat_det(m) == 1, "decompose needs determinant 1"
+    if mat_det(m) != 1:
+        raise ValueError(f"decompose needs determinant 1, got {mat_det(m)}")
     m = [list(m[0]), list(m[1])]
     tail = []
     while m[1][0] != 0:
@@ -290,7 +296,8 @@ def lift(r, shift=0):
 
 def idempotents(N):
     """Return {prime power q: c_q} with c_q = 1 mod q and 0 mod N/q, summing to 1 mod N."""
-    assert isinstance(N, int) and N >= 2
+    if not isinstance(N, int) or N < 2:
+        raise ValueError(f"idempotents needs an integer N >= 2, got {N!r}")
     out = {}
     for p, e in factorize(N).items():
         q = p**e
@@ -319,7 +326,8 @@ def local_generators(N):
 
 def sl2_order(N):
     """Return |SL2(Z/NZ)|."""
-    assert isinstance(N, int) and N >= 1
+    if not isinstance(N, int) or N < 1:
+        raise ValueError(f"sl2_order needs an integer N >= 1, got {N!r}")
     out = N**3
     for p in factorize(N):
         out = out // (p * p) * (p * p - 1)
@@ -335,7 +343,8 @@ def complete_row(N, c, d):
         if d % p != 0:
             x, y = pow(d, -1, q), 0
         else:
-            assert c % p != 0, "row is not unimodular"
+            if c % p == 0:
+                raise ValueError(f"({c}, {d}) is not a unimodular row mod {N}")
             x, y = 0, -pow(c, -1, q) % q
         xs.append((q, x, y))
     a, b = 0, 0
@@ -359,7 +368,8 @@ def unimodular_rows(N):
 
 def enumerate_group(N, bound=100):
     """Yield all of SL2(Z/NZ) as ResidueMatrix values, deterministically ordered."""
-    assert N <= bound, f"enumeration bound exceeded: N = {N} > {bound}"
+    if N > bound:
+        raise ValueError(f"enumeration bound exceeded: N = {N} > {bound}")
     for c, d in unimodular_rows(N):
         a0, b0 = complete_row(N, c, d)
         for t in range(N):

@@ -299,6 +299,8 @@ class RepMatrix:
     __slots__ = ("n", "order", "arr", "den")
 
     def __init__(self, n, arr, den=1):
+        if arr.shape != (n - 1, n - 1, _tables(8 * n)["phi"]):
+            raise ValueError(f"rho at n = {n} needs an array of shape (n-1, n-1, phi(8n)), got {arr.shape}")
         if den == 0:
             raise ValueError("a RepMatrix needs a nonzero denominator")
         if den < 0:
@@ -522,7 +524,8 @@ def evaluate_word(word, n):
 
 def gauss_sum(C, N):
     """Quadratic Gauss sum over Z/NZ: sum of e(C b^2 / N), as a Cyclotomic of order N."""
-    assert N >= 1
+    if not isinstance(N, int) or N < 1:
+        raise ValueError(f"gauss_sum needs an integer modulus N >= 1, got {N!r}")
     return _gauss_sum(C % N, N)
 
 
@@ -720,21 +723,47 @@ def _sqrt_planes(n):
     return _planes(table, amax, M, k), k
 
 
-def _theorem1_exponents(r, n):
-    """(p, q) with rho_theorem1(r, n) = sqrt(2n)/(2n) (zeta_8n^p - zeta_8n^q), entrywise.
+@lru_cache(maxsize=MAX_LEVELS)
+def _theorem1_tables(n):
+    """Per-level data of _theorem1_exponents.
 
-    r must have gcd(c, N) = 1.  The Jacobi sign of rho_theorem1 is folded in:
-    p and q trade places where it is -1.
+    For each C < N a unit mod N, inv[C] = C^-1 mod 8n and sign[C] =
+    (2n|inv[C]); both are zero at the other C.  t[a - 1] = 2a^2 - n and
+    cross[a - 1, b - 1] = 4ab for a, b = 1..n-1.
+    """
+    N, M = conductor(n), 8 * n
+    inv = np.zeros(N, dtype=np.int64)
+    sign = np.zeros(N, dtype=np.int64)
+    for C in range(N):
+        if gcd(C, N) == 1:
+            inv[C] = pow(C, -1, M)
+            sign[C] = jacobi(2 * n, int(inv[C]))
+    a = np.arange(1, n)
+    return {"inv": inv, "sign": sign, "t": 2 * a * a - n, "cross": 4 * np.outer(a, a)}
+
+
+def _theorem1_exponents(A, C, D, n, size=None):
+    """(p, q) with entry (a, b) of rho_theorem1(A, B; C, D) = sqrt(2n)/(2n) (zeta_8n^p - zeta_8n^q).
+
+    A, C and D are integers or integer arrays that broadcast to a shape X,
+    with every C in [0, N) a unit mod N; p and q, in [0, 8n), have shape
+    X + (size, size) and cover the rows and columns a, b <= size (default
+    n - 1, the whole matrix).  With L = C^-1 mod 8n, p and q are
+    L (A(2a^2 - n) + D(2b^2 - n) + 6n +- s 4ab) mod 8n, where s = (2n|L) is
+    the Jacobi sign of rho_theorem1: p and q trade places where it is -1.
     """
     M = 8 * n
-    L = pow(r.c % M, -1, M)
-    a = np.arange(1, n)
-    t = 2 * a * a - n
-    base = (r.a * t[:, np.newaxis] + r.d * t[np.newaxis, :] + 6 * n) % M
-    cross = 4 * np.outer(a, a)
-    p = L * (base + cross) % M
-    q = L * (base - cross) % M
-    return (p, q) if jacobi(2 * n, L) == 1 else (q, p)
+    tab = _theorem1_tables(n)
+    t, cross = tab["t"][:size], tab["cross"][:size, :size]
+    L = tab["inv"][C]
+
+    def lift(v):
+        return np.asarray(v)[..., np.newaxis, np.newaxis]
+
+    LA, LD, Ls, L6 = (lift(v) for v in (L * A % M, L * D % M, L * tab["sign"][C], 6 * n * L % M))
+    base = LA * t[:, np.newaxis] + LD * t + L6
+    cross = Ls * cross
+    return (base + cross) % M, (base - cross) % M
 
 
 def rho_theorem1(r, n):
@@ -750,7 +779,7 @@ def rho_theorem1(r, n):
     if gcd(r.c, conductor(n)) != 1:
         raise ValueError(f"rho_theorem1 needs gcd(c, N) = 1, got {r} at n = {n}")
     table, den = _sqrt_table(n)
-    p, q = _theorem1_exponents(r, n)
+    p, q = _theorem1_exponents(r.a, r.c, r.d, n)
     return RepMatrix(n, table[p] - table[q], 2 * n * den)
 
 
@@ -843,7 +872,7 @@ def rho_closed(r, n):
     planes, nprimes = _sqrt_planes(n)
     factors = []
     for x in (w, ResidueMatrix(w.N, 0, -1, 1, -k)):
-        p, q = _theorem1_exponents(x, n)
+        p, q = _theorem1_exponents(x.a, x.c, x.d, n)
         # np.take keeps the (k phi, dim, dim) result contiguous for the batched matmul
         gathered = np.take(planes, p, axis=1)
         gathered -= np.take(planes, q, axis=1)
@@ -854,7 +883,8 @@ def rho_closed(r, n):
 
 def g_parity_check(n):
     """Check rho(-R) = rho(R) and the mod-8 exponent parity behind it, for odd n."""
-    assert n % 2 == 1
+    if n % 2 == 0:
+        raise ValueError(f"g_parity_check needs odd n, got n = {n}")
     import random
 
     target = 2 * (n + 1) % 8
@@ -884,26 +914,19 @@ def _float_T_diag(n, e):
 
 
 def _rho_float_coprime(A, C, D, n):
-    """Float entries for gcd(C, N) = 1: Jacobi symbol times twisted sine and phases.
-
-    A may be an integer or an array of integers of shape K; the result is
-    (n-1, n-1) or K + (n-1, n-1).  A enters only through the eighth-root
-    prefactor and the row phases, so the matrices T^t W, which differ only in
-    A = W.a + t W.c, share the sines, column phases, sign and C^-1 in one call.
-    """
+    """Float entries for gcd(C, N) = 1: Jacobi symbol times twisted sine and phases."""
     M = 8 * n
     Codd = C % conductor(n)
     Cinv = pow(Codd, -1, M)
     a = np.arange(1, n)
     a2 = a * a
-    A = np.asarray(A)[..., np.newaxis]
     # the eighth-root prefactor zeta_8^(-(A+D)/C) and the row phases
     # zeta_4n^(A a^2 / C), as one exponent of zeta_8n
     row = np.exp(2j * np.pi / M * (Cinv * (2 * A * a2 - n * (A + D)) % M))
     col = np.exp(2j * np.pi / M * (2 * Cinv * D * a2 % M))
     sines = np.sin(np.pi / n * (Cinv * np.outer(a, a) % (2 * n)))
     pref = jacobi(-2 * n, Codd) * np.sqrt(2.0 / n)
-    return (pref * row)[..., np.newaxis] * (sines * col)
+    return (pref * row)[:, np.newaxis] * (sines * col)
 
 
 def rho_float(r, n):

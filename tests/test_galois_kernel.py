@@ -3,10 +3,10 @@
 import random
 from math import gcd
 
-import numpy as np
 import pytest
 
 from affinesl2 import galois_kernel
+from affinesl2.cyclotomic import root_of_unity
 from affinesl2.modgroup import (
     ResidueMatrix,
     enumerate_group,
@@ -16,10 +16,9 @@ from affinesl2.modgroup import (
     sl2_order,
     unimodular_rows,
 )
-from affinesl2.wzwrep import RepMatrix, conductor, evaluate_word, rho_float, rho_S, rho_T
+from affinesl2.wzwrep import RepMatrix, conductor, evaluate_word, rho_closed, rho_S, rho_T
 from affinesl2.galois_kernel import (
-    FLOAT_CUT,
-    KernelReport,
+    _same_difference,
     _sweep_rows,
     SignedPermutation,
     bantay_sigma_S_identity,
@@ -151,30 +150,44 @@ def test_worker_pool_enumeration_is_deterministic():
     solo = enumerate_kernel(4, workers=1)
     pooled = enumerate_kernel(4, workers=2)
     assert [r.key() for r in solo.kernel] == [r.key() for r in pooled.kernel]
-    assert (solo.accepted_dev, solo.rejected_dev) == (pooled.accepted_dev, pooled.rejected_dev)
+    assert solo.survivors == pooled.survivors == 192
+    assert "survivors" not in solo.to_text()
+
+
+@pytest.mark.parametrize("M", [24, 32])
+def test_exponent_difference_rule_matches_cyclotomic_equality(M):
+    """zeta^e - zeta^f = zeta^g - zeta^h by the three-clause rule exactly when it holds in Q(zeta_M).
+
+    Both sides are invariant under rotating all four exponents, so e = 0 covers every case.
+    """
+    zeta = [root_of_unity(M, j) for j in range(M)]
+    diff = {(g, h): zeta[g] - zeta[h] for g in range(M) for h in range(M)}
+    for f in range(M):
+        for (g, h), rhs in diff.items():
+            assert bool(_same_difference(0, f, g, h, M)) == (diff[0, f] == rhs), (M, f, g, h)
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_sweep_matches_the_per_element_float_reference(n):
-    """The row-batched sweep flags exactly the elements rho_float, one at a time, puts within the cut."""
+def test_sweep_matches_the_per_element_exact_reference(n):
+    """The exact sweep finds exactly the elements of SL2(Z/NZ) that rho_closed, one at a time, sends to 1."""
     N = conductor(n)
-    hits, _, _ = _sweep_rows((n, list(unimodular_rows(N))))
-    eye = np.eye(n - 1)
-    want = [r.key() for r in enumerate_group(N) if np.abs(rho_float(r, n) - eye).max() < FLOAT_CUT]
-    assert hits == want
+    hits, survivors = _sweep_rows((n, list(unimodular_rows(N))))
+    want = sorted(r.key() for r in enumerate_group(N) if rho_closed(r, n).is_identity())
+    assert sorted(hits) == want
+    assert len(want) <= survivors < sl2_order(N)
+
+
+def test_newly_reachable_levels_match_the_known_lists():
+    """The exhaustive kernel at N = 80 and N = 248 matches the known lists and image orders."""
+    for n, bound, size, order in ((20, 80, 4, 92160), (31, 248, 16, 714240)):
+        report = enumerate_kernel(n, bound=bound)
+        assert len(report.kernel) == size, n
+        assert report.image_order == order, n
+        assert report.matches_known is True, n
 
 
 def test_kernel_margin_is_recorded_and_guarded(monkeypatch):
-    """The report carries the filter's observed margin; a closed margin or a false candidate raises."""
-    report = enumerate_kernel(5)
-    assert report.accepted_dev < 1e-12
-    assert report.rejected_dev > 0.3
-    assert "dev" not in report.to_text()
-    float_S = galois_kernel._float_S
-    with monkeypatch.context() as m:
-        m.setattr(galois_kernel, "_float_S", lambda n: float_S(n) + 1e-5)
-        with pytest.raises(RuntimeError, match="margin closed"):
-            enumerate_kernel(5)
+    """A sweep candidate that exact evaluation does not confirm raises."""
     with monkeypatch.context() as m:
         m.setattr(galois_kernel, "rho_closed", lambda r, n: -RepMatrix.identity(n))
         with pytest.raises(RuntimeError, match="exact confirmation"):

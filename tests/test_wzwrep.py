@@ -302,11 +302,13 @@ def test_bad_input_raises_value_error_under_optimize():
 import types
 from affinesl2.galois_kernel import enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus
 from affinesl2.cyclotomic import Cyclotomic, galois, one, root_of_unity, sqrt_int
-from affinesl2.modgroup import ResidueMatrix, lift, parse_matrix
+from affinesl2.modgroup import ResidueMatrix, STWord, complete_row, decompose, enumerate_group, idempotents, lift
+from affinesl2.modgroup import parse_matrix, sl2_order
 from affinesl2.qseries import QSeries, character, eta_inverse_cubed, numeric_eval, s_transform_check
 from affinesl2.galois_kernel import SignedPermutation, bantay_sigma_S_identity, sigma_covariance_check
-from affinesl2.galois_kernel import sigma_on_matrix, sigma_perm
-from affinesl2.wzwrep import RepMatrix, _unit_shift, conductor, gauss_sum_closed, kernel_sum, rho_closed
+from affinesl2.galois_kernel import phi2_image_is_normal, sigma_on_matrix, sigma_perm
+from affinesl2.wzwrep import RepMatrix, _unit_shift, conductor, g_parity_check, gauss_sum, gauss_sum_closed
+from affinesl2.wzwrep import kernel_sum, rho_closed
 from affinesl2.wzwrep import rho_coprime_closed, rho_coprime_legendre, rho_float, rho_S, rho_theorem1
 from affinesl2.wzwrep import rho_unit_d_closed, rho_upper_triangular
 cases = [
@@ -359,6 +361,18 @@ cases = [
     lambda: sigma_on_matrix(2, rho_S(5)),
     lambda: sigma_covariance_check(2, ResidueMatrix(40, 1, 0, 0, 1), 5),
     lambda: bantay_sigma_S_identity(2, 5),
+    lambda: RepMatrix(5, rho_S(3).arr, 1),
+    lambda: g_parity_check(4),
+    lambda: gauss_sum(1, 0),
+    lambda: decompose([[2, 0], [0, 1]]),
+    lambda: ResidueMatrix(24, 1, 1, 0, 1) * ResidueMatrix(16, 1, 0, 1, 1),
+    lambda: STWord([("X", 1)]),
+    lambda: list(enumerate_group(40, bound=24)),
+    lambda: phi2_image_is_normal(5, bound=4),
+    lambda: phi2_image_is_normal(4),
+    lambda: idempotents(1),
+    lambda: sl2_order(0),
+    lambda: complete_row(8, 2, 4),
 ]
 for i, case in enumerate(cases):
     try:
