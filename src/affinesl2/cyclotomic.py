@@ -47,7 +47,8 @@ def xgcd(a, b):
 
 def factorize(m):
     """Return the prime factorization of m >= 1 as a dict {prime: exponent}."""
-    assert isinstance(m, int) and m >= 1
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"factorize needs an integer m >= 1, got {m!r}")
     out = {}
     d = 2
     while d * d <= m:
@@ -78,7 +79,8 @@ def mobius(m):
 
 def jacobi(a, b):
     """Return the Jacobi symbol (a|b) for odd positive b."""
-    assert isinstance(b, int) and b > 0 and b % 2 == 1
+    if not isinstance(b, int) or b < 1 or b % 2 == 0:
+        raise ValueError(f"the Jacobi symbol needs an odd integer b >= 1, got {b!r}")
     a %= b
     t = 1
     while a:
@@ -112,7 +114,8 @@ def _polydiv_exact(a, b):
 @lru_cache(maxsize=MAX_ORDERS)
 def cyclotomic_poly(M):
     """Return the M-th cyclotomic polynomial as a low-to-high coefficient tuple."""
-    assert isinstance(M, int) and M >= 1
+    if not isinstance(M, int) or M < 1:
+        raise ValueError(f"cyclotomic_poly needs an integer M >= 1, got {M!r}")
     p = [-1] + [0] * (M - 1) + [1]
     for d in range(1, M):
         if M % d == 0:
@@ -190,7 +193,8 @@ class Cyclotomic:
         """Return the same element viewed in Q(zeta_order2); order must divide order2."""
         if order2 == self.order:
             return self
-        assert order2 % self.order == 0
+        if order2 % self.order:
+            raise ValueError(f"Q(zeta_{self.order}) does not lie in Q(zeta_{order2})")
         rows = reduction_rows(order2)
         step = order2 // self.order
         out = [0] * euler_phi(order2)
@@ -278,7 +282,8 @@ class Cyclotomic:
         return NotImplemented
 
     def __pow__(self, k):
-        assert isinstance(k, int) and k >= 0
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"a Cyclotomic power needs an integer exponent k >= 0, got {k!r}")
         out = one(self.order)
         base = self
         while k:

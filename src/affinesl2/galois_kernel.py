@@ -77,7 +77,10 @@ class SignedPermutation:
 
     def applied_to_rows(self, m):
         """Replace row a of m by symbol * sign(a) * (row perm(a)); exact."""
-        assert isinstance(m, RepMatrix) and m.dim == self.n - 1
+        if not isinstance(m, RepMatrix):
+            raise TypeError(f"applied_to_rows needs a RepMatrix, got {type(m).__name__}")
+        if m.n != self.n:
+            raise ValueError(f"a signed permutation at n = {self.n} cannot act on a matrix at n = {m.n}")
         entries = []
         for a in range(1, self.n):
             src = self.perm[a - 1] - 1

@@ -40,8 +40,10 @@ class QSeries:
     __slots__ = ("den", "offset", "coeffs")
 
     def __init__(self, den, offset, coeffs):
-        assert isinstance(den, int) and den >= 1
-        assert coeffs, "empty coefficient window"
+        if not isinstance(den, int) or den < 1:
+            raise ValueError(f"a QSeries needs an integer denominator >= 1, got {den!r}")
+        if not coeffs:
+            raise ValueError("a QSeries needs a nonempty coefficient window")
         coeffs = [_canonical(c) for c in coeffs]
         lead = 0
         while lead < len(coeffs) and coeffs[lead] == 0:
@@ -129,7 +131,8 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        assert isinstance(k, int) and k >= 1
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"a QSeries power needs an integer exponent k >= 1, got {k!r}")
         out = self
         for bit in bin(k)[3:]:
             out = out * out
@@ -197,8 +200,9 @@ def eta_inverse_cubed(truncation):
 
 
 def sigma1(m):
-    """Sum of the divisors of m."""
-    assert isinstance(m, int) and m >= 1
+    """Sum of the divisors of m >= 1."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"sigma1 needs an integer m >= 1, got {m!r}")
     total = 0
     for d in range(1, isqrt(m) + 1):
         if m % d == 0:
@@ -210,7 +214,8 @@ def sigma1(m):
 
 def log_eta_expansion_check(truncation):
     """Verify -ln prod(1-q^m) = sum sigma1(k) q^k / k termwise through q^truncation."""
-    assert truncation >= 1
+    if truncation < 1:
+        raise ValueError(f"truncation {truncation} is below 1")
     f = _descending_product_coeffs(truncation)
     # g = -ln f satisfies f g' = -f', solved coefficient by coefficient
     g = [Fraction(0)] * (truncation + 1)
@@ -249,7 +254,8 @@ def character(lam, n, truncation):
 
 def verify_k1_identity(truncation):
     """Check chi1 chi2 (chi1^4 - chi2^4) = 2 as a series through q^truncation."""
-    assert truncation >= 0
+    if truncation < 0:
+        raise ValueError(f"truncation {truncation} is negative")
     chi1 = character(1, 3, truncation + 3)
     chi2 = character(2, 3, truncation + 3)
     p = chi1 * chi2 * (chi1**4 - chi2**4)
@@ -262,7 +268,8 @@ def verify_k1_identity(truncation):
 
 def verify_t_parametrization(truncation):
     """Check t chi1^8 - 2 chi1^4 - t^5 = 0 (t = chi1 chi2) through q^truncation."""
-    assert truncation >= 0
+    if truncation < 0:
+        raise ValueError(f"truncation {truncation} is negative")
     chi1 = character(1, 3, truncation + 4)
     chi2 = character(2, 3, truncation + 4)
     t = chi1 * chi2

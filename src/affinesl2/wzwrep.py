@@ -291,9 +291,15 @@ class RepMatrix:
     below 2^53, which float64 holds exactly (see _PRIME_LIMIT), so the
     result is exact whatever the summation order, FMA use or thread count.
 
-    Column scalings and Galois maps bound every product and partial sum
-    they form from the largest numerator.  Below 2^53 they run in float64
-    BLAS; at 2^53 or above, or on object input, they run on Python ints.
+    A column scaling right-multiplies by diag(zeta^e_j): one batched matmul
+    takes column j's coordinates through the matrix of "multiply by
+    zeta^e_j", gathered from the reduction rows.  A Galois map sigma_L is
+    one matmul against the matrix of sigma_L.  Both bound every product and
+    partial sum they form from the largest numerator.  Below 2^53 they run
+    in float64 BLAS; at 2^53 or above, or on object input, they run on
+    Python ints.  Their results, and dagger's, skip the gcd pass: these
+    maps have integer inverses, so they keep the stored form normalized
+    (see _unit_image).
     """
 
     __slots__ = ("n", "order", "arr", "den")
@@ -310,12 +316,32 @@ class RepMatrix:
         if g > 1:
             arr = arr // g
             den //= g
+        self._store(n, arr, den)
+
+    def _store(self, n, arr, den):
+        """Set the fields from a normalized (arr, den), narrowing an object array below 2^62 to int64."""
         if arr.dtype == object and _max_abs(arr) < _INT64_SAFE:
             arr = arr.astype(np.int64)
         self.n = n
         self.order = 8 * n
         self.arr = arr
         self.den = den
+
+    @classmethod
+    def _unit_image(cls, n, arr, den):
+        """The RepMatrix arr / den, where arr = A P for a normalized RepMatrix A / den; no gcd pass.
+
+        P acts on the power-basis coordinates of each entry as an integer
+        matrix with an integer inverse Q: multiplication by zeta^e
+        (Q: by zeta^-e), sigma_L (Q: sigma_(L^-1)), or a permutation of the
+        entries.  Any common divisor g of den and the entries of arr then
+        divides every entry of A = arr Q, an integer combination of them, so
+        g divides gcd(A, den) = 1.  The result is normalized as it stands,
+        with the same den > 0.
+        """
+        out = cls.__new__(cls)
+        out._store(n, arr, den)
+        return out
 
     @staticmethod
     def identity(n):
@@ -399,16 +425,19 @@ class RepMatrix:
         M = self.order
         tab = _tables(M)
         bound = _max_abs(self.arr) * tab["phi"] * tab["rowmax"]
-        u = np.arange(tab["phi"])
+        # row u of maps[j], the map x -> zeta_M^e_j x, is the coordinate vector of zeta_M^(u + e_j)
+        shifts = np.array([e % M for e in exps])[:, np.newaxis]
+        gather = (np.arange(tab["phi"]) + shifts) % M
 
         def scale(arr, rows):
             out = np.empty_like(arr)
-            for j, e in enumerate(exps):
-                # row u of the map x -> zeta_M^e x is the coordinate vector of zeta_M^(u + e)
-                out[:, j, :] = arr[:, j, :] @ rows[(u + e % M) % M]
+            # gathered from the converted table: its M rows are fewer than the stack's dim phi for n >= 4
+            maps = np.take(rows, gather, axis=0)
+            # one product per column j: the row vectors arr[:, j] times maps[j]
+            np.matmul(arr.transpose(1, 0, 2), maps, out=out.transpose(1, 0, 2))
             return out
 
-        return RepMatrix(self.n, _exact(bound, scale, self.arr, tab["rows"]), self.den)
+        return RepMatrix._unit_image(self.n, _exact(bound, scale, self.arr, tab["rows"]), self.den)
 
     def galois_map(self, L):
         """Apply zeta_M -> zeta_M^L to every entry; L must be coprime to M = 8n."""
@@ -420,13 +449,12 @@ class RepMatrix:
         bound = _max_abs(self.arr) * tab["phi"] * tab["rowmax"]
         # row u of the automorphism is the coordinate vector of zeta_M^(u L)
         mat = tab["rows"][np.arange(tab["phi"]) * L % M]
-        arr = _exact(bound, lambda a, m: np.tensordot(a, m, axes=([2], [0])), self.arr, mat)
-        return RepMatrix(self.n, arr, self.den)
+        return RepMatrix._unit_image(self.n, _exact(bound, np.matmul, self.arr, mat), self.den)
 
     def dagger(self):
         """Conjugate transpose, computed exactly via the L = -1 automorphism."""
         conj = self.galois_map(self.order - 1)
-        return RepMatrix(self.n, np.transpose(conj.arr, (1, 0, 2)).copy(), conj.den)
+        return RepMatrix._unit_image(self.n, np.transpose(conj.arr, (1, 0, 2)).copy(), conj.den)
 
     def is_unitary(self):
         """True when U * U.dagger() is exactly the identity."""

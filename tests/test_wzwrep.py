@@ -299,7 +299,10 @@ def test_large_level_closed_vs_oracle_once():
 def test_bad_input_raises_value_error_under_optimize():
     """Validation does not rest on assert: under python -O bad input still raises, and nothing spins."""
     code = """
+import signal
 import types
+from affinesl2.cyclotomic import cyclotomic_poly, factorize, jacobi
+from affinesl2.qseries import log_eta_expansion_check, sigma1, verify_k1_identity, verify_t_parametrization
 from affinesl2.galois_kernel import enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus
 from affinesl2.cyclotomic import Cyclotomic, galois, one, root_of_unity, sqrt_int
 from affinesl2.modgroup import ResidueMatrix, STWord, complete_row, decompose, enumerate_group, idempotents, lift
@@ -373,12 +376,42 @@ cases = [
     lambda: idempotents(1),
     lambda: sl2_order(0),
     lambda: complete_row(8, 2, 4),
+    lambda: root_of_unity(8, 1) ** -1,
+    lambda: jacobi(3, 4),
+    lambda: factorize(0),
+    lambda: factorize(-6),
+    lambda: cyclotomic_poly(0),
+    lambda: root_of_unity(8, 1).promoted(12),
+    lambda: QSeries(0, 0, [1]),
+    lambda: QSeries(1, 0, []),
+    lambda: QSeries(1, 0, [1, 1]) ** 0,
+    lambda: sigma1(0),
+    lambda: log_eta_expansion_check(0),
+    lambda: verify_k1_identity(-1),
+    lambda: verify_t_parametrization(-1),
+    lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1)).applied_to_rows(rho_S(7)),
 ]
-for i, case in enumerate(cases):
+type_cases = [
+    lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1)).applied_to_rows(rho_S(5).arr),
+]
+# each case gets its own deadline, so one that spins fails at once and names itself
+DEADLINE_S = 5
+
+
+def spun(signum, frame):
+    raise SystemExit(f"case {i} still running after {DEADLINE_S} s")
+
+
+signal.signal(signal.SIGALRM, spun)
+checks = [(case, ValueError) for case in cases] + [(case, TypeError) for case in type_cases]
+for i, (case, error) in enumerate(checks):
+    signal.alarm(DEADLINE_S)
     try:
         case()
-    except ValueError:
+    except error:
         continue
+    finally:
+        signal.alarm(0)
     raise SystemExit(f"case {i} accepted")
 assert False, "asserts are live"
 print("ok")
@@ -512,6 +545,38 @@ def test_rep_matrix_product_matches_the_schoolbook_product(n):
     square = full * full
     assert _max_abs(square.arr) >= 1 << 54
     assert square.entries() == _entrywise_product(full, full)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_unit_maps_keep_matrices_normalized(n):
+    """scale_cols, galois_map and dagger skip the gcd pass: their results are already normalized."""
+    rng = random.Random(100 + n)
+    M = 8 * n
+    odd = _random_coords(n, rng, 50) * 2
+    odd[0, 0, 0] = 3
+    inputs = [
+        RepMatrix(n, _random_coords(n, rng, 50), rng.randint(1, 99)),
+        # every numerator is even and den = 12, yet the stored form is normalized by the odd 3
+        RepMatrix(n, odd, 12),
+        # every numerator shares the factor 5, coprime to den = 2
+        RepMatrix(n, _random_coords(n, rng, 50) * 5, 2),
+        rho_S(n) * rho_T(n),
+        RepMatrix(n, rho_S(n).arr * (1 << 56), 1),
+        RepMatrix(n, _random_coords(n, rng, 1 << 70, object), 3),
+    ]
+    assert inputs[1].den == 12 and inputs[2].den == 2 and inputs[-1].arr.dtype == object
+    exps = [rng.randint(-3 * M, 3 * M) for _ in range(n - 1)]
+    exps[0], exps[-1] = -1, M + 5
+    L = rng.choice([L for L in range(2, M) if gcd(L, M) == 1])
+    for x in inputs:
+        for y in (x.scale_cols(exps), x.galois_map(L), x.dagger()):
+            again = RepMatrix(n, y.arr, y.den)
+            assert (again.den, again.arr.dtype) == (y.den, y.arr.dtype)
+            assert np.array_equal(again.arr, y.arr)
+    x = inputs[1]
+    assert x.scale_cols(exps).entries() == [
+        [x.entry(i, j) * root_of_unity(M, e) for j, e in enumerate(exps)] for i in range(n - 1)
+    ]
 
 
 @pytest.mark.parametrize("n", range(3, 13))
