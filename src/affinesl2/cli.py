@@ -2,7 +2,6 @@
 
 import argparse
 import json
-import os
 import random
 import sys
 from math import gcd
@@ -47,14 +46,6 @@ def _complex_str(z):
     return f"{z.real:+.12e}{z.imag:+.12e}j"
 
 
-def _default_workers():
-    try:
-        w = int(os.environ.get("AFFINESL2_WORKERS", "1"))
-    except ValueError:
-        w = 1
-    return max(w, 1)
-
-
 def _matrix_lines(label, mat, fmt):
     lines = []
     if fmt in ("exact", "both"):
@@ -74,6 +65,12 @@ def _level_n(args):
     if args.level < 1:
         raise UsageError("--level must be at least 1")
     return args.level + 2
+
+
+def _workers(args):
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
+    return args.workers
 
 
 def _cmd_st_matrices(args):
@@ -120,7 +117,7 @@ def _cmd_kernel(args):
     N = conductor(n)
     if N > args.bound:
         raise UsageError(f"conductor {N} exceeds --bound {args.bound}")
-    report = enumerate_kernel(n, bound=args.bound, workers=args.workers)
+    report = enumerate_kernel(n, bound=args.bound, workers=_workers(args))
     lines = []
     for line in report.to_text().splitlines():
         if not args.list and line.startswith(("kernel_element", "outside_unit_d_slice")):
@@ -149,7 +146,7 @@ def _cmd_image_order(args):
     N = conductor(n)
     if N > args.bound:
         raise UsageError(f"conductor {N} exceeds --bound {args.bound}")
-    return 0, [str(image_order(n, bound=args.bound, workers=args.workers))]
+    return 0, [str(image_order(n, bound=args.bound, workers=_workers(args)))]
 
 
 def _cmd_characters(args):
@@ -201,6 +198,7 @@ def _cmd_verify_all(args):
     N = conductor(n)
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    workers = _workers(args)
     rng = random.Random(args.seed)
     mats = [random_matrix(N, rng) for _ in range(args.samples)]
     results = []
@@ -233,7 +231,7 @@ def _cmd_verify_all(args):
         results.append(("gauss_sum_parity", g_parity_check(n)))
 
     if N <= args.bound:
-        report = enumerate_kernel(n, bound=args.bound, workers=args.workers)
+        report = enumerate_kernel(n, bound=args.bound, workers=workers)
         ok = all(gcd(r.c, 2 * n) != 1 for r in report.kernel)
         results.append((f"kernel size={len(report.kernel)} image={report.image_order}", ok))
         if report.matches_known is not None:
@@ -278,7 +276,7 @@ def _build_parser():
     p.add_argument("--list", action="store_true", help="print every kernel element")
     p.add_argument("--check-lists", action="store_true", help="compare against the known kernel lists")
     p.add_argument("--bound", type=int, default=64)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1, help="processes for the kernel sweep, capped at the core count")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("genus", parents=[common], help="genus of the modular curve for prime level")
@@ -288,7 +286,7 @@ def _build_parser():
     p = sub.add_parser("image-order", parents=[common], help="order of the image of rho")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--bound", type=int, default=64)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1, help="processes for the kernel sweep, capped at the core count")
     p.set_defaults(func=_cmd_image_order)
 
     p = sub.add_parser("characters", parents=[common], help="character q-expansions")
@@ -307,7 +305,7 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=20260101)
     p.add_argument("--bound", type=int, default=64)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1, help="processes for the kernel sweep, capped at the core count")
     p.set_defaults(func=_cmd_verify_all)
 
     return parser

@@ -1,5 +1,6 @@
 """Galois symmetries of rho, kernel enumeration, factor kernels, image order, genus."""
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import gcd
@@ -18,6 +19,7 @@ from .modgroup import (
 from .wzwrep import (
     RepMatrix,
     _as_residue,
+    _signed_fold,
     _theorem1_exponents,
     _theorem1_tables,
     conductor,
@@ -107,16 +109,7 @@ def sigma_perm(d, n):
     """The signed permutation carrying sigma_d across the rows of rho(S)."""
     if d <= 0 or gcd(d, 2 * n) != 1:
         raise ValueError(f"sigma_perm needs d > 0 with gcd(d, 2n) = 1, got d = {d}, n = {n}")
-    perm, signs = [], []
-    for a in range(1, n):
-        u = a * d % (2 * n)
-        assert u != 0 and u != n
-        if u < n:
-            perm.append(u)
-            signs.append(1)
-        else:
-            perm.append(2 * n - u)
-            signs.append(-1)
+    perm, signs = _signed_fold(d, n)
     return SignedPermutation(n, perm, signs, jacobi(-2 * n, d))
 
 
@@ -316,18 +309,23 @@ def _confirmed(n, hits):
 def enumerate_kernel(n, bound=64, workers=1):
     """Enumerate Ker rho by an exact exponent sweep over SL2(Z/NZ) plus confirmation by rho_closed.
 
-    Raises ValueError when N exceeds bound, and RuntimeError when a sweep
-    candidate is not confirmed.  With workers > 1 a process pool sweeps
+    Raises ValueError when N exceeds bound or workers is not an int >= 1,
+    and RuntimeError when a sweep candidate is not confirmed.  With
+    workers > 1 a pool of min(workers, os.cpu_count()) processes sweeps
     chunks of bottom rows; the report is the same as with one process.
     """
     N = conductor(n)
     if N > bound:
         raise ValueError(f"enumeration bound exceeded: N = {N} > {bound}")
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    # the pool starts all of its processes at once, so it gets no more than there are cores
+    procs = min(workers, os.cpu_count() or 1)
     rows = list(unimodular_rows(N))
-    if workers > 1:
-        step = (len(rows) + 4 * workers - 1) // (4 * workers)
+    if procs > 1:
+        step = (len(rows) + 4 * procs - 1) // (4 * procs)
         chunks = [(n, rows[i : i + step]) for i in range(0, len(rows), step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             parts = list(pool.map(_sweep_rows, chunks))
         hits = [key for part, _ in parts for key in part]
         survivors = sum(count for _, count in parts)

@@ -271,22 +271,18 @@ def lift(r, shift=0):
                 break
         k += 1
     d = d + k * N
-    # complete (c, d) to an SL2(Z) matrix, then fix the top row mod N by CRT
+    # complete (c, d) to an SL2(Z) matrix, then add t (c, d) to its top row: mod
+    # each prime power q of N, t fixes a where c is a unit and b where d is one
     g, x, y = xgcd(d, -c)
     assert g == 1
-    top = [x, y]
     t = 0
-    modulus = 1
-    for p, e in factorize(N).items():
-        q = p**e
-        if c % p != 0:
-            s = (r.a - top[0]) * pow(c, -1, q) % q
+    for q, e in _idempotent_items(N):
+        if gcd(c, q) == 1:
+            t += (r.a - x) * pow(c, -1, q) * e
         else:
-            s = (r.b - top[1]) * pow(d, -1, q) % q
-        g2, inv, _ = xgcd(modulus, q)
-        t = (t + modulus * ((s - t) * inv % q)) % (modulus * q)
-        modulus *= q
-    out = [[top[0] + t * c, top[1] + t * d], [c, d]]
+            t += (r.b - y) * pow(d, -1, q) * e
+    t %= N
+    out = [[x + t * c, y + t * d], [c, d]]
     assert mat_det(out) == 1
     assert all(
         (out[i][j] - r.entries()[i][j]) % N == 0 for i in range(2) for j in range(2)
@@ -305,6 +301,11 @@ def idempotents(N):
         out[q] = rest * pow(rest, -1, q) % N
     assert sum(out.values()) % N == 1
     return out
+
+
+def _idempotent_items(N):
+    """The (q, c_q) pairs of idempotents(N); none for N = 1, where every residue is 0."""
+    return idempotents(N).items() if N > 1 else ()
 
 
 def local_generators(N):
@@ -336,24 +337,15 @@ def sl2_order(N):
 
 def complete_row(N, c, d):
     """Return (a, b) with a*d - b*c = 1 mod N, for a bottom row with gcd(c,d,N)=1."""
-    # solve x*d - y*c = 1 per prime power, tracking (x, y) via CRT on each coordinate
-    xs = []
-    for p, e in factorize(N).items():
-        q = p**e
-        if d % p != 0:
-            x, y = pow(d, -1, q), 0
+    # mod each prime power q of N solve a d - b c = 1 by a = d^-1 or b = -c^-1, and combine by CRT
+    a = b = 0
+    for q, e in _idempotent_items(N):
+        if gcd(d, q) == 1:
+            a += pow(d, -1, q) * e
+        elif gcd(c, q) == 1:
+            b -= pow(c, -1, q) * e
         else:
-            if c % p == 0:
-                raise ValueError(f"({c}, {d}) is not a unimodular row mod {N}")
-            x, y = 0, -pow(c, -1, q) % q
-        xs.append((q, x, y))
-    a, b = 0, 0
-    modulus = 1
-    for q, x, y in xs:
-        g2, inv, _ = xgcd(modulus, q)
-        a = (a + modulus * ((x - a) * inv % q)) % (modulus * q)
-        b = (b + modulus * ((y - b) * inv % q)) % (modulus * q)
-        modulus *= q
+            raise ValueError(f"({c}, {d}) is not a unimodular row mod {N}")
     assert (a * d - b * c) % N == 1 % N
     return a % N, b % N
 

@@ -42,8 +42,8 @@ __all__ = [
     "rho_float",
 ]
 
-_INT64_SAFE = 1 << 62
-# float64 holds every integer of magnitude below this exactly
+# float64 holds every integer of magnitude below this exactly, and every stored
+# RepMatrix numerator lies below it
 _FLOAT_EXACT = 1 << 53
 # Per-level caches keep the data of this many levels n.  The verify-small and
 # characters workloads build n = 3..12 in set-up, ten levels, and neither may
@@ -62,49 +62,37 @@ def conductor(n):
 
 
 def _max_abs(arr):
-    """Largest absolute value in a coefficient array, as a Python int."""
-    if arr.size == 0:
-        return 0
-    if arr.dtype == object:
-        return max((abs(int(v)) for v in arr.ravel()), default=0)
+    """Largest absolute value in a nonempty int64 coefficient array, as a Python int."""
     return int(np.abs(arr).max())
-
-
-def _gcd_all(arr, seed):
-    """gcd of seed and every entry of arr."""
-    g = seed
-    if arr.dtype == object:
-        for v in arr.ravel():
-            g = gcd(g, int(v))
-            if g == 1:
-                return 1
-        return g
-    flat = np.abs(arr.ravel())
-    nz = flat[flat != 0]
-    if nz.size:
-        g = gcd(g, int(np.gcd.reduce(nz)))
-    return g
 
 
 @lru_cache(maxsize=MAX_LEVELS)
 def _tables(M):
-    """Reduction data for Q(zeta_M): rows[d] holds the power-basis coordinates of zeta_M^d, d < M."""
-    rows = np.array(reduction_rows(M), dtype=np.int64)
-    return {"rows": rows, "phi": euler_phi(M), "rowmax": max(1, int(np.abs(rows).max()))}
+    """Reduction data for Q(zeta_M): rows[d] holds the power-basis coordinates of zeta_M^d, d < M.
 
-
-def _exact(bound, op, *arrays):
-    """op(*arrays) for integer arrays, where op forms sums of products of their entries.
-
-    bound caps the magnitude of every product and every partial sum op
-    forms.  Below 2^53 each of them is an integer that float64 holds
-    exactly, so op runs in float64 BLAS and is exact whatever the summation
-    order, FMA use or thread count; the result comes back as int64.
-    Otherwise, or when an operand is object dtype, op runs on Python ints.
+    frows is rows in float64, the operand of the exact float64 maps of RepMatrix.
     """
-    if bound < _FLOAT_EXACT and all(x.dtype != object for x in arrays):
-        return op(*(x.astype(np.float64) for x in arrays)).astype(np.int64)
-    return op(*(x.astype(object) for x in arrays))
+    rows = np.array(reduction_rows(M), dtype=np.int64)
+    return {
+        "rows": rows,
+        "frows": rows.astype(np.float64),
+        "phi": euler_phi(M),
+        "rowmax": max(1, int(np.abs(rows).max())),
+    }
+
+
+def _float_coords(arr, tab):
+    """arr in float64, for a map that sums phi products of its entries with reduction rows.
+
+    max |arr| phi rowmax bounds every such product and partial sum.  Below
+    2^53 float64 holds each of them exactly, so the map runs in float64 BLAS
+    and is exact whatever the summation order, FMA use or thread count; from
+    2^53 on this raises ValueError.
+    """
+    bound = _max_abs(arr) * tab["phi"] * tab["rowmax"]
+    if bound >= _FLOAT_EXACT:
+        raise ValueError(f"max |numerator| phi rowmax = {bound} reaches 2^53: the map would not be exact")
+    return arr.astype(np.float64)
 
 
 # Products run modulo primes p = 1 (mod M) below this limit, where Q(zeta_M)
@@ -113,12 +101,14 @@ def _exact(bound, op, *arrays):
 # evaluation planes over Z/p, and a product into phi(M) products of planes.
 # Every value stays an integer held exactly in float64 when, with residues
 # kept centered (|r| <= (p + 1)/2):
-#   dim (p + 2)^2 < 2^53    for a product of planes (and for gathered planes,
-#                           differences of two residues, |d| <= p - 1);
-#   phi (p/2 + 2)^2 < 2^53  for the change of basis by V or V^-1.
+#   dim (p + 2)^2 < 2^53 - p    for a product of planes (and for gathered
+#                               planes, differences of two residues, |d| <= p - 1);
+#   phi (p/2 + 2)^2 < 2^53 - p  for the change of basis by V or V^-1.
 # _center reduces any such value x by x - p rint(x / p): q = rint(x / p) is an
-# integer, x - p q is exact and = x (mod p), and |x - p q| <= (p + 1)/2; for
-# |x| < 2^52, where rint(x / p) is the nearest integer, |x - p q| <= (p - 1)/2.
+# integer with |x - p q| <= p/2 + 1, so |p q| <= 2^53, p q and x - p q are exact,
+# x - p q = x (mod p) and |x - p q| <= (p + 1)/2; for |x| < 2^52, where
+# rint(x / p) is the nearest integer, |x - p q| <= (p - 1)/2.  Closer to 2^53
+# p q can round: at x = 2^53 - 1 and p = 2097097 the result is off by one.
 _PRIME_LIMIT = 1 << 21
 
 
@@ -156,7 +146,7 @@ def _prime_tables(M, i):
     if p is None:
         raise ValueError(f"fewer than {i + 1} primes p = 1 (mod {M}) lie below 2^21")
     phi, dim = euler_phi(M), M // 8 - 1
-    if dim * (p + 2) ** 2 >= _FLOAT_EXACT or phi * (p + 4) ** 2 >= 4 * _FLOAT_EXACT:
+    if dim * (p + 2) ** 2 >= _FLOAT_EXACT - p or phi * (p + 4) ** 2 >= 4 * (_FLOAT_EXACT - p):
         raise ValueError(f"planes mod {p} are not exact in float64 at M = {M}")
     # w = c^((p-1)/M) has order dividing M; take the first c where it is exactly M
     prime_factors = list(factorize(M))
@@ -198,13 +188,11 @@ def _num_primes(M, bound):
 
 
 def _residues(arr, amax, p):
-    """Residues r mod p, |r| <= (p + 1)/2, of an integer array whose entries are at most amax, as float64."""
+    """Residues r mod p, |r| <= (p + 1)/2, of an int64 array whose entries are at most amax, as float64."""
     if amax <= p // 2:
         return arr.astype(np.float64)
-    if arr.dtype == object or amax >= _FLOAT_EXACT:
-        # integer % first, so the float conversion never rounds
-        arr = arr % p
-    return _center(arr.astype(np.float64), p)
+    # int64 % first: _center alone can round for entries near 2^53
+    return _center((arr % p).astype(np.float64), p)
 
 
 def _planes(coords, amax, M, k):
@@ -275,11 +263,14 @@ def _multimodular_product(M, k, a, b):
 class RepMatrix:
     """A square matrix over Q(zeta_{8n}) with one shared denominator.
 
-    Numerators sit in an integer array of shape (dim, dim, phi(8n)) holding
+    Numerators sit in an int64 array of shape (dim, dim, phi(8n)) holding
     power-basis coordinates mod the 8n-th cyclotomic polynomial; the stored
     form is normalized (den > 0, no common factor), so equal matrices have
-    identical arrays and equality is array comparison.  The array is int64,
-    or object (Python ints) once an entry reaches 2^62.
+    identical arrays and equality is array comparison.  Every stored
+    numerator lies below 2^53, so float64 holds it exactly; the constructor
+    raises ValueError, also under python -O, for a numerator that reaches
+    2^53 after normalization.  Python ints appear only inside the CRT of a
+    product and its normalization.
 
     A product is multimodular.  The operands' largest numerators bound the
     product's coordinates, and the bound fixes the number k of primes
@@ -294,12 +285,11 @@ class RepMatrix:
     A column scaling right-multiplies by diag(zeta^e_j): one batched matmul
     takes column j's coordinates through the matrix of "multiply by
     zeta^e_j", gathered from the reduction rows.  A Galois map sigma_L is
-    one matmul against the matrix of sigma_L.  Both bound every product and
-    partial sum they form from the largest numerator.  Below 2^53 they run
-    in float64 BLAS; at 2^53 or above, or on object input, they run on
-    Python ints.  Their results, and dagger's, skip the gcd pass: these
-    maps have integer inverses, so they keep the stored form normalized
-    (see _unit_image).
+    one matmul against the matrix of sigma_L.  Both run in float64 BLAS and
+    raise ValueError when max |numerator| phi rowmax, their bound on every
+    product and partial sum, reaches 2^53 (see _float_coords).  Their
+    results, and dagger's, skip the gcd pass: these maps have integer
+    inverses, so they keep the stored form normalized (see _unit_image).
     """
 
     __slots__ = ("n", "order", "arr", "den")
@@ -307,21 +297,25 @@ class RepMatrix:
     def __init__(self, n, arr, den=1):
         if arr.shape != (n - 1, n - 1, _tables(8 * n)["phi"]):
             raise ValueError(f"rho at n = {n} needs an array of shape (n-1, n-1, phi(8n)), got {arr.shape}")
-        if den == 0:
-            raise ValueError("a RepMatrix needs a nonzero denominator")
-        if den < 0:
-            den = -den
-            arr = -arr
-        g = _gcd_all(arr, den)
+        # object holds the Python ints of a product's CRT
+        if not (arr.dtype == np.int64 or arr.dtype == object and all(isinstance(v, int) for v in arr.flat)):
+            raise ValueError(f"a RepMatrix needs int64 numerators or Python ints, got dtype {arr.dtype}")
+        if not isinstance(den, int) or den == 0:
+            raise ValueError(f"a RepMatrix needs a nonzero integer denominator, got {den!r}")
+        g = gcd(den, int(np.gcd.reduce(arr, axis=None)))
         if g > 1:
             arr = arr // g
             den //= g
-        self._store(n, arr, den)
+        # negating after the division: -arr wraps only at -2^63, which the range test rejects
+        if den < 0:
+            arr, den = -arr, -den
+        top = max(-int(arr.min()), int(arr.max()))
+        if top >= _FLOAT_EXACT:
+            raise ValueError(f"a RepMatrix stores numerators below 2^53, got {top} after normalization")
+        self._store(n, arr.astype(np.int64, copy=False), den)
 
     def _store(self, n, arr, den):
-        """Set the fields from a normalized (arr, den), narrowing an object array below 2^62 to int64."""
-        if arr.dtype == object and _max_abs(arr) < _INT64_SAFE:
-            arr = arr.astype(np.int64)
+        """Set the fields from a normalized (arr, den)."""
         self.n = n
         self.order = 8 * n
         self.arr = arr
@@ -360,19 +354,11 @@ class RepMatrix:
         if len(entries) != dim or any(len(row) != dim for row in entries):
             raise ValueError(f"rho at n = {n} has {dim} x {dim} entries")
         scaled = [[x.promoted(M) for x in row] for row in entries]
-        den = 1
-        for row in scaled:
-            for x in row:
-                den = lcm(den, x.den)
-        phi = euler_phi(M)
-        big = any(abs(c) * (den // x.den) >= _INT64_SAFE for row in scaled for x in row for c in x.num)
-        arr = np.zeros((dim, dim, phi), dtype=object if big else np.int64)
-        for i, row in enumerate(scaled):
-            for j, x in enumerate(row):
-                m = den // x.den
-                for u, c in enumerate(x.num):
-                    arr[i, j, u] = c * m
-        return RepMatrix(n, arr, den)
+        den = lcm(*(x.den for row in scaled for x in row))
+        nums = [c * (den // x.den) for row in scaled for x in row for c in x.num]
+        if any(abs(c) >= _FLOAT_EXACT for c in nums):
+            raise ValueError(f"an entry's numerator over the common denominator {den} reaches 2^53")
+        return RepMatrix(n, np.array(nums, dtype=np.int64).reshape(dim, dim, -1), den)
 
     @property
     def dim(self):
@@ -424,20 +410,14 @@ class RepMatrix:
             raise ValueError(f"scale_cols needs {self.dim} exponents, got {len(exps)}")
         M = self.order
         tab = _tables(M)
-        bound = _max_abs(self.arr) * tab["phi"] * tab["rowmax"]
+        arr = _float_coords(self.arr, tab)
         # row u of maps[j], the map x -> zeta_M^e_j x, is the coordinate vector of zeta_M^(u + e_j)
         shifts = np.array([e % M for e in exps])[:, np.newaxis]
-        gather = (np.arange(tab["phi"]) + shifts) % M
-
-        def scale(arr, rows):
-            out = np.empty_like(arr)
-            # gathered from the converted table: its M rows are fewer than the stack's dim phi for n >= 4
-            maps = np.take(rows, gather, axis=0)
-            # one product per column j: the row vectors arr[:, j] times maps[j]
-            np.matmul(arr.transpose(1, 0, 2), maps, out=out.transpose(1, 0, 2))
-            return out
-
-        return RepMatrix._unit_image(self.n, _exact(bound, scale, self.arr, tab["rows"]), self.den)
+        maps = np.take(tab["frows"], (np.arange(tab["phi"]) + shifts) % M, axis=0)
+        out = np.empty_like(arr)
+        # one product per column j: the row vectors arr[:, j] times maps[j]
+        np.matmul(arr.transpose(1, 0, 2), maps, out=out.transpose(1, 0, 2))
+        return RepMatrix._unit_image(self.n, out.astype(np.int64), self.den)
 
     def galois_map(self, L):
         """Apply zeta_M -> zeta_M^L to every entry; L must be coprime to M = 8n."""
@@ -446,10 +426,9 @@ class RepMatrix:
         if gcd(L, M) != 1:
             raise ValueError(f"galois_map needs gcd(L, {M}) = 1, got L = {L}")
         tab = _tables(M)
-        bound = _max_abs(self.arr) * tab["phi"] * tab["rowmax"]
         # row u of the automorphism is the coordinate vector of zeta_M^(u L)
-        mat = tab["rows"][np.arange(tab["phi"]) * L % M]
-        return RepMatrix._unit_image(self.n, _exact(bound, np.matmul, self.arr, mat), self.den)
+        mat = tab["frows"][np.arange(tab["phi"]) * L % M]
+        return RepMatrix._unit_image(self.n, (_float_coords(self.arr, tab) @ mat).astype(np.int64), self.den)
 
     def dagger(self):
         """Conjugate transpose, computed exactly via the L = -1 automorphism."""
@@ -462,18 +441,8 @@ class RepMatrix:
 
     def to_floats(self):
         """Complex ndarray of the entries (float evaluation of the exact data)."""
-        M = self.order
-        if self.arr.dtype == object or _max_abs(self.arr) >= (1 << 52):
-            from .cyclotomic import embed
-
-            dim = self.dim
-            out = np.empty((dim, dim), dtype=complex)
-            for i in range(dim):
-                for j in range(dim):
-                    out[i, j] = embed(self.entry(i, j))
-            return out
         phi = self.arr.shape[2]
-        roots = np.exp(2j * np.pi * np.arange(phi) / M)
+        roots = np.exp(2j * np.pi * np.arange(phi) / self.order)
         return np.tensordot(self.arr.astype(np.float64), roots, axes=([2], [0])) / self.den
 
     def to_dicts(self):
@@ -838,6 +807,16 @@ def rho_unit_d_closed(r, n):
     return RepMatrix.from_entries(n, entries)
 
 
+def _signed_fold(A, n):
+    """(perm, signs) with A a = signs[a - 1] perm[a - 1] (mod 2n) and perm[a - 1] in 1..n-1, for a = 1..n-1.
+
+    For gcd(A, 2n) = 1, A a mod 2n is never 0 or n, as n does not divide a,
+    so it is u or 2n - u = -u for one u in 1..n-1.
+    """
+    folded = [A * a % (2 * n) for a in range(1, n)]
+    return [u if u < n else 2 * n - u for u in folded], [1 if u < n else -1 for u in folded]
+
+
 def rho_upper_triangular(r, n):
     """rho on C = 0 matrices: a signed permutation times root-of-unity phases."""
     r = _as_residue(r, n)
@@ -850,20 +829,12 @@ def rho_upper_triangular(r, n):
     # checked against the word oracle for every unit A at n = 3..12
     base = _zeta8(n, 2 * (A - 1) - A * B) * jacobi(2 * n, A)
     dim = n - 1
-    perm, signs = [], []
-    for a in range(1, n):
-        u = A * a % (2 * n)
-        assert u != 0 and u != n
-        if u < n:
-            perm.append(u - 1)
-            signs.append(1)
-        else:
-            perm.append(2 * n - u - 1)
-            signs.append(-1)
+    # A is a unit mod N, so mod 2n
+    perm, signs = _signed_fold(A, n)
     entries = [[zero(M) for _ in range(dim)] for _ in range(dim)]
     for a in range(1, n):
         val = base * root_of_unity(M, 2 * A * B * a * a) * signs[a - 1]
-        entries[a - 1][perm[a - 1]] = val
+        entries[a - 1][perm[a - 1] - 1] = val
     return RepMatrix.from_entries(n, entries)
 
 
@@ -958,7 +929,11 @@ def _rho_float_coprime(A, C, D, n):
 
 
 def rho_float(r, n):
-    """Evaluate rho over complex doubles; a fast filter, not an exact result."""
+    """Evaluate rho over complex doubles; not an exact result.
+
+    Its float arithmetic shares nothing with the exact route, so verify-all
+    compares it with rho_closed as an independent float check.
+    """
     r = _as_residue(r, n)
     N = conductor(n)
     if gcd(r.c, N) == 1:

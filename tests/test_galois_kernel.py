@@ -154,6 +154,42 @@ def test_worker_pool_enumeration_is_deterministic():
     assert "survivors" not in solo.to_text()
 
 
+def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
+    """A pool gets min(workers, cores) processes, and workers < 1 or not an int raises; no process starts."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(galois_kernel, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(galois_kernel.os, "cpu_count", lambda: 3)
+    solo = enumerate_kernel(4)
+    for workers in (2, 3, 5000):
+        pooled = enumerate_kernel(4, workers=workers)
+        assert (pooled.to_text(), pooled.survivors) == (solo.to_text(), solo.survivors)
+    assert image_order(4, workers=5000) == solo.image_order
+    assert sizes == [2, 3, 3, 3]
+    # one core: the sweep runs in this process, with no pool
+    monkeypatch.setattr(galois_kernel.os, "cpu_count", lambda: 1)
+    assert enumerate_kernel(4, workers=5000).to_text() == solo.to_text()
+    for bad in (0, -3, 1.5, "2", None):
+        with pytest.raises(ValueError):
+            enumerate_kernel(4, workers=bad)
+        with pytest.raises(ValueError):
+            image_order(4, workers=bad)
+    assert sizes == [2, 3, 3, 3]
+
+
 @pytest.mark.parametrize("M", [24, 32])
 def test_exponent_difference_rule_matches_cyclotomic_equality(M):
     """zeta^e - zeta^f = zeta^g - zeta^h by the three-clause rule exactly when it holds in Q(zeta_M).

@@ -18,12 +18,12 @@ from affinesl2.modgroup import ResidueMatrix, STWord, decompose, lift, random_ma
 from affinesl2.wzwrep import (
     _FLOAT_EXACT,
     RepMatrix,
-    _exact,
     _max_abs,
     _num_primes,
     _prime_tables,
     _product_bound,
     _sqrt_table,
+    _tables,
     conductor,
     dispatch_path,
     evaluate_word,
@@ -301,9 +301,10 @@ def test_bad_input_raises_value_error_under_optimize():
     code = """
 import signal
 import types
+import numpy as np
 from affinesl2.cyclotomic import cyclotomic_poly, factorize, jacobi
 from affinesl2.qseries import log_eta_expansion_check, sigma1, verify_k1_identity, verify_t_parametrization
-from affinesl2.galois_kernel import enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus
+from affinesl2.galois_kernel import enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus, image_order
 from affinesl2.cyclotomic import Cyclotomic, galois, one, root_of_unity, sqrt_int
 from affinesl2.modgroup import ResidueMatrix, STWord, complete_row, decompose, enumerate_group, idempotents, lift
 from affinesl2.modgroup import parse_matrix, sl2_order
@@ -390,6 +391,20 @@ cases = [
     lambda: verify_k1_identity(-1),
     lambda: verify_t_parametrization(-1),
     lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1)).applied_to_rows(rho_S(7)),
+    lambda: RepMatrix(3, rho_S(3).arr.astype(float), 1),
+    lambda: RepMatrix(3, rho_S(3).arr.astype(complex), 1),
+    lambda: RepMatrix(3, rho_S(3).arr.astype(object) * 1.5, 1),
+    lambda: RepMatrix(3, rho_S(3).arr, 2.5),
+    lambda: RepMatrix(3, np.full((2, 2, 8), 1 << 53), 1),
+    lambda: RepMatrix(3, np.full((2, 2, 8), -(1 << 63)), -1),
+    lambda: RepMatrix(3, np.full((2, 2, 8), 1 << 53, dtype=object), 1),
+    lambda: RepMatrix.from_entries(3, [[one(24) * (1 << 53), one(24)], [one(24), one(24)]]),
+    lambda: RepMatrix(3, np.full((2, 2, 8), (1 << 25) - 1), 1) * RepMatrix(3, np.full((2, 2, 8), (1 << 25) - 1), 1),
+    lambda: RepMatrix(3, np.full((2, 2, 8), 1 << 50), 1).scale_cols([0, 1]),
+    lambda: RepMatrix(3, np.full((2, 2, 8), 1 << 50), 1).galois_map(5),
+    lambda: enumerate_kernel(3, workers=0),
+    lambda: enumerate_kernel(3, workers=1.5),
+    lambda: image_order(3, workers=-3),
 ]
 type_cases = [
     lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1)).applied_to_rows(rho_S(5).arr),
@@ -424,39 +439,33 @@ print("ok")
     assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
 
 
-def test_exact_kernel_float_path_below_2_53():
-    """Just below 2^53 the float64 path equals the Python-int product exactly."""
-    rng = np.random.default_rng(53)
-    k = 8
-    amax = bmax = (1 << 25) - 1
-    bound = amax * bmax * k
-    assert bound < _FLOAT_EXACT <= 2 * bound
-    for _ in range(10):
-        a = rng.integers(-amax, amax + 1, size=(5, k), dtype=np.int64)
-        b = rng.integers(-bmax, bmax + 1, size=(k, 6), dtype=np.int64)
-        # odd extremes put some partial sums right at the bound
-        a[0, :] = amax
-        b[:, 0] = bmax
-        a[1, ::2] = -amax
-        got = _exact(bound, np.matmul, a, b)
-        assert got.dtype == np.int64
-        assert got.tolist() == (a.astype(object) @ b.astype(object)).tolist()
-        assert got[0, 0] == bound
+def _map_limit(n):
+    """The largest max |numerator| whose bound max |numerator| phi rowmax stays below 2^53."""
+    tab = _tables(8 * n)
+    step = tab["phi"] * tab["rowmax"]
+    amax = (_FLOAT_EXACT - 1) // step
+    assert amax * step < _FLOAT_EXACT <= (amax + 1) * step
+    return amax
 
 
-def test_exact_kernel_python_ints_from_2_53():
-    """At a bound of 2^53 or more the product runs on Python ints."""
-    rng = np.random.default_rng(54)
-    k = 8
-    amax, bmax = (1 << 26) + 1, (1 << 26) + 3
-    a = rng.integers(-amax, amax + 1, size=(4, k), dtype=np.int64)
-    b = rng.integers(-bmax, bmax + 1, size=(k, 3), dtype=np.int64)
-    a[0, :], b[:, 0] = amax, bmax
-    want = (a.astype(object) @ b.astype(object)).tolist()
-    for bound in (_FLOAT_EXACT, amax * bmax * k):
-        got = _exact(bound, np.matmul, a, b)
-        assert got.dtype == object
-        assert got.tolist() == want
+def test_unit_maps_are_exact_below_a_bound_of_2_53():
+    """scale_cols and galois_map agree with Cyclotomic entries up to the largest bound below 2^53, and raise from 2^53."""
+    for n in (3, 5, 8):
+        M = 8 * n
+        rng = random.Random(53 + n)
+        amax = _map_limit(n)
+        exps = [rng.randint(-M, 2 * M) for _ in range(n - 1)]
+        L = rng.choice([L for L in range(2, M) if gcd(L, M) == 1])
+        x = RepMatrix(n, _random_coords(n, rng, amax), 1)
+        assert _max_abs(x.arr) == amax
+        assert x.scale_cols(exps).entries() == [
+            [x.entry(i, j) * root_of_unity(M, e) for j, e in enumerate(exps)] for i in range(n - 1)
+        ]
+        assert x.galois_map(L).entries() == [[galois(L, v) for v in row] for row in x.entries()]
+        y = RepMatrix(n, _random_coords(n, rng, amax + 1), 1)
+        for op in (lambda: y.scale_cols(exps), lambda: y.galois_map(L), y.dagger):
+            with pytest.raises(ValueError, match="2\\^53"):
+                op()
 
 
 def _entrywise_product(x, y):
@@ -475,7 +484,7 @@ def _entrywise_product(x, y):
 
 @pytest.mark.parametrize("n", [5, 8])
 def test_rep_matrix_with_numerators_scaled_by_2_40(n):
-    """Products, scalings and Galois maps beyond 2^53 are exact and narrow back to int64."""
+    """Products, scalings and Galois maps of large numerators are exact int64, and 2^53 raises."""
     S, T = rho_S(n), rho_T(n)
     # over denominator 1 the factor 2^40 cannot cancel
     big = RepMatrix(n, S.arr * (1 << 40), 1)
@@ -489,12 +498,37 @@ def test_rep_matrix_with_numerators_scaled_by_2_40(n):
     assert (big * small).is_identity()
     exps = [3 * j + 1 for j in range(n - 1)]
     L = 8 * n - 3
-    # scaling and Galois maps bound their sums by max |numerator| * phi, so 2^56 crosses 2^53
-    for x in (big, RepMatrix(n, S.arr * (1 << 56), 1)):
+    # scaling and Galois maps bound their sums by max |numerator| phi rowmax: S scaled up to the limit keeps it below 2^53
+    for x in (big, RepMatrix(n, S.arr * (_map_limit(n) // _max_abs(S.arr)), 1)):
         assert x.scale_cols(exps).entries() == [
             [x.entry(i, j) * root_of_unity(8 * n, e) for j, e in enumerate(exps)] for i in range(n - 1)
         ]
         assert x.galois_map(L).entries() == [[galois(L, v) for v in row] for row in x.entries()]
+    # stored below 2^53, but its maps' bound reaches it
+    near = RepMatrix(n, S.arr * (1 << 50), 1)
+    assert near.arr.dtype == np.int64
+    for op in (lambda: near.scale_cols(exps), lambda: near.galois_map(L), near.dagger):
+        with pytest.raises(ValueError):
+            op()
+    # 2^53 is refused as a stored numerator, never wrapped or promoted; normalization comes first
+    with pytest.raises(ValueError):
+        RepMatrix(n, S.arr * (1 << 53), 1)
+    assert RepMatrix(n, S.arr * (1 << 53), S.den << 53) == S
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_outputs_are_int64_below_2_53(n):
+    """Every RepMatrix that the exact routes, products, unit maps and from_entries build is int64 below 2^53."""
+    M, N = 8 * n, conductor(n)
+    rng = random.Random(n)
+    mats = [random_matrix(N, rng) for _ in range(3)]
+    outs = [rho_S(n), rho_T(n), RepMatrix.from_entries(n, rho_S(n).entries())]
+    outs += [rho_closed(r, n) for r in mats] + [evaluate_word(decompose(lift(r)), n) for r in mats]
+    exps = [rng.randint(0, M) for _ in range(n - 1)]
+    for x in list(outs):
+        outs += [x * x, x.scale_cols(exps), x.galois_map(4 * n + 1), x.dagger()]
+    for x in outs:
+        assert x.arr.dtype == np.int64 and _max_abs(x.arr) < _FLOAT_EXACT
 
 
 def test_level_caches_stay_bounded_and_rebuild_bit_identically():
@@ -513,13 +547,13 @@ def test_level_caches_stay_bounded_and_rebuild_bit_identically():
     assert np.array_equal(new_q, old_q)
 
 
-def _random_coords(n, rng, amax, dtype=np.int64):
+def _random_coords(n, rng, amax):
     """A random (dim, dim, phi) coordinate array with entries in [-amax, amax] and a few at +-amax."""
     dim, phi = n - 1, euler_phi(8 * n)
     arr = np.array([rng.randint(-amax, amax) for _ in range(dim * dim * phi)], dtype=object)
     arr[:: 7] = amax
     arr[3 :: 11] = -amax
-    return arr.reshape(dim, dim, phi).astype(dtype)
+    return arr.reshape(dim, dim, phi).astype(np.int64)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -527,24 +561,27 @@ def test_rep_matrix_product_matches_the_schoolbook_product(n):
     """The multimodular product equals the product of Cyclotomic entries, for one to many primes."""
     rng = random.Random(n)
     M = 8 * n
-    cases = [
-        (_random_coords(n, rng, 9), _random_coords(n, rng, 9)),
-        (_random_coords(n, rng, 1 << 40), _random_coords(n, rng, 1 << 40)),
-        (_random_coords(n, rng, (1 << 61) - 1), _random_coords(n, rng, 1 << 20)),
-        (_random_coords(n, rng, 1 << 70, object), _random_coords(n, rng, 1 << 61)),
-    ]
+    cases = [tuple(RepMatrix(n, _random_coords(n, rng, 9), rng.randint(1, 99)) for _ in range(2))]
+    # c X over 1 times Y over c: operands and the bound are large, and the
+    # product normalizes to X Y, below 2^53, only if CRT assembles it exactly
+    for shift, bmax in ((36, 9), (49, 1 << 25)):
+        x = RepMatrix(n, _random_coords(n, rng, 9) << shift, 1)
+        cases.append((x, RepMatrix(n, _random_coords(n, rng, bmax), 1 << shift)))
+    # numerators just below 2^53, where a residue taken in float64 alone rounds
+    top = RepMatrix(n, _random_coords(n, rng, _FLOAT_EXACT - 1), 1)
+    cases.append((top, RepMatrix.identity(n)))
     primes = []
-    for a, b in cases:
-        x, y = RepMatrix(n, a, rng.randint(1, 99)), RepMatrix(n, b, rng.randint(1, 99))
+    for x, y in cases:
+        assert _max_abs(x.arr) < _FLOAT_EXACT and _max_abs(y.arr) < _FLOAT_EXACT
         primes.append(_num_primes(M, _product_bound(_max_abs(x.arr), _max_abs(y.arr), M)))
         assert (x * y).entries() == _entrywise_product(x, y)
-    # the last cases need three or more primes, where CRT runs on Python ints
-    assert primes[0] <= 2 and primes[-1] >= 5 and primes[-2] >= 3, primes
-    # three or four primes and odd coordinates beyond 2^53: float64 would round them
+    assert top * RepMatrix.identity(n) == top
+    # three or more primes assemble CRT on Python ints
+    assert primes[0] <= 2 and primes[1] >= 3 and primes[2] >= 5, primes
+    # a product whose normalized coordinates reach 2^53 raises
     full = RepMatrix(n, np.full((n - 1, n - 1, euler_phi(M)), (1 << 25) - 1, dtype=np.int64), 1)
-    square = full * full
-    assert _max_abs(square.arr) >= 1 << 54
-    assert square.entries() == _entrywise_product(full, full)
+    with pytest.raises(ValueError, match="2\\^53"):
+        full * full
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -561,10 +598,11 @@ def test_unit_maps_keep_matrices_normalized(n):
         # every numerator shares the factor 5, coprime to den = 2
         RepMatrix(n, _random_coords(n, rng, 50) * 5, 2),
         rho_S(n) * rho_T(n),
-        RepMatrix(n, rho_S(n).arr * (1 << 56), 1),
-        RepMatrix(n, _random_coords(n, rng, 1 << 70, object), 3),
+        RepMatrix(n, rho_S(n).arr * (1 << 40), 1),
+        # the largest numerators whose maps stay exact
+        RepMatrix(n, _random_coords(n, rng, _map_limit(n)), 3),
     ]
-    assert inputs[1].den == 12 and inputs[2].den == 2 and inputs[-1].arr.dtype == object
+    assert inputs[1].den == 12 and inputs[2].den == 2 and inputs[-1].den == 3
     exps = [rng.randint(-3 * M, 3 * M) for _ in range(n - 1)]
     exps[0], exps[-1] = -1, M + 5
     L = rng.choice([L for L in range(2, M) if gcd(L, M) == 1])
@@ -577,6 +615,10 @@ def test_unit_maps_keep_matrices_normalized(n):
     assert x.scale_cols(exps).entries() == [
         [x.entry(i, j) * root_of_unity(M, e) for j, e in enumerate(exps)] for i in range(n - 1)
     ]
+    over = RepMatrix(n, _random_coords(n, rng, _map_limit(n) + 1), 3)
+    for op in (lambda: over.scale_cols(exps), lambda: over.galois_map(L), over.dagger):
+        with pytest.raises(ValueError):
+            op()
 
 
 @pytest.mark.parametrize("n", range(3, 13))
