@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from affinesl2.modgroup import ResidueMatrix, STWord, decompose, lift, random_ma
 from affinesl2.wzwrep import (
     _FLOAT_EXACT,
     RepMatrix,
+    _crt,
     _max_abs,
     _num_primes,
     _prime_tables,
@@ -448,8 +449,8 @@ def _map_limit(n):
     return amax
 
 
-def test_unit_maps_are_exact_below_a_bound_of_2_53():
-    """scale_cols and galois_map agree with Cyclotomic entries up to the largest bound below 2^53, and raise from 2^53."""
+def test_exact_kernel_float_path_below_2_53():
+    """The float64 scale_cols and galois_map agree with Cyclotomic entries up to the largest bound below 2^53, and raise from 2^53."""
     for n in (3, 5, 8):
         M = 8 * n
         rng = random.Random(53 + n)
@@ -466,6 +467,26 @@ def test_unit_maps_are_exact_below_a_bound_of_2_53():
         for op in (lambda: y.scale_cols(exps), lambda: y.galois_map(L), y.dagger):
             with pytest.raises(ValueError, match="2\\^53"):
                 op()
+
+
+def test_exact_kernel_python_ints_from_2_53():
+    """CRT assembles on Python ints once the primes' product reaches 2^53, and recovers every |x| below half of it."""
+    rng = random.Random(54)
+    for M in (24, 64):
+        for k in (2, 3, 4):
+            primes = [_prime_tables(M, s)[0] for s in range(k)]
+            half = (prod(primes) - 1) // 2
+            xs = [rng.randint(-half, half) for _ in range(40)]
+            xs += [0, 1, -1, half, -half, _FLOAT_EXACT - 1, 1 - _FLOAT_EXACT]
+            xs = [x for x in xs if abs(x) <= half]
+            if k >= 3:
+                # from 2^53 on: values int64 holds, and (k = 4) values it does not
+                xs += [_FLOAT_EXACT, -_FLOAT_EXACT, _FLOAT_EXACT + 1, half - 1]
+            # centered residues, as the multimodular product hands them over
+            residues = np.array([[(x + p // 2) % p - p // 2 for x in xs] for p in primes], dtype=np.float64)
+            got = _crt(residues, primes, np.empty(len(xs)))
+            assert got.dtype == (object if prod(primes) >= _FLOAT_EXACT else np.int64)
+            assert got.tolist() == xs
 
 
 def _entrywise_product(x, y):
