@@ -10,8 +10,8 @@ from affinesl2.wzwrep import (
     rho_T,
     rho_closed,
     rho_float,
-    rho_upper_triangular,
 )
+from affinesl2.identities import rho_upper_triangular
 import random
 
 # level k = 2, so n = k + 2 = 4 and the representation acts on n - 1 = 3 primaries

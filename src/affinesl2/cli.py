@@ -1,6 +1,7 @@
 """Command line front end over the exact modular data library."""
 
 import argparse
+import cmath
 import json
 import random
 import sys
@@ -12,7 +13,6 @@ from .galois_kernel import (
     genus,
     image_order,
     sigma_covariance_check,
-    _is_prime,
 )
 from .modgroup import ResidueMatrix, decompose, format_matrix, lift, parse_matrix, random_matrix
 from .qseries import (
@@ -32,7 +32,6 @@ from .wzwrep import (
     rho_float,
     rho_S,
     rho_T,
-    rho_theorem1,
 )
 
 __all__ = ["run", "main"]
@@ -94,12 +93,8 @@ def _cmd_eval(args):
     r = ResidueMatrix.from_list(N, m)
     if args.path == "closed":
         mat = rho_closed(r, n)
-    elif args.path == "word":
-        mat = evaluate_word(decompose(m if det == 1 else lift(r)), n)
     else:
-        if gcd(r.c, N) != 1:
-            raise UsageError(f"--path theorem1 needs gcd(c, {N}) = 1, got c = {r.c}")
-        mat = rho_theorem1(r, n)
+        mat = evaluate_word(decompose(m if det == 1 else lift(r)), n)
     lines = [
         f"level {args.level}",
         f"n {n}",
@@ -135,10 +130,10 @@ def _cmd_kernel(args):
 
 
 def _cmd_genus(args):
-    p = args.prime
-    if not (_is_prime(p) and p >= 7 and p % 4 == 3):
-        raise UsageError("--prime must be a prime p >= 7 with p = 3 mod 4")
-    return 0, [str(genus(p))]
+    try:
+        return 0, [str(genus(args.prime))]
+    except ValueError as exc:
+        raise UsageError(f"--prime: {exc}")
 
 
 def _cmd_image_order(args):
@@ -159,8 +154,8 @@ def _cmd_characters(args):
             tau = complex(args.numeric)
         except ValueError:
             raise UsageError(f"bad --numeric value {args.numeric!r}")
-        if tau.imag <= 0:
-            raise UsageError("--numeric tau must have positive imaginary part")
+        if not (cmath.isfinite(tau) and tau.imag > 0):
+            raise UsageError("--numeric tau must be finite with positive imaginary part")
     lines = [f"level {args.level}", f"n {n}"]
     for lam in range(1, n):
         s = character(lam, n, args.terms)
@@ -267,7 +262,7 @@ def _build_parser():
     p = sub.add_parser("eval", parents=[common], help="evaluate rho on a matrix")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--matrix", required=True, metavar="[[a,b],[c,d]]")
-    p.add_argument("--path", choices=("closed", "word", "theorem1"), default="closed")
+    p.add_argument("--path", choices=("closed", "word"), default="closed")
     p.add_argument("--format", choices=("exact", "float", "both"), default="both")
     p.set_defaults(func=_cmd_eval)
 

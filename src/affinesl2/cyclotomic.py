@@ -315,10 +315,6 @@ class Cyclotomic:
             return None
         return Fraction(self.num[0], self.den)
 
-    def to_fractions(self):
-        """Return the basis coordinates as a list of Fractions."""
-        return [Fraction(c, self.den) for c in self.num]
-
     def to_dict(self):
         """Serialize to {order, coeffs, approx}."""
         z = embed(self)

@@ -7,7 +7,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclotomic import jacobi
+from .cyclotomic import factorize, jacobi
 from .modgroup import (
     ResidueMatrix,
     STWord,
@@ -83,12 +83,9 @@ class SignedPermutation:
             raise TypeError(f"applied_to_rows needs a RepMatrix, got {type(m).__name__}")
         if m.n != self.n:
             raise ValueError(f"a signed permutation at n = {self.n} cannot act on a matrix at n = {m.n}")
-        entries = []
-        for a in range(1, self.n):
-            src = self.perm[a - 1] - 1
-            s = self.symbol * self.signs[a - 1]
-            entries.append([m.entry(src, b) * s for b in range(m.dim)])
-        return RepMatrix.from_entries(self.n, entries)
+        signs = self.symbol * np.array(self.signs)[:, np.newaxis, np.newaxis]
+        # a signed permutation of rows is a unit map, so the result stays normalized
+        return RepMatrix._unit_image(self.n, m.arr[np.array(self.perm) - 1] * signs, m.den)
 
     def __str__(self):
         cycles = ", ".join(f"{a}->{p}" for a, p in enumerate(self.perm, start=1))
@@ -100,8 +97,6 @@ def sigma_on_matrix(L, m):
     """Apply the Galois automorphism zeta -> zeta^L to every entry of m."""
     if not isinstance(m, RepMatrix):
         raise TypeError(f"sigma_on_matrix needs a RepMatrix, got {type(m).__name__}")
-    if gcd(L, m.order) != 1:
-        raise ValueError(f"L = {L} is not coprime to {m.order}")
     return m.galois_map(L)
 
 
@@ -362,20 +357,9 @@ def image_order(n, bound=64, workers=1):
     return enumerate_kernel(n, bound=bound, workers=workers).image_order
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def genus(p):
     """Genus of the curve carrying the level p - 2 character vector, p prime, p = 3 mod 4."""
-    if not (_is_prime(p) and p >= 7 and p % 4 == 3):
+    if not (isinstance(p, int) and p >= 7 and p % 4 == 3 and factorize(p) == {p: 1}):
         raise ValueError(f"{p} is not a prime p >= 7 with p = 3 mod 4")
     g = 1 + Fraction(12 * p * (p * p - 1)) * (Fraction(1, 6) - Fraction(1, 8 * p))
     assert g.denominator == 1

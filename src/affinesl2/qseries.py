@@ -282,8 +282,8 @@ def numeric_eval(s, tau):
     if not isinstance(s, QSeries):
         raise TypeError(f"numeric_eval needs a QSeries, got {type(s).__name__}")
     tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValueError(f"tau = {tau} does not lie in the upper half plane")
+    if not (cmath.isfinite(tau) and tau.imag > 0):
+        raise ValueError(f"tau = {tau} is not a finite point of the upper half plane")
     total = 0j
     for j, c in enumerate(s.coeffs):
         if c != 0:
@@ -296,8 +296,8 @@ def s_transform_check(n, tau, truncation=400, tol=1e-8):
     if not tol > 0:
         raise ValueError(f"tolerance {tol} is not positive")
     tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValueError(f"tau = {tau} does not lie in the upper half plane")
+    if not (cmath.isfinite(tau) and tau.imag > 0):
+        raise ValueError(f"tau = {tau} is not a finite point of the upper half plane")
     stau = -1 / tau
     chars = [character(lam, n, truncation) for lam in range(1, n)]
     smat = rho_S(n).to_floats()

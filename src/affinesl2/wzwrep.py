@@ -1,6 +1,6 @@
-"""The level-k affine sl2 modular representation: generators, word oracle, closed forms."""
+"""The level-k affine sl2 modular representation: exact arithmetic, generators, word oracle, rho_closed."""
 
-from fractions import Fraction
+import random
 from functools import lru_cache
 from math import gcd, lcm, prod
 
@@ -12,13 +12,11 @@ from .cyclotomic import (
     euler_phi,
     factorize,
     jacobi,
-    one,
     reduction_rows,
     root_of_unity,
     sqrt_int,
-    zero,
 )
-from .modgroup import ResidueMatrix
+from .modgroup import ResidueMatrix, random_matrix
 
 __all__ = [
     "conductor",
@@ -26,17 +24,9 @@ __all__ = [
     "rho_S",
     "rho_T",
     "evaluate_word",
-    "gauss_sum",
-    "gauss_sum_closed",
     "sin_value",
-    "kernel_sum",
-    "kernel_sum_closed",
     "rho_closed",
     "rho_theorem1",
-    "rho_coprime_closed",
-    "rho_coprime_legendre",
-    "rho_unit_d_closed",
-    "rho_upper_triangular",
     "dispatch_path",
     "g_parity_check",
     "rho_float",
@@ -519,102 +509,13 @@ def evaluate_word(word, n):
     return acc
 
 
-def gauss_sum(C, N):
-    """Quadratic Gauss sum over Z/NZ: sum of e(C b^2 / N), as a Cyclotomic of order N."""
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"gauss_sum needs an integer modulus N >= 1, got {N!r}")
-    return _gauss_sum(C % N, N)
-
-
-@lru_cache(maxsize=MAX_VALUES)
-def _gauss_sum(C, N):
-    val = zero(N)
-    for b in range(N):
-        val = val + root_of_unity(N, C * b * b)
-    return val
-
-
-def gauss_sum_closed(c, n):
-    """Closed form 2 (1 + i^{nc}) (c|n) sqrt(n)-unit for the Gauss sum mod 4n, n odd."""
-    if n % 2 == 0 or gcd(c, 2 * n) != 1:
-        raise ValueError(f"gauss_sum_closed needs odd n and gcd(c, 2n) = 1, got c = {c}, n = {n}")
-    M = 4 * n
-    i_pow = root_of_unity(M, n * (n * c % 4))
-    # S(1, n) is sqrt(n) for n = 1 mod 4 and i sqrt(n) for n = 3 mod 4
-    base = sqrt_int(n, M)
-    if n % 4 == 3:
-        base = base * root_of_unity(M, n)
-    return (one(M) + i_pow) * base * (2 * jacobi(c, n))
-
-
-def kernel_sum(alpha, gamma, C, n):
-    """Triple sum of sin(pi a b/n) sin(pi b g/n) e(C b^2/4n) over b = 1..n-1, directly."""
-    if not (1 <= alpha <= n - 1 and 1 <= gamma <= n - 1):
-        raise ValueError(f"kernel_sum needs 1 <= alpha, gamma <= {n - 1}, got {alpha}, {gamma}")
-    M = 8 * n
-    total = zero(M)
-    for b in range(1, n):
-        term = sin_value(n, alpha * b) * sin_value(n, gamma * b) * root_of_unity(M, 2 * C * b * b)
-        total = total + term
-    return total
-
-
-def _g2_sum(m, Gamma, n):
-    """Closed form of sum over b mod 2n of e((Gamma b^2 + m b)/2n), gcd(Gamma, n) = 1."""
-    M = 8 * n
-    if n % 2 == 0:
-        # Gamma is odd here, so the sum vanishes for odd m
-        if m % 2:
-            return zero(M)
-        h = pow(Gamma, -1, 2 * n) * (m // 2) % (2 * n)
-        phase = root_of_unity(M, -4 * Gamma * h * h)
-        return phase * gauss_sum(Gamma, 2 * n).promoted(M)
-    if (Gamma + m) % 2:
-        return zero(M)
-    h = pow(4 * Gamma % n, -1, n) * m % n
-    phase = root_of_unity(M, -16 * Gamma * h * h)
-    return phase * gauss_sum(2 * Gamma, n).promoted(M) * 2
-
-
-def kernel_sum_closed(alpha, gamma, C, n):
-    """Closed form of the triple sum as (branch, value), or None when no branch applies.
-
-    Branches: "coprime" for gcd(C, 2n) = 1, "multiple" for n | C, and "even"
-    for C = 2 Gamma with gcd(Gamma, n) = 1.  Valid for arbitrary integer
-    alpha and gamma.
-    """
-    M = 8 * n
-    if gcd(C, 2 * n) == 1:
-        Cinv = pow(C % M, -1, M)
-        g4 = gauss_sum(C, 4 * n).promoted(M)
-        dm = root_of_unity(M, -2 * Cinv * (alpha - gamma) ** 2)
-        dp = root_of_unity(M, -2 * Cinv * (alpha + gamma) ** 2)
-        return "coprime", g4 * (dm - dp) / 8
-    if C % n == 0:
-        t = C % (4 * n) // n
-        i_pow_t = root_of_unity(M, 2 * n * t)
-        total = zero(M)
-        if (alpha - gamma) % n == 0:
-            sign = -1 if (alpha - gamma) % (2 * n) else 1
-            total = total + (one(M) + i_pow_t * sign)
-        if (alpha + gamma) % n == 0:
-            sign = -1 if (alpha + gamma) % (2 * n) else 1
-            total = total - (one(M) + i_pow_t * sign)
-        return "multiple", total * Fraction(n, 4)
-    if C % 2 == 0 and gcd(C // 2, n) == 1:
-        Gamma = C // 2
-        val = _g2_sum(alpha - gamma, Gamma, n) - _g2_sum(alpha + gamma, Gamma, n)
-        return "even", val / 4
-    return None
-
-
 def dispatch_path(r, n):
     """Name the stratum of r: theorem1, upper, unit_d, or word.
 
     theorem1 is gcd(c, N) = 1, upper is c = 0, and unit_d is gcd(d, 2n) = 1
-    with a closed branch of kernel_sum_closed for C' = -c/d; word is the
-    rest.  Each of the first three has a closed form of its own; rho_closed
-    takes one route on every stratum.
+    with a closed branch of identities.kernel_sum_closed for C' = -c/d; word
+    is the rest.  Each of the first three has a closed form of its own in
+    identities; rho_closed takes one route on every stratum.
     """
     N = conductor(n)
     r = _as_residue(r, n)
@@ -637,57 +538,11 @@ def _as_residue(r, n):
     return ResidueMatrix.from_list(conductor(n), r)
 
 
-def _zeta8(n, e):
-    """zeta_8^e inside Q(zeta_{8n})."""
-    return root_of_unity(8 * n, n * (e % 8))
-
-
-def rho_coprime_closed(r, n):
-    """rho on gcd(C, 2n) = 1 matrices via the completed-square Gauss sum form."""
-    r = _as_residue(r, n)
-    A, C, D = r.a, r.c, r.d
-    M = 8 * n
-    if gcd(C, 2 * n) != 1:
-        raise ValueError(f"rho_coprime_closed needs gcd(c, 2n) = 1, got {r} at n = {n}")
-    Cinv = pow(C % M, -1, M)
-    U = (A + 1) * Cinv % M
-    V = (D + 1) * Cinv % M
-    pref = _zeta8(n, 2 - C - U - V) * gauss_sum(C, 4 * n).promoted(M) / (2 * n)
-    return _coprime_entries(pref, A, Cinv, D, n)
-
-
-def _coprime_entries(pref, A, Cinv, D, n):
-    """The matrix with entry (a, l) = pref sin(pi Cinv a l / n) zeta_8n^(2 Cinv (A a^2 + D l^2))."""
-    M = 8 * n
-    entries = []
-    for a in range(1, n):
-        row = []
-        for l in range(1, n):
-            val = pref * sin_value(n, Cinv * a * l)
-            val = val * root_of_unity(M, 2 * Cinv * (A * a * a + D * l * l))
-            row.append(val)
-        entries.append(row)
-    return RepMatrix.from_entries(n, entries)
-
-
 def _legendre_g(C, n):
     """The mod-8 exponent in the odd-n Legendre-symbol form of rho."""
     eps = 1 if n * C % 4 == 1 else -1
     theta = 0 if n % 4 == 1 else 2
     return 2 + eps + theta
-
-
-def rho_coprime_legendre(r, n):
-    """rho on gcd(C, 2n) = 1 matrices for odd n, via the Legendre symbol form."""
-    r = _as_residue(r, n)
-    A, C, D = r.a, r.c, r.d
-    M = 8 * n
-    if n % 2 == 0 or gcd(C, 2 * n) != 1:
-        raise ValueError(f"rho_coprime_legendre needs odd n and gcd(c, 2n) = 1, got {r} at n = {n}")
-    Cinv = pow(C, -1, M)
-    g = _legendre_g(C, n)
-    pref = sqrt_int(2 * n, M) * _zeta8(n, g - (A + D + 3) * C) * Fraction(jacobi(C, n), n)
-    return _coprime_entries(pref, A, Cinv, D, n)
 
 
 @lru_cache(maxsize=MAX_LEVELS)
@@ -780,33 +635,6 @@ def rho_theorem1(r, n):
     return RepMatrix(n, table[p] - table[q], 2 * n * den)
 
 
-def rho_unit_d_closed(r, n):
-    """rho on gcd(D, 2n) = 1 matrices via the closed triple-sum branches."""
-    r = _as_residue(r, n)
-    A, B, C, D = r.a, r.b, r.c, r.d
-    M = 8 * n
-    if gcd(D, 2 * n) != 1:
-        raise ValueError(f"rho_unit_d_closed needs gcd(d, 2n) = 1, got {r} at n = {n}")
-    Dinv = pow(D, -1, M)
-    X = (B - 1) * Dinv % M
-    Y = -(C + 1) * Dinv % M
-    Cp = -C * Dinv % M
-    pref = sqrt_int(2 * n, M) * _zeta8(n, D - X - Y - 2)
-    pref = pref * gauss_sum(-D, 4 * n).promoted(M) / (2 * n * n)
-    entries = []
-    for a in range(1, n):
-        aD = a * Dinv % (2 * n)
-        row_phase = root_of_unity(M, 2 * B * Dinv * a * a)
-        row = []
-        for l in range(1, n):
-            closed = kernel_sum_closed(aD, l, Cp, n)
-            if closed is None:
-                raise ValueError(f"kernel_sum_closed has no branch for C' = {Cp} at n = {n}: {r}")
-            row.append(pref * row_phase * closed[1])
-        entries.append(row)
-    return RepMatrix.from_entries(n, entries)
-
-
 def _signed_fold(A, n):
     """(perm, signs) with A a = signs[a - 1] perm[a - 1] (mod 2n) and perm[a - 1] in 1..n-1, for a = 1..n-1.
 
@@ -815,27 +643,6 @@ def _signed_fold(A, n):
     """
     folded = [A * a % (2 * n) for a in range(1, n)]
     return [u if u < n else 2 * n - u for u in folded], [1 if u < n else -1 for u in folded]
-
-
-def rho_upper_triangular(r, n):
-    """rho on C = 0 matrices: a signed permutation times root-of-unity phases."""
-    r = _as_residue(r, n)
-    N = conductor(n)
-    if r.c % N:
-        raise ValueError(f"rho_upper_triangular needs c = 0 mod {N}, got {r}")
-    A, B = r.a, r.b
-    M = 8 * n
-    # the phases fix every entry up to one overall sign: the Jacobi symbol (2n|A),
-    # checked against the word oracle for every unit A at n = 3..12
-    base = _zeta8(n, 2 * (A - 1) - A * B) * jacobi(2 * n, A)
-    dim = n - 1
-    # A is a unit mod N, so mod 2n
-    perm, signs = _signed_fold(A, n)
-    entries = [[zero(M) for _ in range(dim)] for _ in range(dim)]
-    for a in range(1, n):
-        val = base * root_of_unity(M, 2 * A * B * a * a) * signs[a - 1]
-        entries[a - 1][perm[a - 1] - 1] = val
-    return RepMatrix.from_entries(n, entries)
 
 
 def _unit_shift(r, n):
@@ -859,10 +666,9 @@ def rho_closed(r, n):
     as S^-1 T^-k = -(0, -1; 1, -k) and rho(-1) = rho(S)^2 = 1: two gathers
     and one product.  Both factors are gathered straight into evaluation
     planes (_sqrt_planes) and multiplied by the RepMatrix product's
-    multimodular algorithm.  The paper's other closed forms
-    (rho_unit_d_closed, rho_upper_triangular, rho_coprime_closed,
-    rho_coprime_legendre) are identities checked against the word oracle,
-    not routes of this function.
+    multimodular algorithm.  The paper's other closed forms live in
+    identities, checked against the word oracle; none is a route of this
+    function.
     """
     r = _as_residue(r, n)
     if gcd(r.c, conductor(n)) == 1:
@@ -884,16 +690,12 @@ def g_parity_check(n):
     """Check rho(-R) = rho(R) and the mod-8 exponent parity behind it, for odd n."""
     if n % 2 == 0:
         raise ValueError(f"g_parity_check needs odd n, got n = {n}")
-    import random
-
     target = 2 * (n + 1) % 8
     for C in range(1, 4 * n, 2):
         if gcd(C, n) > 1:
             continue
         if (_legendre_g(C, n) - _legendre_g(-C, n) + 2 * C - target) % 8:
             return False
-    from .modgroup import random_matrix
-
     rng = random.Random(n)
     N = conductor(n)
     for _ in range(5):

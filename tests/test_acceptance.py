@@ -15,19 +15,14 @@ from affinesl2.modgroup import (
     random_matrix,
     sl2_order,
 )
-from affinesl2.wzwrep import (
-    RepMatrix,
-    conductor,
-    dispatch_path,
-    evaluate_word,
+from affinesl2.wzwrep import RepMatrix, conductor, dispatch_path, evaluate_word, rho_closed, rho_S
+from affinesl2.identities import (
     gauss_sum,
     gauss_sum_closed,
     kernel_sum,
     kernel_sum_closed,
-    rho_closed,
     rho_coprime_closed,
     rho_coprime_legendre,
-    rho_S,
     rho_unit_d_closed,
     rho_upper_triangular,
 )

@@ -1,4 +1,4 @@
-"""Package-wide hygiene: bounded caches and no unused imports."""
+"""Package-wide hygiene: bounded caches, no unused imports, and the identities import boundary."""
 
 import ast
 import importlib
@@ -22,9 +22,10 @@ def test_every_cache_is_a_bounded_lru_cache():
     builders = {
         "affinesl2.cyclotomic": ["cyclotomic_poly", "reduction_rows", "_embed_roots"],
         "affinesl2.wzwrep": [
-            "_tables", "_sqrt_2n", "rho_S", "rho_T", "_s_powers", "_sqrt_table", "_sin_value", "_gauss_sum",
+            "_tables", "_sqrt_2n", "rho_S", "rho_T", "_s_powers", "_sqrt_table", "_sin_value",
             "_prime_tables", "_sqrt_planes", "_theorem1_tables",
         ],
+        "affinesl2.identities": ["_gauss_sum"],
     }
     for mod, names in builders.items():
         for name in names:
@@ -55,3 +56,25 @@ def test_no_unused_imports():
     src = Path(affinesl2.__file__).parent
     unused = [entry for path in sorted(src.glob("*.py")) for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _imports_identities(path):
+    """True when the module at path imports affinesl2.identities, in any import form."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # "from .identities import x" names the module, "from . import identities" an alias
+            names = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("identities" in name.split(".") for name in names):
+            return True
+    return False
+
+
+def test_only_identities_imports_identities():
+    """The paper's closed forms stay checked identities: no other source module imports them."""
+    src = Path(affinesl2.__file__).parent
+    importers = [path.name for path in sorted(src.glob("*.py")) if _imports_identities(path)]
+    assert importers == []

@@ -29,20 +29,22 @@ from affinesl2.wzwrep import (
     dispatch_path,
     evaluate_word,
     g_parity_check,
-    gauss_sum,
-    gauss_sum_closed,
-    kernel_sum,
-    kernel_sum_closed,
     rho_closed,
-    rho_coprime_closed,
-    rho_coprime_legendre,
     rho_float,
     rho_S,
     rho_T,
     rho_theorem1,
+    sin_value,
+)
+from affinesl2.identities import (
+    gauss_sum,
+    gauss_sum_closed,
+    kernel_sum,
+    kernel_sum_closed,
+    rho_coprime_closed,
+    rho_coprime_legendre,
     rho_unit_d_closed,
     rho_upper_triangular,
-    sin_value,
 )
 
 
@@ -312,10 +314,10 @@ from affinesl2.modgroup import parse_matrix, sl2_order
 from affinesl2.qseries import QSeries, character, eta_inverse_cubed, numeric_eval, s_transform_check
 from affinesl2.galois_kernel import SignedPermutation, bantay_sigma_S_identity, sigma_covariance_check
 from affinesl2.galois_kernel import phi2_image_is_normal, sigma_on_matrix, sigma_perm
-from affinesl2.wzwrep import RepMatrix, _unit_shift, conductor, g_parity_check, gauss_sum, gauss_sum_closed
-from affinesl2.wzwrep import kernel_sum, rho_closed
-from affinesl2.wzwrep import rho_coprime_closed, rho_coprime_legendre, rho_float, rho_S, rho_theorem1
-from affinesl2.wzwrep import rho_unit_d_closed, rho_upper_triangular
+from affinesl2.wzwrep import RepMatrix, _unit_shift, conductor, g_parity_check, rho_closed, rho_float, rho_S
+from affinesl2.wzwrep import rho_theorem1
+from affinesl2.identities import gauss_sum, gauss_sum_closed, kernel_sum, rho_coprime_closed, rho_coprime_legendre
+from affinesl2.identities import rho_unit_d_closed, rho_upper_triangular
 cases = [
     lambda: ResidueMatrix(40, 2, 0, 0, 2),
     lambda: ResidueMatrix(0, 1, 0, 0, 1),
@@ -332,12 +334,19 @@ cases = [
     lambda: character(1, 3, -1),
     lambda: genus(13),
     lambda: genus(9),
+    lambda: genus(7.0),
     lambda: expected_kernel_slice(3),
     lambda: QSeries(2, 1, [1, 1]) + QSeries(1, 0, [1, 1]),
     lambda: rho_closed(ResidueMatrix(40, 0, 39, 1, 0), 7),
     lambda: rho_theorem1(ResidueMatrix(56, 1, 0, 2, 1), 7),
     lambda: numeric_eval(character(1, 3, 20), 0.5 - 1j),
     lambda: s_transform_check(3, 0.1 - 0.9j, truncation=20),
+    lambda: numeric_eval(character(1, 3, 20), complex("nan+1j")),
+    lambda: numeric_eval(character(1, 3, 20), complex("0.1+nanj")),
+    lambda: numeric_eval(character(1, 3, 20), complex("0.1+infj")),
+    lambda: s_transform_check(3, complex("nan+1j"), truncation=20),
+    lambda: s_transform_check(3, complex("inf+1j"), truncation=20),
+    lambda: s_transform_check(3, complex("nan+nanj"), truncation=20),
     lambda: eta_inverse_cubed(-2),
     lambda: parse_matrix("[[1,2,3],[3,4]]"),
     lambda: Cyclotomic(8, [1, 2]),
