@@ -274,8 +274,9 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)) and other == 0:
+            raise ZeroDivisionError("Cyclotomic division by zero")
         if isinstance(other, int):
-            assert other != 0
             return Cyclotomic(self.order, self.num, self.den * other)
         if isinstance(other, Fraction):
             return self * Fraction(other.denominator, other.numerator)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from math import gcd
+from operator import index
 
 from .cyclotomic import factorize, xgcd
 
@@ -147,7 +148,11 @@ class ResidueMatrix:
     __slots__ = ("N", "a", "b", "c", "d")
 
     def __init__(self, N, a, b, c, d):
-        if not isinstance(N, int) or N < 1:
+        try:
+            N, a, b, c, d = index(N), index(a), index(b), index(c), index(d)
+        except TypeError:
+            raise ValueError(f"modulus and entries must be integers, got {(N, a, b, c, d)!r}") from None
+        if N < 1:
             raise ValueError(f"modulus must be a positive int, got {N!r}")
         a, b, c, d = a % N, b % N, c % N, d % N
         if (a * d - b * c) % N != 1 % N:

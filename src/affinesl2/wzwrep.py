@@ -1,6 +1,7 @@
 """The level-k affine sl2 modular representation: exact arithmetic, generators, word oracle, rho_closed."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
@@ -117,8 +118,10 @@ def _center(x, p, tmp=None):
     return x
 
 
-# Every product the benchmark workloads form needs one prime (n <= 12) or two
-# (n = 20, 31), so four per level keep the primes of MAX_LEVELS levels.
+# rho_closed needs one prime for every n <= 230 (see _sqrt_planes); the general
+# products of the word oracle and is_unitary need one (n <= 12) or two
+# (n = 20, 31) at the benchmark workloads' levels, so four per level keep the
+# primes of MAX_LEVELS levels.
 @lru_cache(maxsize=4 * MAX_LEVELS)
 def _prime_tables(M, i):
     """(p, x, V, Vinv) for the i-th largest prime p = 1 (mod M) below 2^21.
@@ -166,6 +169,65 @@ def _product_bound(amax, bmax, M):
     phi = tab["phi"]
     # phi products per power of zeta in each of dim terms, then the tail rows
     return amax * bmax * (M // 8 - 1) * phi * (1 + phi * tab["rowmax"])
+
+
+@lru_cache(maxsize=MAX_LEVELS)
+def _vinv_bound(M):
+    """A proven upper bound B_M, as a Fraction, on the largest column sum of |V^-1| over C.
+
+    V[u, j] = z_j^u at the phi = phi(M) primitive M-th roots z_j in C, and
+    the coordinates of x in Q(zeta_M) are its values times V^-1:
+    x_u = sum_j x(z_j) V^-1[j, u].  So |x_u| <= B_M when every embedding of
+    x has modulus at most 1.  V^-1 has the Lagrange form of _prime_tables:
+    V^-1[j, u] = q_j[u] / Phi_M'(z_j), where q_j[u] = sum_(i > u) c_i z_j^(i-u-1)
+    are the coefficients of Phi_M(t) / (t - z_j) for Phi_M = sum_i c_i t^i,
+    and Phi_M'(z_j) = q_j(z_j).
+
+    Proof that the value returned bounds B_M from above.  Let eps = 2^-53,
+    S = sum_i |c_i| (so |q_j[u]| <= S) and gamma_m = m eps / (1 - m eps), the
+    error bound of a float64 dot product of m terms in any summation order,
+    with or without FMA (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1).  Assume numpy's cos and sin err by at most 4 ulp
+    and hypot by at most 2^-50 relative.
+    - Each angle 2 pi (e_j k mod M) / M takes three roundings, an error
+      below 19 eps, so each part of every computed power z^_j^k is within
+      2^-48 of the exact one, and |z^ - z| <= 2^-47.5.
+    - The dot products q^ = z^ H, with H[k, u] = c_(u+1+k), give
+      |q^ - q| <= sqrt 2 S (2^-48 + gamma_phi (1 + 2^-48)) <= E,
+      where E = (64 + phi) S 2^-52.
+    - Phi'^_j = sum_u q^_j[u] z^_j^u, four dot products and two roundings,
+      gives |Phi'^ - Phi'| <= phi (E (1 + 2^-47) + S 2^-47.5)
+      + 2.9 phi (phi + 1) eps (S + E) <= F = 4 phi E.  E and F are exact in
+      float64.
+    - For the computed moduli h of q^ and g of Phi'^, the true |V^-1[j, u]|
+      is then at most (h + E) / (g - F) (1 + 2^-50) / (1 - 2^-50), and
+      the float quotients and their column sum err by at most
+      gamma_(phi+2), all terms being positive.
+    So B_M is at most the computed largest column sum times 1 + phi 2^-40.
+    Measured, the result exceeds the float norm of np.linalg.inv(V) by less
+    than 10^-8 relative.  For M = 8n it is 1.0 to 1.28 when n has at most
+    one odd prime factor, and grows with their number: 3.6 at n = 105 and
+    8.6 at n = 385 = 5 7 11.
+    """
+    phi, poly = euler_phi(M), cyclotomic_poly(M)
+    k = np.arange(phi)
+    e = np.array([x for x in range(1, M) if gcd(x, M) == 1])
+    angle = 2 * np.pi / M * (e[:, np.newaxis] * k % M)
+    # the real and imaginary parts of z^[j, k] = z_j^k
+    z = np.stack((np.cos(angle), np.sin(angle)))
+    # c[k + u] = c_(u+1+k), zero from k + u = phi on
+    c = np.zeros(2 * phi)
+    c[:phi] = poly[1:]
+    q = z @ c[k[:, np.newaxis] + k]
+    # d[s, t, j] = sum_u q[s, j, u] z[t, j, u]
+    d = np.einsum("sju,tju->stj", q, z)
+    E = (64 + phi) * sum(map(abs, poly)) * 2.0**-52
+    F = 4 * phi * E
+    h, g = np.hypot(*q), np.hypot(d[0, 0] - d[1, 1], d[0, 1] + d[1, 0])
+    if g.min() <= F:
+        raise ValueError(f"|Phi_{M}'| at a primitive root is too small to bound V^-1 in float64")
+    col = ((h + E) / (g - F)[:, np.newaxis]).sum(axis=0).max()
+    return Fraction(col) * (1 + Fraction(phi, 1 << 40))
 
 
 def _num_primes(M, bound):
@@ -271,6 +333,10 @@ class RepMatrix:
     coordinates, and CRT combines the primes.  Every value stays an integer
     below 2^53, which float64 holds exactly (see _PRIME_LIMIT), so the
     result is exact whatever the summation order, FMA use or thread count.
+    rho_closed runs the same algorithm on its two gathered factors but sizes
+    k from the unitarity of rho instead (see _sqrt_planes): one prime for
+    every n <= 230.  This product, and so the word oracle and is_unitary,
+    keeps the coordinate bound, which assumes nothing about its operands.
 
     A column scaling right-multiplies by diag(zeta^e_j): one batched matmul
     takes column j's coordinates through the matrix of "multiply by
@@ -566,13 +632,22 @@ def _sqrt_planes(n):
     Row s phi + j of planes holds, in column e < 8n, the image of
     den sqrt(2n) zeta_8n^e at the j-th evaluation point mod the s-th prime,
     as a centered residue in float64.
+
+    k is sized from unitarity, not from the operands' coordinates.  The
+    product of rho_closed's two gathered factors is D^2 rho(r), where
+    D = 2n den is the denominator of each factor.  rho(r) is unitary, and
+    complex conjugation commutes with every sigma_L of the abelian group
+    Gal(Q(zeta_8n)/Q), so sigma_L(rho(r)) is unitary too (Coste-Gannon):
+    every embedding of every entry has modulus at most 1.  Each coordinate
+    of the product is then at most D^2 B_M (see _vinv_bound), and k is the
+    least number of primes whose product exceeds twice that: one for every
+    n <= 230 and, when n has at most one odd prime factor, up to about
+    n = 400.  The general product's bound asks for two from n = 20.
     """
     M = 8 * n
-    table, _ = _sqrt_table(n)
-    # a gathered numerator is a difference of two table rows
-    amax = 2 * _max_abs(table)
-    k = _num_primes(M, _product_bound(amax, amax, M))
-    return _planes(table, amax, M, k), k
+    table, den = _sqrt_table(n)
+    k = _num_primes(M, (2 * n * den) ** 2 * _vinv_bound(M))
+    return _planes(table, _max_abs(table), M, k), k
 
 
 @lru_cache(maxsize=MAX_LEVELS)
@@ -666,9 +741,9 @@ def rho_closed(r, n):
     as S^-1 T^-k = -(0, -1; 1, -k) and rho(-1) = rho(S)^2 = 1: two gathers
     and one product.  Both factors are gathered straight into evaluation
     planes (_sqrt_planes) and multiplied by the RepMatrix product's
-    multimodular algorithm.  The paper's other closed forms live in
-    identities, checked against the word oracle; none is a route of this
-    function.
+    multimodular algorithm, mod as many primes as unitarity asks for.  The
+    paper's other closed forms live in identities, checked against the word
+    oracle; none is a route of this function.
     """
     r = _as_residue(r, n)
     if gcd(r.c, conductor(n)) == 1:

@@ -184,6 +184,16 @@ def test_out_writes_a_file(tmp_path, capsys):
     assert target.read_text() == "2461\n"
 
 
+def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    """A missing directory or a directory as --out exits 2 with a one-line error and empty stdout."""
+    for target in (tmp_path / "missing" / "report.txt", tmp_path):
+        assert run(["genus", "--prime", "7", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("affinesl2: error: cannot write --out ") and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

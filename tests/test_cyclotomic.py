@@ -151,3 +151,12 @@ def test_promotion_compares_across_orders():
     """The same number in two fields compares equal after promotion."""
     assert root_of_unity(8, 1).promoted(24) == root_of_unity(24, 3)
     assert from_rational(8, 5).promoted(40) == from_rational(40, 5)
+
+
+def test_division_by_zero_raises_zero_division_error():
+    """Dividing by the int 0 or by Fraction(0) raises ZeroDivisionError; the python -O case is in test_wzwrep."""
+    x = root_of_unity(24, 5) * Fraction(3, 7)
+    for zero_ in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero_
+    assert x / 3 == x * Fraction(1, 3) and x / Fraction(3, 7) == root_of_unity(24, 5)

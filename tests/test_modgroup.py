@@ -3,6 +3,7 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,15 @@ def test_residue_matrix_group_ops():
     assert r.canonical_up_to_sign() == min(r, -r, key=lambda x: x.key())
     with pytest.raises(ValueError):
         ResidueMatrix(N, 1, 1, 1, 1)
+
+
+def test_residue_matrix_takes_any_integer_type_and_no_float():
+    """numpy integers are integers; a float entry or modulus raises ValueError even when it is integral."""
+    r = ResidueMatrix(np.int64(24), np.int64(5), np.int32(7), 4, np.uint8(1))
+    assert r == ResidueMatrix(24, 5, 7, 4, 1) and type(r.a) is int
+    for args in ((24, 1.0, 0, 0, 1.0), (24.0, 1, 0, 0, 1), (24, 1, 0, 0, np.float64(1))):
+        with pytest.raises(ValueError, match="integers"):
+            ResidueMatrix(*args)
 
 
 def test_parse_and_format():

@@ -23,7 +23,7 @@ def test_every_cache_is_a_bounded_lru_cache():
         "affinesl2.cyclotomic": ["cyclotomic_poly", "reduction_rows", "_embed_roots"],
         "affinesl2.wzwrep": [
             "_tables", "_sqrt_2n", "rho_S", "rho_T", "_s_powers", "_sqrt_table", "_sin_value",
-            "_prime_tables", "_sqrt_planes", "_theorem1_tables",
+            "_prime_tables", "_sqrt_planes", "_theorem1_tables", "_vinv_bound",
         ],
         "affinesl2.identities": ["_gauss_sum"],
     }

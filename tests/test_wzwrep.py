@@ -23,8 +23,11 @@ from affinesl2.wzwrep import (
     _num_primes,
     _prime_tables,
     _product_bound,
+    _sqrt_planes,
     _sqrt_table,
     _tables,
+    _unit_shift,
+    _vinv_bound,
     conductor,
     dispatch_path,
     evaluate_word,
@@ -304,6 +307,7 @@ def test_bad_input_raises_value_error_under_optimize():
     code = """
 import signal
 import types
+from fractions import Fraction
 import numpy as np
 from affinesl2.cyclotomic import cyclotomic_poly, factorize, jacobi
 from affinesl2.qseries import log_eta_expansion_check, sigma1, verify_k1_identity, verify_t_parametrization
@@ -321,6 +325,9 @@ from affinesl2.identities import rho_unit_d_closed, rho_upper_triangular
 cases = [
     lambda: ResidueMatrix(40, 2, 0, 0, 2),
     lambda: ResidueMatrix(0, 1, 0, 0, 1),
+    lambda: ResidueMatrix(24, 1.0, 0, 0, 1.0),
+    lambda: ResidueMatrix(24.0, 1, 0, 0, 1),
+    lambda: rho_closed([[1.0, 0], [0, 1]], 3),
     lambda: rho_float([[2, 0], [0, 2]], 5),
     lambda: rho_closed([[2, 0], [0, 2]], 5),
     lambda: _unit_shift(types.SimpleNamespace(a=2, b=0, c=0, d=2), 5),
@@ -419,6 +426,10 @@ cases = [
 type_cases = [
     lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1)).applied_to_rows(rho_S(5).arr),
 ]
+zero_cases = [
+    lambda: root_of_unity(24, 5) / 0,
+    lambda: root_of_unity(24, 5) / Fraction(0),
+]
 # each case gets its own deadline, so one that spins fails at once and names itself
 DEADLINE_S = 5
 
@@ -429,6 +440,7 @@ def spun(signum, frame):
 
 signal.signal(signal.SIGALRM, spun)
 checks = [(case, ValueError) for case in cases] + [(case, TypeError) for case in type_cases]
+checks += [(case, ZeroDivisionError) for case in zero_cases]
 for i, (case, error) in enumerate(checks):
     signal.alarm(DEADLINE_S)
     try:
@@ -668,3 +680,36 @@ def test_prime_tables_evaluate_at_the_roots_of_phi(n):
         assert np.array_equal(V.astype(np.int64) % p, np.array([[pow(v, u, p) for v in roots] for u in range(phi)]))
         ident = (V.astype(np.int64) @ Vinv.astype(np.int64)) % p
         assert np.array_equal(ident, np.eye(phi, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 20, 31, 50])
+def test_vinv_bound_covers_the_float_norm_and_gives_one_prime(n):
+    """B_M lies between the float column-sum norm of V^-1 and twice it, and rho_closed then needs one prime."""
+    M, phi = 8 * n, euler_phi(8 * n)
+    roots = [e for e in range(1, M) if gcd(e, M) == 1]
+    V = np.exp(2j * np.pi / M * np.outer(np.arange(phi), roots))
+    norm = float(np.abs(np.linalg.inv(V)).sum(axis=0).max())
+    assert norm <= _vinv_bound(M) <= 2 * norm
+    assert _sqrt_planes(n)[1] == 1
+
+
+@pytest.mark.parametrize("n", [20, 31, 50])
+def test_one_prime_product_matches_the_general_product(n):
+    """Off theorem1, rho_closed equals its two theorem1 factors multiplied by RepMatrix.__mul__ on the coordinate bound."""
+    N, M = conductor(n), 8 * n
+    rng = random.Random(n)
+    samples = {}
+    while len(samples) < 2:
+        r = random_matrix(N, rng)
+        stratum = dispatch_path(r, n)
+        if stratum in ("unit_d", "word"):
+            samples.setdefault(stratum, r)
+    a = rng.choice([x for x in range(N) if gcd(x, N) == 1])
+    samples["upper"] = ResidueMatrix(N, a, rng.randrange(N), 0, pow(a, -1, N))
+    assert sorted(dispatch_path(r, n) for r in samples.values()) == ["unit_d", "upper", "word"]
+    for r in samples.values():
+        k, w = _unit_shift(r, n)
+        x, y = rho_theorem1(w, n), rho_theorem1(ResidueMatrix(N, 0, -1, 1, -k), n)
+        # the general product sizes its CRT from the factors' coordinates: two primes here
+        assert _num_primes(M, _product_bound(_max_abs(x.arr), _max_abs(y.arr), M)) == 2
+        assert rho_closed(r, n) == x * y, r
