@@ -1,7 +1,6 @@
 """Galois symmetries of rho, kernel enumeration, factor kernels, image order, genus."""
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import gcd
 
@@ -44,8 +43,8 @@ __all__ = [
     "phi2_image_is_normal",
 ]
 
-# stage 1 of the kernel sweep tests at most this many elements at once: a
-# larger block raises the sweep's peak memory and gains no speed
+# stage 1 of the kernel sweep solves at most this many bottom rows at once: a
+# larger block raises the sweep's peak memory for little speed
 _CHUNK = 1 << 13
 
 
@@ -176,8 +175,8 @@ class KernelReport:
     """Result of a full kernel enumeration at level n - 2.
 
     survivors counts the elements that passed stage 1 of the exact sweep
-    (entry (1, 1) of rho equal to 1) and went on to the full-block test;
-    it stays out of to_text().
+    (entry (1, 1) of rho equal to 1) and went on to stage 2; it stays out
+    of to_text().
     """
 
     def __init__(self, n, kernel, survivors):
@@ -245,6 +244,22 @@ def _least_shifts(c, d, n):
     raise ValueError(f"a bottom row mod {N} is not unimodular")
 
 
+def _fibres(n):
+    """fibres[y] holds the A in [0, N) with (2 - n) A = y (mod 8n), ascending; -1 fills the rows of unsolvable y.
+
+    A -> (2 - n) A mod 8n is a homomorphism Z/N -> Z/8n (8n divides
+    (2 - n) N, as N = 8n for odd n and N = 4n with 2 - n even otherwise),
+    so every solvable y has the same number of solutions: a coset of its kernel.
+    """
+    N, M = conductor(n), 8 * n
+    image = (2 - n) * np.arange(N) % M
+    order = np.argsort(image, kind="stable")
+    width = np.count_nonzero(image == 0)
+    fibres = np.full((M, width), -1, dtype=np.int64)
+    fibres[image[order[::width]]] = order.reshape(-1, width)
+    return fibres
+
+
 def _sweep_rows(args):
     """Kernel elements among the elements of SL2(Z/NZ) with the given bottom rows (c, d), exactly.
 
@@ -259,32 +274,52 @@ def _sweep_rows(args):
     mod N, and W = (A, B; C, D) with B = (A D - 1) C^-1 gives back
     r = (-B, A + B k; c, d).
 
-    Stage 1 tests entry (1, 1) of every (row, A) pair, a chunk of at most
-    _CHUNK pairs at a time; stage 2 tests the whole block on the pairs that
-    pass.  Returns the key tuples of the kernel elements, and the number of
-    pairs that passed stage 1.
+    Stage 1 solves entry (1, 1) for A.  With L = inv[C], s = sign[C] and
+    t0 = 2 - n, entry (1, 1) of rho_theorem1(W) has exponents
+    e = L (t0 A + t0 D + 6n + 4s) and f = e - 8 L s, and that of T^k S has
+    g = k t0 + 6n + 4 and h = g - 8, all mod 8n.  L is a unit mod n (C is
+    one mod N, a multiple of n) and s = +-1, so e != f and g != h, and of
+    the three clauses of _same_difference only two can hold: e = g with
+    f = h, where f = h is 8 L s = 8, so L s = 1 (mod n); or e = h + 4n
+    with g = f + 4n, where adding the two gives 8 L s = -8, so
+    L s = -1 (mod n), and then e = g - 8 + 4n.  A row with L s != +-1 (mod n)
+    has no solution.  Otherwise, with target g or g - 8 + 4n, multiplying
+    e = target by C = L^-1 (mod 8n) gives one linear congruence
+      t0 A = y (mod 8n),  y = C target - t0 D - 6n - 4s,
+    whose solutions A in [0, N) are fibres[y] (_fibres).  Stage 1 takes
+    the rows _CHUNK at a time.  Stage 2 tests the 2 x 2 corner of the
+    block on the pairs that pass, then the whole block on those that pass
+    that.  args is (n, rows), rows an int64 array of shape (R, 2).
+    Returns the key tuples of the kernel elements, and the number of pairs
+    that passed stage 1.
     """
     n, rows = args
     N, M = conductor(n), 8 * n
-    inv = _theorem1_tables(n)["inv"]
-    rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
-    A = np.arange(N)
+    t0 = 2 - n
+    tab = _theorem1_tables(n)
+    inv, sign = tab["inv"], tab["sign"]
+    fibres = _fibres(n)
     hits, survivors = [], 0
-    step = max(1, _CHUNK // N)
-    for start in range(0, len(rows), step):
-        c, d = rows[start : start + step].T
+    for start in range(0, len(rows), _CHUNK):
+        c, d = rows[start : start + _CHUNK].T
         k = _least_shifts(c, d, n)
         C, D = (c * k + d) % N, -c % N
-        e, f = (x[..., 0, 0] for x in _theorem1_exponents(A, C[:, np.newaxis], D[:, np.newaxis], n, 1))
-        g, h = (x[..., 0, 0] for x in _theorem1_exponents(k[:, np.newaxis], 1, 0, n, 1))
-        i, A1 = np.nonzero(_same_difference(e, f, g, h, M))
+        s = sign[C]
+        Ls = inv[C] * s % n
+        g = k * t0 + 6 * n + 4
+        target = np.where(Ls == 1, g, g - 8 + 4 * n)
+        y = (C * target - t0 * D - 6 * n - 4 * s) % M
+        solutions = np.where(((Ls == 1) | (Ls == n - 1))[:, np.newaxis], fibres[y], -1)
+        i, j = np.nonzero(solutions >= 0)
         survivors += len(i)
-        c, d, k, C, D = c[i], d[i], k[i], C[i], D[i]
-        e, f = _theorem1_exponents(A1, C, D, n)
-        g, h = _theorem1_exponents(k, 1, 0, n)
-        j = np.flatnonzero(_same_difference(e, f, g, h, M).all(axis=(1, 2)))
-        B = (A1[j] * D[j] - 1) * inv[C[j]] % N
-        top = np.stack([-B % N, (A1[j] + B * k[j]) % N, c[j], d[j]], axis=1)
+        A, c, d, k, C, D = solutions[i, j], c[i], d[i], k[i], C[i], D[i]
+        for size in (2, None):
+            e, f = _theorem1_exponents(A, C, D, n, size)
+            g, h = _theorem1_exponents(k, 1, 0, n, size)
+            j = np.flatnonzero(_same_difference(e, f, g, h, M).all(axis=(1, 2)))
+            A, c, d, k, C, D = A[j], c[j], d[j], k[j], C[j], D[j]
+        B = (A * D - 1) * inv[C] % N
+        top = np.stack([-B % N, (A + B * k) % N, c, d], axis=1)
         hits.extend(map(tuple, top.tolist()))
     return hits, survivors
 
@@ -316,8 +351,11 @@ def enumerate_kernel(n, bound=64, workers=1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     # the pool starts all of its processes at once, so it gets no more than there are cores
     procs = min(workers, os.cpu_count() or 1)
-    rows = list(unimodular_rows(N))
+    rows = unimodular_rows(N)
     if procs > 1:
+        # imported only when a pool runs: the module is slow to load, and most callers never need it
+        from concurrent.futures import ProcessPoolExecutor
+
         step = (len(rows) + 4 * procs - 1) // (4 * procs)
         chunks = [(n, rows[i : i + step]) for i in range(0, len(rows), step)]
         with ProcessPoolExecutor(max_workers=procs) as pool:
@@ -344,7 +382,7 @@ def factor_kernel_sl2z8(n):
         raise ValueError(f"the mod-8 factor kernel needs n = 3 mod 4, got n = {n}")
     N = conductor(n)
     e, rest = idempotents(N)[8], N // 8
-    rows = sorted((c * e % N, (d * e + 1 - e) % N) for c, d in unimodular_rows(8))
+    rows = (unimodular_rows(8) * e + [0, 1 - e]) % N
     hits, _ = _sweep_rows((n, rows))
     embedded = sorted(key for key in hits if (key[0] % rest, key[1] % rest) == (1, 0))
     kernel = _confirmed(n, embedded)
@@ -370,14 +408,18 @@ def genus(p):
 
 
 def phi2_image_is_normal(n, bound=40):
-    """Check the kernel's projection to each CRT factor is a normal subgroup."""
+    """Check the kernel's projection to each CRT factor is a normal subgroup.
+
+    bound limits the prime-power factors q of N, whose groups SL2(Z/qZ) are
+    enumerated element by element; the kernel sweep itself runs at any N.
+    """
     N = conductor(n)
     facs = sorted(idempotents(N))
     if len(facs) < 2:
         raise ValueError(f"N = {N} has one prime factor, so the kernel projects to one factor only")
     if facs[-1] > bound:
         raise ValueError(f"factor enumeration bound exceeded: {facs[-1]} > {bound}")
-    kernel = enumerate_kernel(n).kernel
+    kernel = enumerate_kernel(n, bound=N).kernel
     for q in facs:
         proj = {ResidueMatrix(q, r.a, r.b, r.c, r.d).key() for r in kernel}
         for g in enumerate_group(q):

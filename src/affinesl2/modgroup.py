@@ -6,6 +6,8 @@ import json
 from math import gcd
 from operator import index
 
+import numpy as np
+
 from .cyclotomic import factorize, xgcd
 
 __all__ = [
@@ -356,18 +358,17 @@ def complete_row(N, c, d):
 
 
 def unimodular_rows(N):
-    """Yield all bottom rows (c, d) with gcd(c, d, N) = 1 in lexicographic order."""
-    for c in range(N):
-        for d in range(N):
-            if gcd(gcd(c, d), N) == 1:
-                yield c, d
+    """All bottom rows (c, d) with gcd(c, d, N) = 1, as an int64 array of shape (rows, 2) in lexicographic order."""
+    # gcd(c, d, N) = gcd(gcd(c, N), gcd(d, N)), one N x N mask
+    g = np.gcd(np.arange(N), N)
+    return np.argwhere(np.gcd.outer(g, g) == 1)
 
 
 def enumerate_group(N, bound=100):
     """Yield all of SL2(Z/NZ) as ResidueMatrix values, deterministically ordered."""
     if N > bound:
         raise ValueError(f"enumeration bound exceeded: N = {N} > {bound}")
-    for c, d in unimodular_rows(N):
+    for c, d in unimodular_rows(N).tolist():
         a0, b0 = complete_row(N, c, d)
         for t in range(N):
             yield ResidueMatrix(N, a0 + t * c, b0 + t * d, c, d)

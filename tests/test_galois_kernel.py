@@ -1,8 +1,10 @@
 """Tests for Galois symmetries, kernel enumeration, image order, and genus."""
 
+import concurrent.futures
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from affinesl2 import galois_kernel
@@ -16,8 +18,18 @@ from affinesl2.modgroup import (
     sl2_order,
     unimodular_rows,
 )
-from affinesl2.wzwrep import RepMatrix, conductor, evaluate_word, rho_closed, rho_S, rho_T
+from affinesl2.wzwrep import (
+    RepMatrix,
+    _theorem1_exponents,
+    _theorem1_tables,
+    conductor,
+    evaluate_word,
+    rho_closed,
+    rho_S,
+    rho_T,
+)
 from affinesl2.galois_kernel import (
+    _least_shifts,
     _same_difference,
     _sweep_rows,
     SignedPermutation,
@@ -171,7 +183,7 @@ def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(galois_kernel, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(galois_kernel.os, "cpu_count", lambda: 3)
     solo = enumerate_kernel(4)
     for workers in (2, 3, 5000):
@@ -207,18 +219,56 @@ def test_exponent_difference_rule_matches_cyclotomic_equality(M):
 def test_sweep_matches_the_per_element_exact_reference(n):
     """The exact sweep finds exactly the elements of SL2(Z/NZ) that rho_closed, one at a time, sends to 1."""
     N = conductor(n)
-    hits, survivors = _sweep_rows((n, list(unimodular_rows(N))))
+    hits, survivors = _sweep_rows((n, unimodular_rows(N)))
     want = sorted(r.key() for r in enumerate_group(N) if rho_closed(r, n).is_identity())
     assert sorted(hits) == want
     assert len(want) <= survivors < sl2_order(N)
 
 
+def _all_a_sweep_rows(n, rows):
+    """The sweep with stage 1 testing entry (1, 1) at all N values of A on every row, the reference for the congruence solve."""
+    N, M = conductor(n), 8 * n
+    inv = _theorem1_tables(n)["inv"]
+    A = np.arange(N)
+    hits, survivors = [], 0
+    step = max(1, (1 << 13) // N)
+    for start in range(0, len(rows), step):
+        c, d = rows[start : start + step].T
+        k = _least_shifts(c, d, n)
+        C, D = (c * k + d) % N, -c % N
+        e, f = (x[..., 0, 0] for x in _theorem1_exponents(A, C[:, np.newaxis], D[:, np.newaxis], n, 1))
+        g, h = (x[..., 0, 0] for x in _theorem1_exponents(k[:, np.newaxis], 1, 0, n, 1))
+        i, A1 = np.nonzero(_same_difference(e, f, g, h, M))
+        survivors += len(i)
+        c, d, k, C, D = c[i], d[i], k[i], C[i], D[i]
+        e, f = _theorem1_exponents(A1, C, D, n)
+        g, h = _theorem1_exponents(k, 1, 0, n)
+        j = np.flatnonzero(_same_difference(e, f, g, h, M).all(axis=(1, 2)))
+        B = (A1[j] * D[j] - 1) * inv[C[j]] % N
+        top = np.stack([-B % N, (A1[j] + B * k[j]) % N, c[j], d[j]], axis=1)
+        hits.extend(map(tuple, top.tolist()))
+    return hits, survivors
+
+
+@pytest.mark.parametrize("n", list(range(3, 17)) + [20, 23, 31])
+def test_congruence_sweep_matches_the_all_a_reference(n):
+    """Solving entry (1, 1) for A keeps exactly the stage-1 survivors and kernel hits of testing every A."""
+    rows = unimodular_rows(conductor(n))
+    hits, survivors = _sweep_rows((n, rows))
+    want_hits, want_survivors = _all_a_sweep_rows(n, rows)
+    assert sorted(hits) == sorted(want_hits)
+    assert survivors == want_survivors
+    assert enumerate_kernel(n, bound=conductor(n)).survivors == want_survivors
+
+
 def test_newly_reachable_levels_match_the_known_lists():
-    """The exhaustive kernel at N = 80 and N = 248 matches the known lists and image orders."""
-    for n, bound, size, order in ((20, 80, 4, 92160), (31, 248, 16, 714240)):
-        report = enumerate_kernel(n, bound=bound)
+    """The exhaustive kernel at every n = 5..40 (N up to 312) matches the known lists and image orders."""
+    orders = {20: 92160, 31: 714240}
+    for n in range(5, 41):
+        N, size = conductor(n), 16 if n % 2 else 4
+        report = enumerate_kernel(n, bound=N)
         assert len(report.kernel) == size, n
-        assert report.image_order == order, n
+        assert report.image_order == orders.get(n, sl2_order(N) // size), n
         assert report.matches_known is True, n
 
 
@@ -283,4 +333,6 @@ def test_factor_generator_orders():
 
 
 def test_phi2_image_is_normal():
-    assert phi2_image_is_normal(3)
+    """Normal at N = 24, and at N = 72..120, beyond the kernel sweep's default bound of 64: only the factor bound applies."""
+    for n in (3, 9, 11, 13, 15):
+        assert phi2_image_is_normal(n), n

@@ -1,8 +1,11 @@
-"""Package-wide hygiene: bounded caches, no unused imports, and the identities import boundary."""
+"""Package-wide hygiene: bounded caches, no unused imports, lazy imports, and the identities import boundary."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import affinesl2
@@ -78,3 +81,12 @@ def test_only_identities_imports_identities():
     src = Path(affinesl2.__file__).parent
     importers = [path.name for path in sorted(src.glob("*.py")) if _imports_identities(path)]
     assert importers == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    """concurrent.futures loads only when enumerate_kernel starts a pool, not on import."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affinesl2.__file__)))
+    code = "import sys, affinesl2; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
