@@ -19,7 +19,6 @@ __all__ = [
     "xgcd",
     "factorize",
     "euler_phi",
-    "mobius",
     "jacobi",
     "cyclotomic_poly",
     "reduction_rows",
@@ -67,14 +66,6 @@ def euler_phi(m):
     for p, e in factorize(m).items():
         out *= (p - 1) * p ** (e - 1)
     return out
-
-
-def mobius(m):
-    """Return the Moebius function of m >= 1."""
-    f = factorize(m)
-    if any(e > 1 for e in f.values()):
-        return 0
-    return -1 if len(f) % 2 else 1
 
 
 def jacobi(a, b):

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd
 
 from .cyclotomic import jacobi, one, root_of_unity, sqrt_int, zero
-from .wzwrep import MAX_VALUES, RepMatrix, _as_residue, _legendre_g, _signed_fold, conductor, sin_value
+from .wzwrep import MAX_LEVELS, RepMatrix, _as_residue, _legendre_g, _signed_fold, conductor
 
 __all__ = [
     "gauss_sum",
@@ -23,7 +23,24 @@ __all__ = [
     "rho_coprime_legendre",
     "rho_unit_d_closed",
     "rho_upper_triangular",
+    "sin_value",
 ]
+
+# Value caches keep every sine (2n of them) and Gauss sum (moduli n, 2n and 4n:
+# 7n of them) of MAX_LEVELS levels up to n = 32.
+MAX_VALUES = 9 * 32 * MAX_LEVELS
+
+
+def sin_value(n, m):
+    """sin(pi m / n) as a Cyclotomic of order 8n, for any integer m."""
+    return _sin_value(n, m % (2 * n))
+
+
+@lru_cache(maxsize=MAX_VALUES)
+def _sin_value(n, m):
+    M = 8 * n
+    # sin x = (e^{ix} - e^{-ix}) / 2i and 1/i = zeta_M^{-2n}
+    return (root_of_unity(M, 4 * m) - root_of_unity(M, -4 * m)) * root_of_unity(M, 6 * n) / 2
 
 
 def gauss_sum(C, N):

@@ -14,7 +14,6 @@ from .cyclotomic import (
     factorize,
     jacobi,
     reduction_rows,
-    root_of_unity,
     sqrt_int,
 )
 from .modgroup import ResidueMatrix, random_matrix
@@ -25,7 +24,6 @@ __all__ = [
     "rho_S",
     "rho_T",
     "evaluate_word",
-    "sin_value",
     "rho_closed",
     "rho_theorem1",
     "dispatch_path",
@@ -36,13 +34,10 @@ __all__ = [
 # float64 holds every integer of magnitude below this exactly, and every stored
 # RepMatrix numerator lies below it
 _FLOAT_EXACT = 1 << 53
-# Per-level caches keep the data of this many levels n.  The verify-small and
-# characters workloads build n = 3..12 in set-up, ten levels, and neither may
-# rebuild one while it runs.
+# Per-level caches keep the data of this many levels n, and identities sizes
+# its value caches from it.  The verify-small and characters workloads build
+# n = 3..12 in set-up, ten levels, and neither may rebuild one while it runs.
 MAX_LEVELS = 16
-# Value caches keep every sine (2n of them) and Gauss sum (moduli n, 2n and 4n:
-# 7n of them) of MAX_LEVELS levels up to n = 32.
-MAX_VALUES = 9 * 32 * MAX_LEVELS
 
 
 def conductor(n):
@@ -452,10 +447,6 @@ class RepMatrix:
             and np.array_equal(self.arr, other.arr)
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def is_identity(self):
         """True when this is exactly the identity matrix."""
         return self == RepMatrix.identity(self.n)
@@ -509,18 +500,6 @@ class RepMatrix:
         return f"RepMatrix(n={self.n}, dim={self.dim}, den={self.den})"
 
 
-def sin_value(n, m):
-    """sin(pi m / n) as a Cyclotomic of order 8n, for any integer m."""
-    return _sin_value(n, m % (2 * n))
-
-
-@lru_cache(maxsize=MAX_VALUES)
-def _sin_value(n, m):
-    M = 8 * n
-    # sin x = (e^{ix} - e^{-ix}) / 2i and 1/i = zeta_M^{-2n}
-    return (root_of_unity(M, 4 * m) - root_of_unity(M, -4 * m)) * root_of_unity(M, 6 * n) / 2
-
-
 def _t_exponents(n, e):
     """Diagonal exponents of rho(T)^e: e * (2 a^2 - n) mod 8n for a = 1..n-1."""
     M = 8 * n
@@ -528,18 +507,18 @@ def _t_exponents(n, e):
 
 
 @lru_cache(maxsize=MAX_LEVELS)
-def _sqrt_2n(n):
-    """sqrt(2n) as a Cyclotomic of order 8n, shared by rho_S and the theorem1 table."""
-    return sqrt_int(2 * n, 8 * n)
-
-
-@lru_cache(maxsize=MAX_LEVELS)
 def rho_S(n):
-    """The symmetric matrix rho(S) with entries sqrt(2/n) sin(pi a b / n), exactly."""
-    root = _sqrt_2n(n)
-    # entry (a, b) depends on a b mod 2n only
-    vals = [root * sin_value(n, m) / n for m in range(2 * n)]
-    return RepMatrix.from_entries(n, [[vals[a * b % (2 * n)] for b in range(1, n)] for a in range(1, n)])
+    """The symmetric matrix rho(S) with entries sqrt(2/n) sin(pi a b / n), exactly.
+
+    sin x = (e^{ix} - e^{-ix}) / 2i and 1/i = zeta_8n^{6n}, so entry (a, b) is
+    sqrt(2n)/(2n) (zeta_8n^(6n + 4ab) - zeta_8n^(6n - 4ab)): one gather from
+    the table of sqrt(2n) zeta_8n^j.
+    """
+    M = 8 * n
+    table, den = _sqrt_table(n)
+    a = np.arange(1, n)
+    cross = 4 * np.outer(a, a)
+    return RepMatrix(n, table[(6 * n + cross) % M] - table[(6 * n - cross) % M], 2 * n * den)
 
 
 @lru_cache(maxsize=MAX_LEVELS)
@@ -548,30 +527,20 @@ def rho_T(n):
     return RepMatrix.identity(n).scale_cols(_t_exponents(n, 1))
 
 
-@lru_cache(maxsize=MAX_LEVELS)
-def _s_powers(n):
-    """(rho(S), rho(S)^2, rho(S)^3), the powers computed as products."""
-    s = rho_S(n)
-    s2 = s * s
-    return s, s2, s * s2
-
-
-def _s_power(n, e):
-    """rho(S)^(e mod 4), or None for the identity power."""
-    f = e % 4
-    return _s_powers(n)[f - 1] if f else None
-
-
 def evaluate_word(word, n):
-    """Evaluate an STWord by direct matrix multiplication; this is the oracle."""
+    """Evaluate an STWord by direct matrix multiplication; this is the oracle.
+
+    rho(S)^2 = 1, as S^2 = -1 and rho(-1) = 1, so a token S^e multiplies by
+    rho(S) for odd e and by nothing for even e.  test_rho_S_is_the_sine_matrix
+    in tests/test_wzwrep.py checks rho(S)^2 = 1 exactly at every level where
+    the tests or the benchmark run this oracle.
+    """
     acc = RepMatrix.identity(n)
     for letter, e in word.tokens:
         if letter == "T":
             acc = acc.scale_cols(_t_exponents(n, e))
-        else:
-            sp = _s_power(n, e)
-            if sp is not None:
-                acc = acc * sp
+        elif e % 2:
+            acc = acc * rho_S(n)
     return acc
 
 
@@ -616,7 +585,7 @@ def _sqrt_table(n):
     """(Q, den): row j < 8n of Q over den holds the power-basis coordinates of sqrt(2n) zeta_8n^j."""
     M = 8 * n
     rows = _tables(M)["rows"][:M]
-    root = _sqrt_2n(n)
+    root = sqrt_int(2 * n, M)
     j = np.arange(M)
     table = np.zeros_like(rows)
     for v, c in enumerate(root.num):

@@ -16,7 +16,6 @@ from affinesl2.cyclotomic import (
     from_rational,
     galois,
     jacobi,
-    mobius,
     one,
     root_of_unity,
     sqrt_int,
@@ -127,8 +126,7 @@ def test_jacobi_matches_quadratic_residues():
     assert jacobi(6, 9) == 0
 
 
-def test_mobius_and_phi():
-    assert [mobius(m) for m in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+def test_euler_phi():
     assert [euler_phi(m) for m in (1, 2, 8, 24, 40, 56)] == [1, 1, 4, 8, 16, 24]
 
 

@@ -37,7 +37,6 @@ from affinesl2.wzwrep import (
     rho_S,
     rho_T,
     rho_theorem1,
-    sin_value,
 )
 from affinesl2.identities import (
     gauss_sum,
@@ -48,6 +47,7 @@ from affinesl2.identities import (
     rho_coprime_legendre,
     rho_unit_d_closed,
     rho_upper_triangular,
+    sin_value,
 )
 
 
@@ -59,6 +59,7 @@ def test_conductor_values():
 def test_generator_relations(n):
     """rho(S)^2 = Id, (rho(S) rho(T))^3 = rho(S)^2, rho(T)^N = Id."""
     S, T = rho_S(n), rho_T(n)
+    assert S != T
     assert (S * S).is_identity()
     st_cubed = (S * T) * (S * T) * (S * T)
     assert st_cubed == S * S
@@ -72,6 +73,21 @@ def test_generator_relations(n):
 def test_generators_are_unitary(n):
     assert rho_S(n).is_unitary()
     assert rho_T(n).is_unitary()
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 20, 31, 50])
+def test_rho_S_is_the_sine_matrix(n):
+    """rho_S's gather equals sqrt(2n) sin(pi a b / n) / n built from Cyclotomic sines, and squares to 1.
+
+    evaluate_word relies on rho(S)^2 = 1; n = 50 is the largest level where
+    the tests run the word oracle.
+    """
+    S = rho_S(n)
+    if n <= 31:
+        root = sqrt_int(2 * n, 8 * n)
+        want = RepMatrix.from_entries(n, [[root * sin_value(n, a * b) / n for b in range(1, n)] for a in range(1, n)])
+        assert S.den == want.den and np.array_equal(S.arr, want.arr)
+    assert (S * S).is_identity()
 
 
 def test_sin_values_embed_correctly():
