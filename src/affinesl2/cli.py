@@ -66,12 +66,6 @@ def _level_n(args):
     return args.level + 2
 
 
-def _workers(args):
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
-    return args.workers
-
-
 def _cmd_st_matrices(args):
     n = _level_n(args)
     lines = [f"level {args.level}", f"n {n}", f"conductor {conductor(n)}"]
@@ -112,13 +106,13 @@ def _cmd_kernel(args):
     N = conductor(n)
     if N > args.bound:
         raise UsageError(f"conductor {N} exceeds --bound {args.bound}")
-    report = enumerate_kernel(n, bound=args.bound, workers=_workers(args))
+    report = enumerate_kernel(n, bound=args.bound)
     lines = []
     for line in report.to_text().splitlines():
         if not args.list and line.startswith(("kernel_element", "outside_unit_d_slice")):
             continue
         lines.append(line)
-    code = 0 if all(gcd(r.c, 2 * n) != 1 for r in report.kernel) else 1
+    code = 0 if report.coprime_obstruction else 1
     if args.check_lists:
         if report.matches_known is None:
             lines.append("known_list_check not_applicable")
@@ -141,7 +135,7 @@ def _cmd_image_order(args):
     N = conductor(n)
     if N > args.bound:
         raise UsageError(f"conductor {N} exceeds --bound {args.bound}")
-    return 0, [str(image_order(n, bound=args.bound, workers=_workers(args)))]
+    return 0, [str(image_order(n, bound=args.bound))]
 
 
 def _cmd_characters(args):
@@ -193,7 +187,6 @@ def _cmd_verify_all(args):
     N = conductor(n)
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    workers = _workers(args)
     rng = random.Random(args.seed)
     mats = [random_matrix(N, rng) for _ in range(args.samples)]
     results = []
@@ -226,9 +219,8 @@ def _cmd_verify_all(args):
         results.append(("gauss_sum_parity", g_parity_check(n)))
 
     if N <= args.bound:
-        report = enumerate_kernel(n, bound=args.bound, workers=workers)
-        ok = all(gcd(r.c, 2 * n) != 1 for r in report.kernel)
-        results.append((f"kernel size={len(report.kernel)} image={report.image_order}", ok))
+        report = enumerate_kernel(n, bound=args.bound)
+        results.append((f"kernel size={len(report.kernel)} image={report.image_order}", report.coprime_obstruction))
         if report.matches_known is not None:
             results.append(("kernel_known_list", report.matches_known))
 
@@ -271,7 +263,6 @@ def _build_parser():
     p.add_argument("--list", action="store_true", help="print every kernel element")
     p.add_argument("--check-lists", action="store_true", help="compare against the known kernel lists")
     p.add_argument("--bound", type=int, default=64)
-    p.add_argument("--workers", type=int, default=1, help="processes for the kernel sweep, capped at the core count")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("genus", parents=[common], help="genus of the modular curve for prime level")
@@ -281,7 +272,6 @@ def _build_parser():
     p = sub.add_parser("image-order", parents=[common], help="order of the image of rho")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--bound", type=int, default=64)
-    p.add_argument("--workers", type=int, default=1, help="processes for the kernel sweep, capped at the core count")
     p.set_defaults(func=_cmd_image_order)
 
     p = sub.add_parser("characters", parents=[common], help="character q-expansions")
@@ -300,7 +290,6 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=20260101)
     p.add_argument("--bound", type=int, default=64)
-    p.add_argument("--workers", type=int, default=1, help="processes for the kernel sweep, capped at the core count")
     p.set_defaults(func=_cmd_verify_all)
 
     return parser

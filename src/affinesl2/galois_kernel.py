@@ -1,6 +1,5 @@
 """Galois symmetries of rho, kernel enumeration, factor kernels, image order, genus."""
 
-import os
 from fractions import Fraction
 from math import gcd
 
@@ -176,7 +175,8 @@ class KernelReport:
 
     survivors counts the elements that passed stage 1 of the exact sweep
     (entry (1, 1) of rho equal to 1) and went on to stage 2; it stays out
-    of to_text().
+    of to_text().  coprime_obstruction is True when no kernel element has
+    gcd(c, 2n) = 1.
     """
 
     def __init__(self, n, kernel, survivors):
@@ -184,6 +184,7 @@ class KernelReport:
         self.survivors = survivors
         self.N = conductor(n)
         self.kernel = sorted(kernel, key=lambda r: r.key())
+        self.coprime_obstruction = all(gcd(r.c, 2 * n) != 1 for r in self.kernel)
         order = sl2_order(self.N)
         assert order % len(self.kernel) == 0
         self.image_order = order // len(self.kernel)
@@ -207,7 +208,7 @@ class KernelReport:
             f"image_order {self.image_order}",
             "matches_known_list "
             + ("not_applicable" if self.matches_known is None else "pass" if self.matches_known else "fail"),
-            f"coprime_obstruction {'pass' if all(gcd(r.c, 2 * self.n) != 1 for r in self.kernel) else 'fail'}",
+            f"coprime_obstruction {'pass' if self.coprime_obstruction else 'fail'}",
         ]
         for r in self.kernel:
             lines.append(f"kernel_element {r}")
@@ -260,7 +261,7 @@ def _fibres(n):
     return fibres
 
 
-def _sweep_rows(args):
+def _sweep_rows(n, rows):
     """Kernel elements among the elements of SL2(Z/NZ) with the given bottom rows (c, d), exactly.
 
     An element r with bottom row (c, d) and the least k >= 0 with ck + d a
@@ -289,11 +290,9 @@ def _sweep_rows(args):
     whose solutions A in [0, N) are fibres[y] (_fibres).  Stage 1 takes
     the rows _CHUNK at a time.  Stage 2 tests the 2 x 2 corner of the
     block on the pairs that pass, then the whole block on those that pass
-    that.  args is (n, rows), rows an int64 array of shape (R, 2).
-    Returns the key tuples of the kernel elements, and the number of pairs
-    that passed stage 1.
+    that.  rows is an int64 array of shape (R, 2).  Returns the key tuples
+    of the kernel elements, and the number of pairs that passed stage 1.
     """
-    n, rows = args
     N, M = conductor(n), 8 * n
     t0 = 2 - n
     tab = _theorem1_tables(n)
@@ -339,31 +338,17 @@ def _confirmed(n, hits):
 def enumerate_kernel(n, bound=64, workers=1):
     """Enumerate Ker rho by an exact exponent sweep over SL2(Z/NZ) plus confirmation by rho_closed.
 
-    Raises ValueError when N exceeds bound or workers is not an int >= 1,
-    and RuntimeError when a sweep candidate is not confirmed.  With
-    workers > 1 a pool of min(workers, os.cpu_count()) processes sweeps
-    chunks of bottom rows; the report is the same as with one process.
+    The sweep runs in this process.  workers must be 1: the keyword stays
+    only until the benchmark's kernel-sweep ops stop passing workers=1
+    (ROADMAP item 1).  Raises ValueError when N exceeds bound or workers
+    is not 1, and RuntimeError when a sweep candidate is not confirmed.
     """
     N = conductor(n)
     if N > bound:
         raise ValueError(f"enumeration bound exceeded: N = {N} > {bound}")
-    if type(workers) is not int or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    # the pool starts all of its processes at once, so it gets no more than there are cores
-    procs = min(workers, os.cpu_count() or 1)
-    rows = unimodular_rows(N)
-    if procs > 1:
-        # imported only when a pool runs: the module is slow to load, and most callers never need it
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = (len(rows) + 4 * procs - 1) // (4 * procs)
-        chunks = [(n, rows[i : i + step]) for i in range(0, len(rows), step)]
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            parts = list(pool.map(_sweep_rows, chunks))
-        hits = [key for part, _ in parts for key in part]
-        survivors = sum(count for _, count in parts)
-    else:
-        hits, survivors = _sweep_rows((n, rows))
+    if type(workers) is not int or workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
+    hits, survivors = _sweep_rows(n, unimodular_rows(N))
     kernel = _confirmed(n, sorted(hits))
     assert kernel, "kernel must contain the identity"
     return KernelReport(n, kernel, survivors)
@@ -383,16 +368,16 @@ def factor_kernel_sl2z8(n):
     N = conductor(n)
     e, rest = idempotents(N)[8], N // 8
     rows = (unimodular_rows(8) * e + [0, 1 - e]) % N
-    hits, _ = _sweep_rows((n, rows))
+    hits, _ = _sweep_rows(n, rows)
     embedded = sorted(key for key in hits if (key[0] % rest, key[1] % rest) == (1, 0))
     kernel = _confirmed(n, embedded)
     classes = {ResidueMatrix(8, r.a, r.b, r.c, r.d).canonical_up_to_sign() for r in kernel}
     return sorted(classes, key=lambda r: r.key())
 
 
-def image_order(n, bound=64, workers=1):
+def image_order(n, bound=64):
     """Order of the image of rho, as group order over kernel size."""
-    return enumerate_kernel(n, bound=bound, workers=workers).image_order
+    return enumerate_kernel(n, bound=bound).image_order
 
 
 def genus(p):

@@ -45,7 +45,10 @@ class STWord:
         for letter, e in tokens:
             if letter not in ("S", "T"):
                 raise ValueError(f"an STWord letter must be 'S' or 'T', got {letter!r}")
-            e = int(e)
+            try:
+                e = index(e)
+            except TypeError:
+                raise ValueError(f"an STWord exponent must be an integer, got {e!r}") from None
             if e == 0:
                 continue
             if merged and merged[-1][0] == letter:

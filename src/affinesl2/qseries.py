@@ -3,6 +3,7 @@
 import cmath
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import index
 
 from .wzwrep import rho_S
 
@@ -170,6 +171,14 @@ class QSeries:
         }
 
 
+def _integer(name, value):
+    """value as an int by operator.index; ValueError for a float or any other non-integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _descending_product_coeffs(truncation):
     """Coefficients of prod_{m>=1} (1 - q^m) through q^truncation."""
     poly = [0] * (truncation + 1)
@@ -186,6 +195,7 @@ def eta_inverse_cubed(truncation):
     Jacobi's identity prod(1-q^m)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2) gives
     the product with O(sqrt(truncation)) terms; its inverse follows term by term.
     """
+    truncation = _integer("truncation", truncation)
     if truncation < 0:
         raise ValueError(f"truncation {truncation} is negative")
     jacobi = []
@@ -214,6 +224,7 @@ def sigma1(m):
 
 def log_eta_expansion_check(truncation):
     """Verify -ln prod(1-q^m) = sum sigma1(k) q^k / k termwise through q^truncation."""
+    truncation = _integer("truncation", truncation)
     if truncation < 1:
         raise ValueError(f"truncation {truncation} is below 1")
     f = _descending_product_coeffs(truncation)
@@ -238,6 +249,7 @@ def character(lam, n, truncation):
     q^(-1/8) puts the lead at lam^2/4n - 1/8 = (6 lam^2 - 3n)/24n.  The result
     keeps exactly truncation + 1 coefficients from that lead.
     """
+    lam, n, truncation = _integer("lam", lam), _integer("n", n), _integer("truncation", truncation)
     if not 1 <= lam <= n - 1:
         raise ValueError(f"weight {lam} is not in 1..{n - 1}")
     if truncation < 0:
@@ -254,6 +266,7 @@ def character(lam, n, truncation):
 
 def verify_k1_identity(truncation):
     """Check chi1 chi2 (chi1^4 - chi2^4) = 2 as a series through q^truncation."""
+    truncation = _integer("truncation", truncation)
     if truncation < 0:
         raise ValueError(f"truncation {truncation} is negative")
     chi1 = character(1, 3, truncation + 3)
@@ -268,6 +281,7 @@ def verify_k1_identity(truncation):
 
 def verify_t_parametrization(truncation):
     """Check t chi1^8 - 2 chi1^4 - t^5 = 0 (t = chi1 chi2) through q^truncation."""
+    truncation = _integer("truncation", truncation)
     if truncation < 0:
         raise ValueError(f"truncation {truncation} is negative")
     chi1 = character(1, 3, truncation + 4)

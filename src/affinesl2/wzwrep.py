@@ -514,6 +514,7 @@ def rho_S(n):
     sqrt(2n)/(2n) (zeta_8n^(6n + 4ab) - zeta_8n^(6n - 4ab)): one gather from
     the table of sqrt(2n) zeta_8n^j.
     """
+    conductor(n)
     M = 8 * n
     table, den = _sqrt_table(n)
     a = np.arange(1, n)
@@ -524,6 +525,7 @@ def rho_S(n):
 @lru_cache(maxsize=MAX_LEVELS)
 def rho_T(n):
     """The diagonal matrix rho(T) with entries e(a^2/4n - 1/8), exactly."""
+    conductor(n)
     return RepMatrix.identity(n).scale_cols(_t_exponents(n, 1))
 
 
@@ -535,6 +537,7 @@ def evaluate_word(word, n):
     in tests/test_wzwrep.py checks rho(S)^2 = 1 exactly at every level where
     the tests or the benchmark run this oracle.
     """
+    conductor(n)
     acc = RepMatrix.identity(n)
     for letter, e in word.tokens:
         if letter == "T":

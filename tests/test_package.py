@@ -1,4 +1,4 @@
-"""Package-wide hygiene: bounded caches, no unused imports, lazy imports, and the identities import boundary."""
+"""Package-wide hygiene: bounded caches, no unused imports, no process pool, and the identities import boundary."""
 
 import ast
 import importlib
@@ -61,8 +61,8 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def _imports_identities(path):
-    """True when the module at path imports affinesl2.identities, in any import form."""
+def _imports(path, module):
+    """True when the source at path imports a module with the name component module, in any import form."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -71,7 +71,7 @@ def _imports_identities(path):
             names = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any("identities" in name.split(".") for name in names):
+        if any(module in name.split(".") for name in names):
             return True
     return False
 
@@ -79,12 +79,20 @@ def _imports_identities(path):
 def test_only_identities_imports_identities():
     """The paper's closed forms stay checked identities: no other source module imports them."""
     src = Path(affinesl2.__file__).parent
-    importers = [path.name for path in sorted(src.glob("*.py")) if _imports_identities(path)]
+    importers = [path.name for path in sorted(src.glob("*.py")) if _imports(path, "identities")]
+    assert importers == []
+
+
+def test_no_module_imports_a_process_pool():
+    """The kernel sweep runs in one process: no source module imports concurrent or multiprocessing."""
+    src = Path(affinesl2.__file__).parent
+    pools = ("concurrent", "multiprocessing")
+    importers = [path.name for path in sorted(src.glob("*.py")) if any(_imports(path, pool) for pool in pools)]
     assert importers == []
 
 
 def test_importing_the_package_loads_no_process_pool():
-    """concurrent.futures loads only when enumerate_kernel starts a pool, not on import."""
+    """Importing the package loads no concurrent.futures."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affinesl2.__file__)))
     code = "import sys, affinesl2; print('concurrent.futures' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)

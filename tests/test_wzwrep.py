@@ -327,7 +327,7 @@ from fractions import Fraction
 import numpy as np
 from affinesl2.cyclotomic import cyclotomic_poly, factorize, jacobi
 from affinesl2.qseries import log_eta_expansion_check, sigma1, verify_k1_identity, verify_t_parametrization
-from affinesl2.galois_kernel import enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus, image_order
+from affinesl2.galois_kernel import enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus
 from affinesl2.cyclotomic import Cyclotomic, galois, one, root_of_unity, sqrt_int
 from affinesl2.modgroup import ResidueMatrix, STWord, complete_row, decompose, enumerate_group, idempotents, lift
 from affinesl2.modgroup import parse_matrix, sl2_order
@@ -335,7 +335,7 @@ from affinesl2.qseries import QSeries, character, eta_inverse_cubed, numeric_eva
 from affinesl2.galois_kernel import SignedPermutation, bantay_sigma_S_identity, sigma_covariance_check
 from affinesl2.galois_kernel import phi2_image_is_normal, sigma_on_matrix, sigma_perm
 from affinesl2.wzwrep import RepMatrix, _unit_shift, conductor, g_parity_check, rho_closed, rho_float, rho_S
-from affinesl2.wzwrep import rho_theorem1
+from affinesl2.wzwrep import evaluate_word, rho_T, rho_theorem1
 from affinesl2.identities import gauss_sum, gauss_sum_closed, kernel_sum, rho_coprime_closed, rho_coprime_legendre
 from affinesl2.identities import rho_unit_d_closed, rho_upper_triangular
 cases = [
@@ -437,7 +437,23 @@ cases = [
     lambda: RepMatrix(3, np.full((2, 2, 8), 1 << 50), 1).galois_map(5),
     lambda: enumerate_kernel(3, workers=0),
     lambda: enumerate_kernel(3, workers=1.5),
-    lambda: image_order(3, workers=-3),
+    lambda: enumerate_kernel(3, workers=2),
+    lambda: STWord.T(1.5),
+    lambda: STWord([("S", 2.7)]),
+    lambda: decompose([[1, 0.5], [0, 1]]),
+    lambda: decompose([[1, 2.5], [0, 1]]),
+    lambda: rho_S(2),
+    lambda: rho_S(1),
+    lambda: rho_T(2),
+    lambda: evaluate_word(STWord.S(), 2),
+    lambda: s_transform_check(1, 1j),
+    lambda: character(1.5, 3, 5),
+    lambda: character(1, 3.0, 5),
+    lambda: character(1, 3, 5.0),
+    lambda: eta_inverse_cubed(2.5),
+    lambda: log_eta_expansion_check(5.0),
+    lambda: verify_k1_identity(5.0),
+    lambda: verify_t_parametrization(5.0),
 ]
 type_cases = [
     lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1)).applied_to_rows(rho_S(5).arr),
