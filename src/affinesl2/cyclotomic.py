@@ -186,16 +186,7 @@ class Cyclotomic:
             return self
         if order2 % self.order:
             raise ValueError(f"Q(zeta_{self.order}) does not lie in Q(zeta_{order2})")
-        rows = reduction_rows(order2)
-        step = order2 // self.order
-        out = [0] * euler_phi(order2)
-        for j, c in enumerate(self.num):
-            if c:
-                row = rows[j * step]
-                for t, r in enumerate(row):
-                    if r:
-                        out[t] += c * r
-        return Cyclotomic(order2, out, self.den)
+        return Cyclotomic(order2, _substituted(self.num, order2, order2 // self.order), self.den)
 
     @staticmethod
     def _common(x, y):
@@ -373,21 +364,25 @@ def root_of_unity(M, k):
     return Cyclotomic(M, rows[k % M], 1)
 
 
+def _substituted(num, M, step):
+    """Power-basis coordinates in Q(zeta_M) of sum_j num[j] zeta_M^(j step)."""
+    rows = reduction_rows(M)
+    out = [0] * len(rows[0])
+    for j, c in enumerate(num):
+        if c:
+            for t, r in enumerate(rows[j * step % M]):
+                if r:
+                    out[t] += c * r
+    return out
+
+
 def galois(L, x):
     """Apply the field morphism zeta_M -> zeta_M^L to x; requires gcd(L, M) = 1."""
     M = x.order
     L %= M
     if gcd(L, M) != 1:
         raise ValueError(f"galois conjugation needs gcd(L, M) = 1, got L = {L}, M = {M}")
-    rows = reduction_rows(M)
-    out = [0] * len(x.num)
-    for j, c in enumerate(x.num):
-        if c:
-            row = rows[(j * L) % M]
-            for t, r in enumerate(row):
-                if r:
-                    out[t] += c * r
-    return Cyclotomic(M, out, x.den)
+    return Cyclotomic(M, _substituted(x.num, M, L), x.den)
 
 
 def _sqrt_prime(p, M):

@@ -1,6 +1,5 @@
 """Galois symmetries of rho, kernel enumeration, factor kernels, image order, genus."""
 
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -9,6 +8,7 @@ from .cyclotomic import factorize, jacobi
 from .modgroup import (
     ResidueMatrix,
     STWord,
+    _integer,
     enumerate_group,
     idempotents,
     sl2_order,
@@ -20,10 +20,12 @@ from .wzwrep import (
     _signed_fold,
     _theorem1_exponents,
     _theorem1_tables,
+    _unit_shift,
     conductor,
     evaluate_word,
     rho_S,
     rho_closed,
+    rho_theorem1,
 )
 
 __all__ = [
@@ -100,6 +102,8 @@ def sigma_on_matrix(L, m):
 
 def sigma_perm(d, n):
     """The signed permutation carrying sigma_d across the rows of rho(S)."""
+    conductor(n)
+    d = _integer("d", d)
     if d <= 0 or gcd(d, 2 * n) != 1:
         raise ValueError(f"sigma_perm needs d > 0 with gcd(d, 2n) = 1, got d = {d}, n = {n}")
     perm, signs = _signed_fold(d, n)
@@ -110,6 +114,7 @@ def sigma_covariance_check(L, r, n):
     """Check sigma_L(rho(R)) = rho of R with B scaled by L and C by L^{-1}."""
     N = conductor(n)
     r = _as_residue(r, n)
+    L = _integer("L", L)
     if gcd(L, N) != 1:
         raise ValueError(f"L = {L} is not coprime to N = {N}")
     Linv = pow(L, -1, N)
@@ -120,6 +125,7 @@ def sigma_covariance_check(L, r, n):
 def bantay_sigma_S_identity(C, n):
     """Check sigma_{C^{-1}}(S) = T^{C^{-1}} S T^C S T^{C^{-1}} exactly."""
     N = conductor(n)
+    C = _integer("C", C)
     if gcd(C, N) != 1:
         raise ValueError(f"C = {C} is not coprime to N = {N}")
     L = pow(C % N, -1, N)
@@ -128,8 +134,15 @@ def bantay_sigma_S_identity(C, n):
 
 
 def in_kernel(r, n):
-    """True when rho(r) is exactly the identity."""
-    return rho_closed(r, n).is_identity()
+    """True when rho(r) is exactly the identity; two theorem1 gathers compared in coordinates, no product.
+
+    With k and W = r T^k S from _unit_shift, r = W S^-1 T^-k, so rho(r) = 1
+    exactly when rho(W) = rho(T^k S), and W and T^k S = (k, -1; 1, 0) both
+    lie in the theorem1 stratum.
+    """
+    r = _as_residue(r, n)
+    k, w = _unit_shift(r, n)
+    return rho_theorem1(w, n) == rho_theorem1(ResidueMatrix(r.N, k, -1, 1, 0), n)
 
 
 def expected_kernel_slice(n):
@@ -264,15 +277,13 @@ def _fibres(n):
 def _sweep_rows(n, rows):
     """Kernel elements among the elements of SL2(Z/NZ) with the given bottom rows (c, d), exactly.
 
-    An element r with bottom row (c, d) and the least k >= 0 with ck + d a
-    unit mod N (_unit_shift) is r = W S^-1 T^-k for W = r T^k S, which lies
-    in the theorem1 stratum with C = ck + d and D = -c.  So rho(r) = 1
-    exactly when rho_theorem1(W) = rho_theorem1(T^k S), T^k S = (k, -1; 1, 0).
-    Entry (a, b) of either side is sqrt(2n)/(2n) (zeta^p - zeta^q), zeta =
-    zeta_8n, with (p, q) from _theorem1_exponents, and _same_difference
-    decides each entry from the exponents alone.  As r runs over the N
-    elements of the row, the top-left entry A of W runs over every residue
-    mod N, and W = (A, B; C, D) with B = (A D - 1) C^-1 gives back
+    As in in_kernel, r with bottom row (c, d) is in the kernel exactly when
+    rho_theorem1(W) = rho_theorem1(T^k S), for W = r T^k S = (A, B; C, D)
+    with C = ck + d and D = -c.  Entry (a, b) of either side is
+    sqrt(2n)/(2n) (zeta^p - zeta^q), zeta = zeta_8n, with (p, q) from
+    _theorem1_exponents, and _same_difference decides each entry from the
+    exponents alone.  As r runs over the N elements of the row, A runs
+    over every residue mod N, and B = (A D - 1) C^-1 gives back
     r = (-B, A + B k; c, d).
 
     Stage 1 solves entry (1, 1) for A.  With L = inv[C], s = sign[C] and
@@ -324,19 +335,23 @@ def _sweep_rows(n, rows):
 
 
 def _confirmed(n, hits):
-    """Confirm each kernel key exactly by rho_closed; RuntimeError if one fails."""
+    """Confirm each kernel key exactly by in_kernel; RuntimeError if one fails.
+
+    in_kernel starts again from the key, with the scalar _unit_shift, and compares
+    coordinates, so it checks the stage-1 algebra, _least_shifts and _same_difference.
+    """
     N = conductor(n)
     kernel = []
     for key in hits:
         r = ResidueMatrix(N, *key)
-        if not rho_closed(r, n).is_identity():
+        if not in_kernel(r, n):
             raise RuntimeError(f"sweep candidate {r} at n = {n} fails exact confirmation")
         kernel.append(r)
     return kernel
 
 
 def enumerate_kernel(n, bound=64, workers=1):
-    """Enumerate Ker rho by an exact exponent sweep over SL2(Z/NZ) plus confirmation by rho_closed.
+    """Enumerate Ker rho by an exact exponent sweep over SL2(Z/NZ), each hit confirmed by in_kernel; no product.
 
     The sweep runs in this process.  workers must be 1: the keyword stays
     only until the benchmark's kernel-sweep ops stop passing workers=1
@@ -361,7 +376,7 @@ def factor_kernel_sl2z8(n):
     mod N/8.  One exact sweep (_sweep_rows) over the 48 embedded bottom rows
     finds every kernel element with such a row; the hits whose top row is
     (1, 0) mod N/8 are the embedded ones, and each is confirmed by
-    rho_closed as in enumerate_kernel.
+    in_kernel as in enumerate_kernel.
     """
     if n % 4 != 3:
         raise ValueError(f"the mod-8 factor kernel needs n = 3 mod 4, got n = {n}")
@@ -384,12 +399,7 @@ def genus(p):
     """Genus of the curve carrying the level p - 2 character vector, p prime, p = 3 mod 4."""
     if not (isinstance(p, int) and p >= 7 and p % 4 == 3 and factorize(p) == {p: 1}):
         raise ValueError(f"{p} is not a prime p >= 7 with p = 3 mod 4")
-    g = 1 + Fraction(12 * p * (p * p - 1)) * (Fraction(1, 6) - Fraction(1, 8 * p))
-    assert g.denominator == 1
-    alt = (4 * p**3 - 3 * p * p - 4 * p + 5) // 2
-    assert g == alt, "the two closed genus forms disagree"
-    assert alt == (p * p - 1) * (4 * p - 3) // 2 + 1
-    return int(g)
+    return 1 + (p * p - 1) * (4 * p - 3) // 2
 
 
 def phi2_image_is_normal(n, bound=40):

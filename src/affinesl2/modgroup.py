@@ -30,6 +30,14 @@ __all__ = [
 ]
 
 
+def _integer(name, value):
+    """value as an int by operator.index; ValueError for a float or any other non-integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class STWord:
     """A word in the generators S = [[0,-1],[1,0]] and T = [[1,1],[0,1]].
 
@@ -45,10 +53,7 @@ class STWord:
         for letter, e in tokens:
             if letter not in ("S", "T"):
                 raise ValueError(f"an STWord letter must be 'S' or 'T', got {letter!r}")
-            try:
-                e = index(e)
-            except TypeError:
-                raise ValueError(f"an STWord exponent must be an integer, got {e!r}") from None
+            e = _integer("an STWord exponent", e)
             if e == 0:
                 continue
             if merged and merged[-1][0] == letter:

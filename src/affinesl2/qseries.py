@@ -3,8 +3,7 @@
 import cmath
 from fractions import Fraction
 from math import isqrt, lcm
-from operator import index
-
+from .modgroup import _integer
 from .wzwrep import rho_S
 
 __all__ = [
@@ -169,14 +168,6 @@ class QSeries:
             "offset": self.offset,
             "coeffs": [c if isinstance(c, int) else str(c) for c in self.coeffs],
         }
-
-
-def _integer(name, value):
-    """value as an int by operator.index; ValueError for a float or any other non-integer."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _descending_product_coeffs(truncation):

@@ -510,19 +510,15 @@ def _t_exponents(n, e):
 def rho_S(n):
     """The symmetric matrix rho(S) with entries sqrt(2/n) sin(pi a b / n), exactly.
 
-    sin x = (e^{ix} - e^{-ix}) / 2i and 1/i = zeta_8n^{6n}, so entry (a, b) is
-    sqrt(2n)/(2n) (zeta_8n^(6n + 4ab) - zeta_8n^(6n - 4ab)): one gather from
-    the table of sqrt(2n) zeta_8n^j.
+    S = (0, -1; 1, 0) lies in the theorem1 stratum, so this is one
+    rho_theorem1 gather, with L = 1 and entry (a, b) equal to
+    sqrt(2n)/(2n) (zeta_8n^(6n + 4ab) - zeta_8n^(6n - 4ab)).  The word oracle
+    multiplies by it, so test_rho_S_is_the_sine_matrix checks it against
+    Cyclotomic sines, independently of rho_theorem1.
     """
-    conductor(n)
-    M = 8 * n
-    table, den = _sqrt_table(n)
-    a = np.arange(1, n)
-    cross = 4 * np.outer(a, a)
-    return RepMatrix(n, table[(6 * n + cross) % M] - table[(6 * n - cross) % M], 2 * n * den)
+    return rho_theorem1(ResidueMatrix(conductor(n), 0, -1, 1, 0), n)
 
 
-@lru_cache(maxsize=MAX_LEVELS)
 def rho_T(n):
     """The diagonal matrix rho(T) with entries e(a^2/4n - 1/8), exactly."""
     conductor(n)

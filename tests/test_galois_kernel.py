@@ -1,6 +1,7 @@
 """Tests for Galois symmetries, kernel enumeration, image order, and genus."""
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -184,11 +185,19 @@ def test_exponent_difference_rule_matches_cyclotomic_equality(M):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_sweep_matches_the_per_element_exact_reference(n):
-    """The exact sweep finds exactly the elements of SL2(Z/NZ) that rho_closed, one at a time, sends to 1."""
+    """The exact sweep finds exactly the elements of SL2(Z/NZ) that rho_closed, one at a time, sends to 1.
+
+    in_kernel, the sweep's confirmation, agrees with rho_closed on every element.
+    """
     N = conductor(n)
     hits, survivors = _sweep_rows(n, unimodular_rows(N))
-    want = sorted(r.key() for r in enumerate_group(N) if rho_closed(r, n).is_identity())
-    assert sorted(hits) == want
+    want = []
+    for r in enumerate_group(N):
+        identity = rho_closed(r, n).is_identity()
+        assert in_kernel(r, n) == identity, r
+        if identity:
+            want.append(r.key())
+    assert sorted(hits) == sorted(want)
     assert len(want) <= survivors < sl2_order(N)
 
 
@@ -239,12 +248,22 @@ def test_newly_reachable_levels_match_the_known_lists():
         assert report.matches_known is True, n
 
 
-def test_kernel_margin_is_recorded_and_guarded(monkeypatch):
-    """A sweep candidate that exact evaluation does not confirm raises."""
+def test_kernel_confirmation_is_guarded_and_needs_no_product(monkeypatch):
+    """A sweep candidate that in_kernel does not confirm raises, and the kernel path never reaches a product."""
     with monkeypatch.context() as m:
-        m.setattr(galois_kernel, "rho_closed", lambda r, n: -RepMatrix.identity(n))
+        m.setattr(galois_kernel, "in_kernel", lambda r, n: False)
         with pytest.raises(RuntimeError, match="exact confirmation"):
             enumerate_kernel(4)
+
+    def refuse(*args):
+        raise AssertionError("the kernel path reached a product")
+
+    with monkeypatch.context() as m:
+        m.setattr(galois_kernel, "rho_closed", refuse)
+        m.setattr(RepMatrix, "__mul__", refuse)
+        assert len(enumerate_kernel(4).kernel) == 8
+        assert len(factor_kernel_sl2z8(7)) == 4
+        assert not in_kernel(ResidueMatrix(conductor(5), 1, 1, 0, 1), 5)
 
 
 def test_kernel_report_text():
@@ -268,6 +287,19 @@ def test_genus_values():
     assert genus(23) == 23497
     with pytest.raises(ValueError):
         genus(13)
+
+
+@pytest.mark.parametrize("p", [7, 11, 19, 23, 31])
+def test_genus_matches_the_exact_kernel(p):
+    """genus(p) is the genus 1 + mu/12 - mu/(2N) of the kernel's curve, from Riemann-Hurwitz.
+
+    The preimage of Ker rho in SL2(Z) is normal and holds -1, so its index in
+    PSL2(Z) is mu = image_order.  rho(S) and rho(ST) are not 1, so it has no
+    elliptic points, and every cusp has width ord rho(T) = N.
+    """
+    N = conductor(p)
+    mu = image_order(p, bound=N)
+    assert genus(p) == 1 + Fraction(mu, 12) - Fraction(mu, 2 * N)
 
 
 def test_factor_kernel_classes_at_n7():

@@ -25,7 +25,7 @@ def test_every_cache_is_a_bounded_lru_cache():
     builders = {
         "affinesl2.cyclotomic": ["cyclotomic_poly", "reduction_rows", "_embed_roots"],
         "affinesl2.wzwrep": [
-            "_tables", "rho_S", "rho_T", "_sqrt_table",
+            "_tables", "rho_S", "_sqrt_table",
             "_prime_tables", "_sqrt_planes", "_theorem1_tables", "_vinv_bound",
         ],
         "affinesl2.identities": ["_gauss_sum", "_sin_value"],

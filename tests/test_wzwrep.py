@@ -398,6 +398,10 @@ cases = [
     lambda: sigma_on_matrix(2, rho_S(5)),
     lambda: sigma_covariance_check(2, ResidueMatrix(40, 1, 0, 0, 1), 5),
     lambda: bantay_sigma_S_identity(2, 5),
+    lambda: sigma_perm(1, 2),
+    lambda: sigma_perm(3.0, 5),
+    lambda: sigma_covariance_check(3.0, ResidueMatrix(40, 1, 0, 0, 1), 5),
+    lambda: bantay_sigma_S_identity(3.0, 5),
     lambda: RepMatrix(5, rho_S(3).arr, 1),
     lambda: g_parity_check(4),
     lambda: gauss_sum(1, 0),
