@@ -341,6 +341,9 @@ class RepMatrix:
     product and partial sum, reaches 2^53 (see _float_coords).  Their
     results, and dagger's, skip the gcd pass: these maps have integer
     inverses, so they keep the stored form normalized (see _unit_image).
+    So do theorem1 gathers, which divide by one divisor per level (see
+    rho_theorem1), and identity.  Products and every other construction
+    run the full pass.
     """
 
     __slots__ = ("n", "order", "arr", "den")
@@ -374,9 +377,10 @@ class RepMatrix:
 
     @classmethod
     def _unit_image(cls, n, arr, den):
-        """The RepMatrix arr / den, where arr = A P for a normalized RepMatrix A / den; no gcd pass.
+        """The RepMatrix arr / den, with no gcd pass, for an (arr, den) already normalized.
 
-        P acts on the power-basis coordinates of each entry as an integer
+        It is so when arr = A P for a normalized RepMatrix A / den, where P
+        acts on the power-basis coordinates of each entry as an integer
         matrix with an integer inverse Q: multiplication by zeta^e
         (Q: by zeta^-e), sigma_L (Q: sigma_(L^-1)), or a permutation of the
         entries.  Any common divisor g of den and the entries of arr then
@@ -393,9 +397,9 @@ class RepMatrix:
         """The identity matrix at level n - 2."""
         dim, phi = n - 1, euler_phi(8 * n)
         arr = np.zeros((dim, dim, phi), dtype=np.int64)
-        for i in range(dim):
-            arr[i, i, 0] = 1
-        return RepMatrix(n, arr, 1)
+        arr[range(dim), range(dim), 0] = 1
+        # a 0/1 diagonal over 1 is normalized on sight
+        return RepMatrix._unit_image(n, arr, 1)
 
     @staticmethod
     def from_entries(n, entries):
@@ -581,7 +585,11 @@ def _legendre_g(C, n):
 
 @lru_cache(maxsize=MAX_LEVELS)
 def _sqrt_table(n):
-    """(Q, den): row j < 8n of Q over den holds the power-basis coordinates of sqrt(2n) zeta_8n^j."""
+    """(Q, D, g): row j < 8n of Q over D holds the power-basis coordinates of sqrt(2n)/(2n) zeta_8n^j.
+
+    g is the normalizing divisor of every theorem1 gather (see rho_theorem1
+    and _gather_form).
+    """
     M = 8 * n
     rows = _tables(M)["rows"][:M]
     root = sqrt_int(2 * n, M)
@@ -590,7 +598,31 @@ def _sqrt_table(n):
     for v, c in enumerate(root.num):
         if c:
             table += c * rows[(j + v) % M]
-    return table, root.den
+    return _gather_form(n, table, 2 * n * root.den)
+
+
+def _gather_form(n, table, D):
+    """(Q, D', g) for a table whose row j over D holds the coordinates of x zeta_8n^j, for one x.
+
+    Q over D' = D / c is the table divided by c = gcd(D, its coordinates).
+    g = gcd(D', content of rho(S)'s gather from Q) is the normalizing
+    divisor of every theorem1 gather from Q (see rho_theorem1): 1 at every
+    n <= 130 but n = 3 (g = 3) and n = 4 (g = 2).  A difference of two rows
+    is at most 2 max |Q|, so the stored numerators of every gather lie
+    below 2^53 unless 2 max |Q| // g reaches it; then this raises ValueError.
+    """
+    M = 8 * n
+    c = gcd(D, int(np.gcd.reduce(table, axis=None)))
+    if c > 1:
+        table, D = table // c, D // c
+    # entry (a, b) of rho(S)'s gather, Q[6n + 4m] - Q[6n - 4m] with m = ab mod 2n,
+    # is 0 for m = 0 or n, and swaps sign from m to 2n - m; so every entry is 0
+    # or +- one of the first column's, m = a
+    a4 = 4 * np.arange(1, n)
+    g = gcd(D, int(np.gcd.reduce(table[(6 * n + a4) % M] - table[6 * n - a4], axis=None)))
+    if 2 * _max_abs(table) // g >= _FLOAT_EXACT:
+        raise ValueError(f"a theorem1 gather at n = {n} can reach 2^53 after normalization")
+    return table, D, g
 
 
 @lru_cache(maxsize=MAX_LEVELS)
@@ -598,12 +630,12 @@ def _sqrt_planes(n):
     """(planes, k): _sqrt_table(n) in evaluation form, mod the k primes a product of two gathers needs.
 
     Row s phi + j of planes holds, in column e < 8n, the image of
-    den sqrt(2n) zeta_8n^e at the j-th evaluation point mod the s-th prime,
-    as a centered residue in float64.
+    D sqrt(2n)/(2n) zeta_8n^e at the j-th evaluation point mod the s-th
+    prime, as a centered residue in float64.
 
     k is sized from unitarity, not from the operands' coordinates.  The
-    product of rho_closed's two gathered factors is D^2 rho(r), where
-    D = 2n den is the denominator of each factor.  rho(r) is unitary, and
+    product of rho_closed's two gathered factors is D^2 rho(r), where D is
+    the table's denominator, that of each factor.  rho(r) is unitary, and
     complex conjugation commutes with every sigma_L of the abelian group
     Gal(Q(zeta_8n)/Q), so sigma_L(rho(r)) is unitary too (Coste-Gannon):
     every embedding of every entry has modulus at most 1.  Each coordinate
@@ -613,8 +645,8 @@ def _sqrt_planes(n):
     n = 400.  The general product's bound asks for two from n = 20.
     """
     M = 8 * n
-    table, den = _sqrt_table(n)
-    k = _num_primes(M, (2 * n * den) ** 2 * _vinv_bound(M))
+    table, D, _ = _sqrt_table(n)
+    k = _num_primes(M, D**2 * _vinv_bound(M))
     return _planes(table, _max_abs(table), M, k), k
 
 
@@ -669,13 +701,27 @@ def rho_theorem1(r, n):
     zeta = zeta_8n and p', q' = A(2a^2 - n) + D(2b^2 - n) + 6n +- 4ab, and
     sigma_L sends sqrt(2n) to (2n|L) sqrt(2n) (Coste-Gannon), so the entry is
     (2n|L) sqrt(2n)/(2n) (zeta^(L p') - zeta^(L q')).
+
+    The result is born normalized, with no gcd pass.  Over the table's
+    denominator den, entry (a, b) is sigma_L(zeta^(A t_a + D t_b) den S_ab),
+    with t_a = 2a^2 - n and S = rho(S).  Multiplication by zeta^e and sigma_L
+    act on one entry's coordinates as integer matrices with integer
+    inverses (see RepMatrix._unit_image), so they keep each entry's
+    content, the gcd of its coordinates.  Every theorem1 gather over den
+    thus has the contents of rho(S)'s gather, entry by entry, and the same
+    normalizing divisor g = gcd(den, content), one number per level that
+    _sqrt_table carries.
     """
     r = _as_residue(r, n)
     if gcd(r.c, conductor(n)) != 1:
         raise ValueError(f"rho_theorem1 needs gcd(c, N) = 1, got {r} at n = {n}")
-    table, den = _sqrt_table(n)
+    table, den, g = _sqrt_table(n)
     p, q = _theorem1_exponents(r.a, r.c, r.d, n)
-    return RepMatrix(n, table[p] - table[q], 2 * n * den)
+    arr = np.take(table, p, axis=0)
+    arr -= np.take(table, q, axis=0)
+    if g > 1:
+        arr //= g
+    return RepMatrix._unit_image(n, arr, den // g)
 
 
 def _signed_fold(A, n):
@@ -725,8 +771,8 @@ def rho_closed(r, n):
         gathered = np.take(planes, p, axis=1)
         gathered -= np.take(planes, q, axis=1)
         factors.append(gathered)
-    den = _sqrt_table(n)[1]
-    return RepMatrix(n, _multimodular_product(8 * n, nprimes, *factors), (2 * n * den) ** 2)
+    D = _sqrt_table(n)[1]
+    return RepMatrix(n, _multimodular_product(8 * n, nprimes, *factors), D**2)
 
 
 def g_parity_check(n):

@@ -19,6 +19,7 @@ from affinesl2.wzwrep import (
     _FLOAT_EXACT,
     RepMatrix,
     _crt,
+    _gather_form,
     _max_abs,
     _num_primes,
     _prime_tables,
@@ -236,6 +237,46 @@ def test_theorem1_gather_matches_the_galois_twist(n):
             assert rho_theorem1(r, n) == _galois_twist_reference(r, n), (n, r)
 
 
+def _assert_normalized(m):
+    """m is stored as RepMatrix.__init__'s gcd pass would store it."""
+    again = RepMatrix(m.n, m.arr.copy(), m.den)
+    assert (again.den, again.arr.dtype) == (m.den, m.arr.dtype) and np.array_equal(again.arr, m.arr), m
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_theorem1_gathers_are_born_normalized(n):
+    """Every theorem1 bottom row, with a few A, gathers to the normal form, and so does the identity."""
+    N = conductor(n)
+    for C in (c for c in range(1, N) if gcd(c, N) == 1):
+        for D in range(N):
+            for A in (0, 1, N - 3):
+                _assert_normalized(rho_theorem1(ResidueMatrix(N, A, (A * D - 1) * pow(C, -1, N), C, D), n))
+    _assert_normalized(RepMatrix.identity(n))
+    # once the table is divided by its content, a divisor is left only at n = 3 and 4
+    assert _sqrt_table(n)[2] == {3: 3, 4: 2}.get(n, 1)
+
+
+def test_random_theorem1_gathers_are_born_normalized():
+    """Seeded random theorem1 elements up to n = 44, and at n = 61 and 101, gather to the normal form."""
+    rng = random.Random(17)
+    for n in (*range(3, 45), 61, 101):
+        N = conductor(n)
+        for _ in range(3):
+            C = rng.choice([c for c in range(1, N) if gcd(c, N) == 1])
+            A, D = rng.randrange(N), rng.randrange(N)
+            _assert_normalized(rho_theorem1(ResidueMatrix(N, A, (A * D - 1) * pow(C, -1, N), C, D), n))
+
+
+def test_gather_range_guard_is_per_level():
+    """The table guard passes while 2 max |Q| // g stays below 2^53 and raises from there."""
+    table = _sqrt_table(5)[0]
+    assert _max_abs(table) == 2
+    Q, D, g = _gather_form(5, table << 50, 1)
+    assert 2 * _max_abs(Q) // g == 1 << 52
+    with pytest.raises(ValueError, match="2\\^53"):
+        _gather_form(5, table << 51, 1)
+
+
 def test_galois_action_on_sqrt_2n_is_the_jacobi_symbol():
     """sigma_L(sqrt(2n)) = (2n|L) sqrt(2n) for every unit L mod 8n."""
     for n in range(3, 13):
@@ -335,7 +376,7 @@ from affinesl2.qseries import QSeries, character, eta_inverse_cubed, numeric_eva
 from affinesl2.galois_kernel import SignedPermutation, bantay_sigma_S_identity, sigma_covariance_check
 from affinesl2.galois_kernel import phi2_image_is_normal, sigma_on_matrix, sigma_perm
 from affinesl2.wzwrep import RepMatrix, _unit_shift, conductor, g_parity_check, rho_closed, rho_float, rho_S
-from affinesl2.wzwrep import evaluate_word, rho_T, rho_theorem1
+from affinesl2.wzwrep import _gather_form, _sqrt_table, evaluate_word, rho_T, rho_theorem1
 from affinesl2.identities import gauss_sum, gauss_sum_closed, kernel_sum, rho_coprime_closed, rho_coprime_legendre
 from affinesl2.identities import rho_unit_d_closed, rho_upper_triangular
 cases = [
@@ -362,6 +403,7 @@ cases = [
     lambda: QSeries(2, 1, [1, 1]) + QSeries(1, 0, [1, 1]),
     lambda: rho_closed(ResidueMatrix(40, 0, 39, 1, 0), 7),
     lambda: rho_theorem1(ResidueMatrix(56, 1, 0, 2, 1), 7),
+    lambda: _gather_form(5, _sqrt_table(5)[0] << 51, 1),
     lambda: numeric_eval(character(1, 3, 20), 0.5 - 1j),
     lambda: s_transform_check(3, 0.1 - 0.9j, truncation=20),
     lambda: numeric_eval(character(1, 3, 20), complex("nan+1j")),
@@ -620,8 +662,8 @@ def test_level_caches_stay_bounded_and_rebuild_bit_identically():
     for old, new in zip(first[:2], again[:2]):
         assert new is not old, "level 3 was not evicted"
         assert (new.den, new.arr.dtype) == (old.den, old.arr.dtype) and np.array_equal(new.arr, old.arr)
-    (old_q, old_den), (new_q, new_den) = first[2], again[2]
-    assert new_q is not old_q and new_den == old_den and new_q.dtype == old_q.dtype
+    (old_q, old_den, old_g), (new_q, new_den, new_g) = first[2], again[2]
+    assert new_q is not old_q and (new_den, new_g) == (old_den, old_g) and new_q.dtype == old_q.dtype
     assert np.array_equal(new_q, old_q)
 
 
