@@ -162,24 +162,28 @@ def _cmd_characters(args):
     return 0, lines
 
 
-def _check_line(name, ok):
-    return f"{name} {'pass' if ok else 'fail'}"
+def _check_report(lines, results):
+    """Exit code and output: the header lines, a pass/fail line per (name, ok) in results, then all of them."""
+    results = [*results, ("all", all(ok for _, ok in results))]
+    return (0 if results[-1][1] else 1), lines + [f"{name} {'pass' if ok else 'fail'}" for name, ok in results]
+
+
+def _identity_results(level, n, terms):
+    """(name, ok) of the q-series identity checks shared by verify-identities and verify-all."""
+    results = [("log_eta_expansion", log_eta_expansion_check(terms))]
+    if level == 1:
+        results.append(("k1_identity", verify_k1_identity(terms)))
+        results.append(("t_parametrization", verify_t_parametrization(terms)))
+    results.append(("s_transform", s_transform_check(n, 1j, truncation=300, tol=1e-8)))
+    return results
 
 
 def _cmd_verify_identities(args):
     n = _level_n(args)
     if args.terms < 1:
         raise UsageError("--terms must be at least 1")
-    results = [("log_eta_expansion", log_eta_expansion_check(args.terms))]
-    if args.level == 1:
-        results.append(("k1_identity", verify_k1_identity(args.terms)))
-        results.append(("t_parametrization", verify_t_parametrization(args.terms)))
-    results.append(("s_transform", s_transform_check(n, 1j, truncation=300, tol=1e-8)))
-    lines = [f"level {args.level}", f"n {n}"]
-    lines += [_check_line(name, ok) for name, ok in results]
-    ok_all = all(ok for _, ok in results)
-    lines.append(_check_line("all", ok_all))
-    return (0 if ok_all else 1), lines
+    results = _identity_results(args.level, n, args.terms)
+    return _check_report([f"level {args.level}", f"n {n}"], results)
 
 
 def _cmd_verify_all(args):
@@ -224,17 +228,9 @@ def _cmd_verify_all(args):
         if report.matches_known is not None:
             results.append(("kernel_known_list", report.matches_known))
 
-    results.append(("log_eta_expansion", log_eta_expansion_check(30)))
-    if args.level == 1:
-        results.append(("k1_identity", verify_k1_identity(30)))
-        results.append(("t_parametrization", verify_t_parametrization(30)))
-    results.append(("s_transform", s_transform_check(n, 1j, truncation=300, tol=1e-8)))
+    results += _identity_results(args.level, n, 30)
 
-    lines = [f"level {args.level}", f"n {n}", f"seed {args.seed}"]
-    lines += [_check_line(name, ok) for name, ok in results]
-    ok_all = all(ok for _, ok in results)
-    lines.append(_check_line("all", ok_all))
-    return (0 if ok_all else 1), lines
+    return _check_report([f"level {args.level}", f"n {n}", f"seed {args.seed}"], results)
 
 
 def _build_parser():

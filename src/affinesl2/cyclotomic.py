@@ -7,6 +7,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+import numpy as np
+
 __all__ = [
     "Cyclotomic",
     "root_of_unity",
@@ -116,25 +118,28 @@ def cyclotomic_poly(M):
     return out
 
 
+def _zeta_orbit(start, M, count):
+    """Row j < count of the int64 array holds the power-basis coordinates of x zeta_M^j, row 0 being start = x.
+
+    Row j + 1 is row j times zeta_M: its coordinates move up one place and the
+    top one, t, folds back as t zeta_M^phi = -t (c_0 + ... + c_(phi-1) zeta_M^(phi-1)).
+    """
+    low = np.array(cyclotomic_poly(M)[:-1], dtype=np.int64)
+    out = np.zeros((count, len(low)), dtype=np.int64)
+    out[0] = start
+    for j in range(1, count):
+        out[j, 1:] = out[j - 1, :-1]
+        top = out[j - 1, -1]
+        if top:
+            out[j] -= top * low
+    return out
+
+
 @lru_cache(maxsize=MAX_ORDERS)
 def reduction_rows(M):
-    """Return rows[d] = coefficients of x^d mod Phi_M for d up to max(M, 2*phi(M)-1)."""
+    """Return rows[d] = coefficients of x^d mod Phi_M for d up to max(M, 2*phi(M)-1), from _zeta_orbit."""
     phi = euler_phi(M)
-    poly = cyclotomic_poly(M)
-    rows = []
-    for d in range(max(M, 2 * phi - 1)):
-        if d < phi:
-            row = [0] * phi
-            row[d] = 1
-        else:
-            prev = rows[d - 1]
-            top = prev[phi - 1]
-            row = [0] + list(prev[: phi - 1])
-            if top:
-                for j in range(phi):
-                    row[j] -= top * poly[j]
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(map(tuple, _zeta_orbit(np.eye(1, phi, dtype=np.int64)[0], M, max(M, 2 * phi - 1)).tolist()))
 
 
 class Cyclotomic:

@@ -199,7 +199,8 @@ class KernelReport:
         self.kernel = sorted(kernel, key=lambda r: r.key())
         self.coprime_obstruction = all(gcd(r.c, 2 * n) != 1 for r in self.kernel)
         order = sl2_order(self.N)
-        assert order % len(self.kernel) == 0
+        if not self.kernel or order % len(self.kernel):
+            raise ValueError(f"a kernel has a size dividing |SL2(Z/{self.N}Z)| = {order}, got {len(self.kernel)}")
         self.image_order = order // len(self.kernel)
         if n >= 4:
             expected = set(expected_kernel_slice(n))

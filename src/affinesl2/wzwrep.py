@@ -7,15 +7,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .cyclotomic import (
-    Cyclotomic,
-    cyclotomic_poly,
-    euler_phi,
-    factorize,
-    jacobi,
-    reduction_rows,
-    sqrt_int,
-)
+from .cyclotomic import Cyclotomic, _zeta_orbit, cyclotomic_poly, euler_phi, factorize, jacobi
 from .modgroup import ResidueMatrix, random_matrix
 
 __all__ = [
@@ -56,13 +48,15 @@ def _max_abs(arr):
 def _tables(M):
     """Reduction data for Q(zeta_M): rows[d] holds the power-basis coordinates of zeta_M^d, d < M.
 
-    frows is rows in float64, the operand of the exact float64 maps of RepMatrix.
+    rows is the zeta-orbit of 1 (see cyclotomic._zeta_orbit), and frows is
+    rows in float64, the operand of the exact float64 maps of RepMatrix.
     """
-    rows = np.array(reduction_rows(M), dtype=np.int64)
+    phi = euler_phi(M)
+    rows = _zeta_orbit(np.eye(1, phi, dtype=np.int64)[0], M, M)
     return {
         "rows": rows,
         "frows": rows.astype(np.float64),
-        "phi": euler_phi(M),
+        "phi": phi,
         "rowmax": max(1, int(np.abs(rows).max())),
     }
 
@@ -166,7 +160,6 @@ def _product_bound(amax, bmax, M):
     return amax * bmax * (M // 8 - 1) * phi * (1 + phi * tab["rowmax"])
 
 
-@lru_cache(maxsize=MAX_LEVELS)
 def _vinv_bound(M):
     """A proven upper bound B_M, as a Fraction, on the largest column sum of |V^-1| over C.
 
@@ -587,18 +580,19 @@ def _legendre_g(C, n):
 def _sqrt_table(n):
     """(Q, D, g): row j < 8n of Q over D holds the power-basis coordinates of sqrt(2n)/(2n) zeta_8n^j.
 
-    g is the normalizing divisor of every theorem1 gather (see rho_theorem1
-    and _gather_form).
+    Row j is the zeta-orbit (see cyclotomic._zeta_orbit) of row 0, and row 0
+    comes from the quadratic Gauss sum mod M = 8n,
+    sum_(x mod M) zeta^(x^2) = (1 + i) sqrt(M) (Berndt, Evans and Williams,
+    Gauss and Jacobi Sums, 1998, Thm 1.2.4).  With -i = zeta^(6n) it gives
+        M sqrt(2n)/(2n) = (1 - i) (1 + i) sqrt(M) = sum_(x mod M) (zeta^(x^2) + zeta^(x^2 + 6n)),
+    so row 0 over M adds the rows of _tables(M) with the counts w[k] of the
+    squares x^2 = k mod M.  g is the normalizing divisor of every theorem1
+    gather (see rho_theorem1 and _gather_form).
     """
     M = 8 * n
-    rows = _tables(M)["rows"][:M]
-    root = sqrt_int(2 * n, M)
-    j = np.arange(M)
-    table = np.zeros_like(rows)
-    for v, c in enumerate(root.num):
-        if c:
-            table += c * rows[(j + v) % M]
-    return _gather_form(n, table, 2 * n * root.den)
+    w = np.bincount(np.arange(M) ** 2 % M, minlength=M)
+    start = (w + np.roll(w, 6 * n)) @ _tables(M)["rows"]
+    return _gather_form(n, _zeta_orbit(start, M, M), M)
 
 
 def _gather_form(n, table, D):

@@ -17,6 +17,7 @@ from affinesl2.cyclotomic import (
     galois,
     jacobi,
     one,
+    reduction_rows,
     root_of_unity,
     sqrt_int,
     zero,
@@ -114,6 +115,34 @@ def test_sqrt_int_squares_back(m, M):
     assert r * r == from_rational(M, m)
     val = embed(r)
     assert abs(val.imag) < 1e-12 and val.real > 0
+
+
+def _loop_reduction_rows(M):
+    """x^d mod Phi_M for d < max(M, 2 phi - 1), one Python row at a time."""
+    phi = euler_phi(M)
+    poly = cyclotomic_poly(M)
+    rows = []
+    for d in range(max(M, 2 * phi - 1)):
+        if d < phi:
+            row = [0] * phi
+            row[d] = 1
+        else:
+            prev = rows[d - 1]
+            top = prev[phi - 1]
+            row = [0] + list(prev[: phi - 1])
+            if top:
+                for j in range(phi):
+                    row[j] -= top * poly[j]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_reduction_rows_match_the_python_loop():
+    """The zeta-orbit rows equal the Python loop's, as tuples of Python ints, at M = 1..130, 248 and 488."""
+    for M in (*range(1, 131), 8 * 31, 8 * 61):
+        rows = reduction_rows(M)
+        assert rows == _loop_reduction_rows(M), M
+        assert type(rows) is tuple and {type(x) for row in rows for x in row} == {int}
 
 
 def test_jacobi_matches_quadratic_residues():

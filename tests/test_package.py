@@ -26,7 +26,7 @@ def test_every_cache_is_a_bounded_lru_cache():
         "affinesl2.cyclotomic": ["cyclotomic_poly", "reduction_rows", "_embed_roots"],
         "affinesl2.wzwrep": [
             "_tables", "rho_S", "_sqrt_table",
-            "_prime_tables", "_sqrt_planes", "_theorem1_tables", "_vinv_bound",
+            "_prime_tables", "_sqrt_planes", "_theorem1_tables",
         ],
         "affinesl2.identities": ["_gauss_sum", "_sin_value"],
     }
@@ -98,3 +98,21 @@ def test_importing_the_package_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_the_exact_route_builds_no_cyclotomic_reduction_rows():
+    """rho_S, rho_T, an off-stratum rho_closed and enumerate_kernel build their tables in int64, not via Cyclotomic."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affinesl2.__file__)))
+    code = """
+from affinesl2 import cyclotomic
+from affinesl2.galois_kernel import enumerate_kernel
+from affinesl2.modgroup import ResidueMatrix
+from affinesl2.wzwrep import dispatch_path, rho_closed, rho_S, rho_T
+r = ResidueMatrix(104, 1, 0, 2, 1)
+assert dispatch_path(r, 13) != "theorem1"
+rho_S(13), rho_T(13), rho_closed(r, 13), enumerate_kernel(5)
+print(cyclotomic.reduction_rows.cache_info().currsize)
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"

@@ -145,10 +145,12 @@ def test_minus_identity_acts_trivially():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 def test_dirichlet_gauss_sum(n):
-    """S(1, 4n) = 2 sqrt(n) (1 + i) exactly."""
+    """S(1, 4n) = 2 sqrt(n) (1 + i) and S(1, 8n) = 2 (1 + i) sqrt(2n) exactly; _sqrt_table rests on the second."""
     N = 4 * n
     want = sqrt_int(n, N) * 2 * (one(N) + root_of_unity(N, n))
     assert gauss_sum(1, N) == want
+    M = 8 * n
+    assert gauss_sum(1, M) == sqrt_int(2 * n, M) * 2 * (one(M) + root_of_unity(M, 2 * n))
 
 
 def test_gauss_sum_closed_matches_direct():
@@ -277,6 +279,28 @@ def test_gather_range_guard_is_per_level():
         _gather_form(5, table << 51, 1)
 
 
+def _sqrt_int_table(n):
+    """The table of sqrt(2n)/(2n) zeta^j from sqrt_int(2n, 8n): one shifted copy of the rows per nonzero coordinate."""
+    M = 8 * n
+    rows = _tables(M)["rows"]
+    root = sqrt_int(2 * n, M)
+    j = np.arange(M)
+    table = np.zeros_like(rows)
+    for v, c in enumerate(root.num):
+        if c:
+            table += c * rows[(j + v) % M]
+    return _gather_form(n, table, 2 * n * root.den)
+
+
+@pytest.mark.parametrize("n", [*range(3, 41), 61, 101])
+def test_sqrt_table_matches_the_sqrt_int_construction(n):
+    """The Gauss-sum zeta-orbit gives the sqrt_int table in Q, dtype, D and g."""
+    Q, D, g = _sqrt_table(n)
+    want_Q, want_D, want_g = _sqrt_int_table(n)
+    assert (Q.dtype, D, g) == (want_Q.dtype, want_D, want_g)
+    assert np.array_equal(Q, want_Q)
+
+
 def test_galois_action_on_sqrt_2n_is_the_jacobi_symbol():
     """sigma_L(sqrt(2n)) = (2n|L) sqrt(2n) for every unit L mod 8n."""
     for n in range(3, 13):
@@ -368,7 +392,7 @@ from fractions import Fraction
 import numpy as np
 from affinesl2.cyclotomic import cyclotomic_poly, factorize, jacobi
 from affinesl2.qseries import log_eta_expansion_check, sigma1, verify_k1_identity, verify_t_parametrization
-from affinesl2.galois_kernel import enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus
+from affinesl2.galois_kernel import KernelReport, enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus
 from affinesl2.cyclotomic import Cyclotomic, galois, one, root_of_unity, sqrt_int
 from affinesl2.modgroup import ResidueMatrix, STWord, complete_row, decompose, enumerate_group, idempotents, lift
 from affinesl2.modgroup import parse_matrix, sl2_order
@@ -404,6 +428,8 @@ cases = [
     lambda: rho_closed(ResidueMatrix(40, 0, 39, 1, 0), 7),
     lambda: rho_theorem1(ResidueMatrix(56, 1, 0, 2, 1), 7),
     lambda: _gather_form(5, _sqrt_table(5)[0] << 51, 1),
+    lambda: KernelReport(5, enumerate_kernel(5).kernel[:7], 0),
+    lambda: KernelReport(5, [], 0),
     lambda: numeric_eval(character(1, 3, 20), 0.5 - 1j),
     lambda: s_transform_check(3, 0.1 - 0.9j, truncation=20),
     lambda: numeric_eval(character(1, 3, 20), complex("nan+1j")),
