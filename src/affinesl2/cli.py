@@ -16,7 +16,7 @@ from .galois_kernel import (
 )
 from .modgroup import ResidueMatrix, decompose, format_matrix, lift, parse_matrix, random_matrix
 from .qseries import (
-    character,
+    _characters,
     log_eta_expansion_check,
     numeric_eval,
     s_transform_check,
@@ -151,8 +151,7 @@ def _cmd_characters(args):
         if not (cmath.isfinite(tau) and tau.imag > 0):
             raise UsageError("--numeric tau must be finite with positive imaginary part")
     lines = [f"level {args.level}", f"n {n}"]
-    for lam in range(1, n):
-        s = character(lam, n, args.terms)
+    for lam, s in enumerate(_characters(n, args.terms), 1):
         lead = s.leading_exponent()
         lines.append(f"chi {lam} exponent {lead.numerator}/{lead.denominator}")
         lines.append(f"chi {lam} coeffs " + " ".join(str(c) for c in s.table(args.terms + 1)))

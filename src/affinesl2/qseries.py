@@ -4,7 +4,7 @@ import cmath
 from fractions import Fraction
 from math import isqrt, lcm
 from .modgroup import _integer
-from .wzwrep import rho_S
+from .wzwrep import conductor, rho_S
 
 __all__ = [
     "QSeries",
@@ -20,6 +20,8 @@ __all__ = [
 
 
 def _canonical(c):
+    if isinstance(c, int):
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
@@ -42,6 +44,7 @@ class QSeries:
     def __init__(self, den, offset, coeffs):
         if not isinstance(den, int) or den < 1:
             raise ValueError(f"a QSeries needs an integer denominator >= 1, got {den!r}")
+        offset = _integer("a QSeries offset", offset)
         if not coeffs:
             raise ValueError("a QSeries needs a nonempty coefficient window")
         coeffs = [_canonical(c) for c in coeffs]
@@ -80,6 +83,9 @@ class QSeries:
 
     def table(self, count):
         """The first count coefficients, at integer steps from the leading exponent."""
+        count = _integer("count", count)
+        if count < 0:
+            raise ValueError(f"count {count} is negative")
         if count > len(self.coeffs):
             raise ValueError("exponent beyond the reliable window")
         return self.coeffs[:count]
@@ -196,7 +202,12 @@ def eta_inverse_cubed(truncation):
         k += 1
     inv = [1] + [0] * truncation
     for t in range(1, truncation + 1):
-        inv[t] = -sum(c * inv[t - e] for e, c in jacobi if e <= t)
+        acc = 0
+        for e, c in jacobi:
+            if e > t:
+                break
+            acc += c * inv[t - e]
+        inv[t] = -acc
     return QSeries(1, 0, inv)
 
 
@@ -231,20 +242,16 @@ def log_eta_expansion_check(truncation):
     return True
 
 
-def character(lam, n, truncation):
-    """The level n-2 character with shifted weight lam, exact through truncation steps.
+def _theta(lam, n, truncation):
+    """The numerator theta_lam of chi_lam, with the eta prefactor q^(-1/8) in its lead.
 
-    chi_lam = theta_lam / eta^3 with theta_lam = sum over x = lam (mod 2n) of
-    x q^(x^2/4n).  The term x = lam + 2nm sits m(lam + nm) >= 0 steps past
-    lam^2/4n, so theta is built on the step lattice, and the eta prefactor
-    q^(-1/8) puts the lead at lam^2/4n - 1/8 = (6 lam^2 - 3n)/24n.  The result
-    keeps exactly truncation + 1 coefficients from that lead.
+    theta_lam = sum over x = lam (mod 2n) of x q^(x^2/4n).  The term
+    x = lam + 2nm sits m(lam + nm) >= 0 steps past lam^2/4n, so theta is built
+    on the step lattice, and q^(-1/8) puts the lead at
+    lam^2/4n - 1/8 = (6 lam^2 - 3n)/24n.  It keeps truncation + 1
+    coefficients.  The arguments are validated ints: 1 <= lam <= n - 1 and
+    truncation >= 0.
     """
-    lam, n, truncation = _integer("lam", lam), _integer("n", n), _integer("truncation", truncation)
-    if not 1 <= lam <= n - 1:
-        raise ValueError(f"weight {lam} is not in 1..{n - 1}")
-    if truncation < 0:
-        raise ValueError(f"truncation {truncation} is negative")
     theta = [0] * (truncation + 1)
     # m(lam + nm) >= m^2 unless m = -1, which sits n - lam >= 1 steps in
     r = isqrt(truncation)
@@ -252,7 +259,38 @@ def character(lam, n, truncation):
         step = m * (lam + n * m)
         if step <= truncation:
             theta[step] += lam + 2 * n * m
-    return QSeries(24 * n, 6 * lam * lam - 3 * n, theta) * eta_inverse_cubed(truncation)
+    return QSeries(24 * n, 6 * lam * lam - 3 * n, theta)
+
+
+def character(lam, n, truncation):
+    """The level n-2 character with shifted weight lam, exact through truncation steps.
+
+    chi_lam = theta_lam / eta^3: `_theta` times `eta_inverse_cubed`, built
+    for this one weight.  The result keeps exactly truncation + 1
+    coefficients from its lead (6 lam^2 - 3n)/24n.  `_characters` builds all
+    weights of a level from one 1/eta^3.
+    """
+    lam, n, truncation = _integer("lam", lam), _integer("n", n), _integer("truncation", truncation)
+    if not 1 <= lam <= n - 1:
+        raise ValueError(f"weight {lam} is not in 1..{n - 1}")
+    if truncation < 0:
+        raise ValueError(f"truncation {truncation} is negative")
+    return _theta(lam, n, truncation) * eta_inverse_cubed(truncation)
+
+
+def _characters(n, truncation):
+    """[character(lam, n, truncation) for lam in 1..n-1], sharing one 1/eta^3 build.
+
+    n and truncation are checked as `character` checks them; below n = 2
+    there is no weight, and the ValueError says so.
+    """
+    n, truncation = _integer("n", n), _integer("truncation", truncation)
+    if n < 2:
+        raise ValueError(f"level n = {n} has no weight in 1..{n - 1}")
+    if truncation < 0:
+        raise ValueError(f"truncation {truncation} is negative")
+    eta = eta_inverse_cubed(truncation)
+    return [_theta(lam, n, truncation) * eta for lam in range(1, n)]
 
 
 def verify_k1_identity(truncation):
@@ -260,8 +298,7 @@ def verify_k1_identity(truncation):
     truncation = _integer("truncation", truncation)
     if truncation < 0:
         raise ValueError(f"truncation {truncation} is negative")
-    chi1 = character(1, 3, truncation + 3)
-    chi2 = character(2, 3, truncation + 3)
+    chi1, chi2 = _characters(3, truncation + 3)
     p = chi1 * chi2 * (chi1**4 - chi2**4)
     if p.end_exponent() < truncation:
         return False
@@ -275,8 +312,7 @@ def verify_t_parametrization(truncation):
     truncation = _integer("truncation", truncation)
     if truncation < 0:
         raise ValueError(f"truncation {truncation} is negative")
-    chi1 = character(1, 3, truncation + 4)
-    chi2 = character(2, 3, truncation + 4)
+    chi1, chi2 = _characters(3, truncation + 4)
     t = chi1 * chi2
     e = t * chi1**8 - 2 * chi1**4 - t**5
     return e.end_exponent() >= truncation and e.is_zero()
@@ -297,18 +333,25 @@ def numeric_eval(s, tau):
 
 
 def s_transform_check(n, tau, truncation=400, tol=1e-8):
-    """Check chi(-1/tau) = rho(S) chi(tau) numerically for all weights at level n-2."""
+    """Check chi(-1/tau) = rho(S) chi(tau) numerically for all weights at level n-2.
+
+    The n - 1 characters come from one 1/eta^3 build (`_characters`), and
+    each is evaluated once at tau and once at -1/tau: 2(n - 1) evaluations.
+    """
+    n = _integer("n", n)
+    conductor(n)  # ValueError below n = 3, before any character is built
     if not tol > 0:
         raise ValueError(f"tolerance {tol} is not positive")
     tau = complex(tau)
     if not (cmath.isfinite(tau) and tau.imag > 0):
         raise ValueError(f"tau = {tau} is not a finite point of the upper half plane")
     stau = -1 / tau
-    chars = [character(lam, n, truncation) for lam in range(1, n)]
+    chars = _characters(n, truncation)
+    at_tau = [numeric_eval(chi, tau) for chi in chars]
     smat = rho_S(n).to_floats()
     worst = 0.0
-    for a in range(n - 1):
-        lhs = numeric_eval(chars[a], stau)
-        rhs = sum(smat[a, b] * numeric_eval(chars[b], tau) for b in range(n - 1))
+    for a, chi in enumerate(chars):
+        lhs = numeric_eval(chi, stau)
+        rhs = sum(smat[a, b] * at_tau[b] for b in range(n - 1))
         worst = max(worst, abs(lhs - rhs))
     return worst < tol

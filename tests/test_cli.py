@@ -9,6 +9,7 @@ import pytest
 
 import affinesl2
 from affinesl2.cli import run
+from affinesl2.qseries import character, numeric_eval
 
 
 def _capture(capsys, argv):
@@ -146,6 +147,26 @@ def test_characters_numeric(capsys):
     numeric = [l for l in lines if l.startswith("chi 1 numeric")]
     assert len(numeric) == 1
     assert run(["characters", "--level", "1", "--terms", "5", "--numeric", "1-1j"]) == 2
+
+
+def test_characters_match_the_per_weight_records(capsys):
+    """The shared-1/eta^3 route prints what character and numeric_eval give weight by weight."""
+    tau = 0.1234 + 0.9876j
+    for level in range(1, 11):
+        n = level + 2
+        want = [f"level {level}", f"n {n}"]
+        for lam in range(1, n):
+            s = character(lam, n, 60)
+            lead = s.leading_exponent()
+            z = numeric_eval(s, tau)
+            want += [
+                f"chi {lam} exponent {lead.numerator}/{lead.denominator}",
+                f"chi {lam} coeffs " + " ".join(map(str, s.coeffs[:61])),
+                f"chi {lam} series {s}",
+                f"chi {lam} numeric {z.real:+.12e}{z.imag:+.12e}j",
+            ]
+        code, lines = _capture(capsys, ["characters", "--level", str(level), "--terms", "60", "--numeric=0.1234+0.9876j"])
+        assert (code, lines) == (0, want), level
 
 
 def test_characters_numeric_rejects_non_finite_tau(capsys):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinesl2 import qseries
 from affinesl2.qseries import (
     QSeries,
+    _characters,
     character,
     eta_inverse_cubed,
     log_eta_expansion_check,
@@ -117,6 +119,16 @@ def test_eta_inverse_cubed_table():
         assert e3.coeffs == cube
 
 
+def test_eta_inverse_cubed_matches_the_generator_recurrence():
+    """The early-exit loop gives the same table as the generator sum over every Jacobi term."""
+    jacobi = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1)) for k in range(1, 30)]
+    inv = [1]
+    for t in range(1, 401):
+        inv.append(-sum(c * inv[t - e] for e, c in jacobi if e <= t))
+    for T in range(401):
+        assert eta_inverse_cubed(T).coeffs == inv[: T + 1], T
+
+
 def test_sigma1_values():
     assert [sigma1(m) for m in range(1, 9)] == [1, 3, 4, 7, 6, 12, 8, 15]
 
@@ -166,6 +178,12 @@ def test_character_truncation_is_sound():
                 assert character(lam, n, T).table(T + 1) == full[: T + 1], (n, lam, T)
 
 
+def test_characters_of_a_level_match_character():
+    for n in range(3, 13):
+        for T in (0, 1, 9, 60, 300):
+            assert _characters(n, T) == [character(lam, n, T) for lam in range(1, n)], (n, T)
+
+
 def test_identities_hold_through_order_thirty():
     assert verify_k1_identity(30)
     assert verify_t_parametrization(30)
@@ -196,6 +214,27 @@ def test_numeric_eval_matches_direct_sum():
 def test_s_transform_quick():
     assert s_transform_check(3, 1j, truncation=200, tol=1e-8)
     assert s_transform_check(4, 0.1 + 0.9j, truncation=200, tol=1e-8)
+
+
+def test_s_transform_evaluates_each_character_twice(monkeypatch):
+    """2(n - 1) evaluations and one 1/eta^3 build per check, not (n - 1) + (n - 1)^2 evaluations."""
+    calls = {"numeric_eval": 0, "eta_inverse_cubed": 0}
+
+    def counted(name):
+        f = getattr(qseries, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qseries, name, counted(name))
+    for n in range(3, 13):
+        calls.update(numeric_eval=0, eta_inverse_cubed=0)
+        assert s_transform_check(n, 0.1 + 0.9j, truncation=60)
+        assert calls == {"numeric_eval": 2 * (n - 1), "eta_inverse_cubed": 1}, n
 
 
 def test_s_transform_fails_with_wrong_sign():

@@ -396,7 +396,7 @@ from affinesl2.galois_kernel import KernelReport, enumerate_kernel, expected_ker
 from affinesl2.cyclotomic import Cyclotomic, galois, one, root_of_unity, sqrt_int
 from affinesl2.modgroup import ResidueMatrix, STWord, complete_row, decompose, enumerate_group, idempotents, lift
 from affinesl2.modgroup import parse_matrix, sl2_order
-from affinesl2.qseries import QSeries, character, eta_inverse_cubed, numeric_eval, s_transform_check
+from affinesl2.qseries import QSeries, _characters, character, eta_inverse_cubed, numeric_eval, s_transform_check
 from affinesl2.galois_kernel import SignedPermutation, bantay_sigma_S_identity, sigma_covariance_check
 from affinesl2.galois_kernel import phi2_image_is_normal, sigma_on_matrix, sigma_perm
 from affinesl2.wzwrep import RepMatrix, _unit_shift, conductor, g_parity_check, rho_closed, rho_float, rho_S
@@ -526,6 +526,13 @@ cases = [
     lambda: log_eta_expansion_check(5.0),
     lambda: verify_k1_identity(5.0),
     lambda: verify_t_parametrization(5.0),
+    lambda: s_transform_check(3.0, 1j),
+    lambda: QSeries(1, 0.5, [1, 2]),
+    lambda: character(1, 3, 5).table(-1),
+    lambda: character(1, 3, 5).table(2.0),
+    lambda: _characters(1, 5),
+    lambda: _characters(3.0, 5),
+    lambda: _characters(3, -1),
 ]
 type_cases = [
     lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1)).applied_to_rows(rho_S(5).arr),
