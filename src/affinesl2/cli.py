@@ -192,24 +192,25 @@ def _cmd_verify_all(args):
         raise UsageError("--samples must be at least 1")
     rng = random.Random(args.seed)
     mats = [random_matrix(N, rng) for _ in range(args.samples)]
-    results = []
-
-    ok = all(rho_closed(r, n) == evaluate_word(decompose(lift(r)), n) for r in mats)
-    results.append((f"closed_vs_word samples={args.samples}", ok))
-
-    dev = max(
-        abs(rho_closed(r, n).to_floats() - rho_float(r, n)).max() for r in mats[: min(args.samples, 40)]
-    )
-    results.append((f"closed_vs_float dev={dev:.3e}", dev < 1e-9))
-
-    ok = all(rho_closed(r, n).is_unitary() for r in mats[: min(args.samples, 20)])
-    results.append(("unitarity", ok))
-
-    ok = all(
-        evaluate_word(decompose(lift(r, 0)), n) == evaluate_word(decompose(lift(r, 1)), n)
-        for r in mats[: min(args.samples, 20)]
-    )
-    results.append(("lift_independence", ok))
+    # one pass over the samples: each one's rho_closed and lift-0 word are
+    # computed once and serve every check below that uses the sample
+    closed_ok = unitary_ok = lift_ok = True
+    for i, r in enumerate(mats):
+        exact = rho_closed(r, n)
+        word = evaluate_word(decompose(lift(r)), n)
+        closed_ok = closed_ok and exact == word
+        if i < 40:
+            d = abs(exact.to_floats() - rho_float(r, n)).max()
+            dev = max(dev, d) if i else d
+        if i < 20:
+            unitary_ok = unitary_ok and exact.is_unitary()
+            lift_ok = lift_ok and word == evaluate_word(decompose(lift(r, 1)), n)
+    results = [
+        (f"closed_vs_word samples={args.samples}", closed_ok),
+        (f"closed_vs_float dev={dev:.3e}", dev < 1e-9),
+        ("unitarity", unitary_ok),
+        ("lift_independence", lift_ok),
+    ]
 
     units = [L for L in range(1, N) if gcd(L, N) == 1]
     ok = all(sigma_covariance_check(L, r, n) for L in units for r in mats[: min(args.samples, 5)])

@@ -8,7 +8,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .cyclotomic import Cyclotomic, _zeta_orbit, cyclotomic_poly, euler_phi, factorize, jacobi
-from .modgroup import ResidueMatrix, random_matrix
+from .modgroup import ResidueMatrix, STWord, _integer, random_matrix
 
 __all__ = [
     "conductor",
@@ -44,6 +44,12 @@ def _max_abs(arr):
     return int(np.abs(arr).max())
 
 
+def _read_only(arr):
+    """arr, made read-only: a per-level cache hands the same array to every caller."""
+    arr.setflags(write=False)
+    return arr
+
+
 @lru_cache(maxsize=MAX_LEVELS)
 def _tables(M):
     """Reduction data for Q(zeta_M): rows[d] holds the power-basis coordinates of zeta_M^d, d < M.
@@ -54,8 +60,8 @@ def _tables(M):
     phi = euler_phi(M)
     rows = _zeta_orbit(np.eye(1, phi, dtype=np.int64)[0], M, M)
     return {
-        "rows": rows,
-        "frows": rows.astype(np.float64),
+        "rows": _read_only(rows),
+        "frows": _read_only(rows.astype(np.float64)),
         "phi": phi,
         "rowmax": max(1, int(np.abs(rows).max())),
     }
@@ -149,7 +155,8 @@ def _prime_tables(M, i):
     deriv = (quot * V.T % p).sum(axis=1) % p
     inv = np.array([pow(int(d), -1, p) for d in deriv], dtype=np.int64)
     Vinv = quot * inv[:, np.newaxis] % p
-    return p, x, _center(V.astype(np.float64), p), _center(Vinv.astype(np.float64), p)
+    V, Vinv = (_center(a.astype(np.float64), p) for a in (V, Vinv))
+    return p, _read_only(x), _read_only(V), _read_only(Vinv)
 
 
 def _product_bound(amax, bmax, M):
@@ -450,13 +457,18 @@ class RepMatrix:
 
     def scale_cols(self, exps):
         """Right-multiply by diag(zeta_M^exps)."""
-        if len(exps) != self.dim:
-            raise ValueError(f"scale_cols needs {self.dim} exponents, got {len(exps)}")
         M = self.order
+        exps = np.asarray(exps)
+        if exps.shape != (self.dim,):
+            raise ValueError(f"scale_cols needs {self.dim} exponents, got shape {exps.shape}")
+        # one dtype test on the hot path; other arrays, such as Python ints
+        # beyond int64 or floats, go through _integer one by one
+        if exps.dtype.kind != "i":
+            exps = np.array([_integer("a scale_cols exponent", e) % M for e in exps.tolist()])
         tab = _tables(M)
         arr = _float_coords(self.arr, tab)
         # row u of maps[j], the map x -> zeta_M^e_j x, is the coordinate vector of zeta_M^(u + e_j)
-        shifts = np.array([e % M for e in exps])[:, np.newaxis]
+        shifts = (exps % M)[:, np.newaxis]
         maps = np.take(tab["frows"], (np.arange(tab["phi"]) + shifts) % M, axis=0)
         out = np.empty_like(arr)
         # one product per column j: the row vectors arr[:, j] times maps[j]
@@ -466,7 +478,7 @@ class RepMatrix:
     def galois_map(self, L):
         """Apply zeta_M -> zeta_M^L to every entry; L must be coprime to M = 8n."""
         M = self.order
-        L %= M
+        L = _integer("L", L) % M
         if gcd(L, M) != 1:
             raise ValueError(f"galois_map needs gcd(L, {M}) = 1, got L = {L}")
         tab = _tables(M)
@@ -513,7 +525,9 @@ def rho_S(n):
     multiplies by it, so test_rho_S_is_the_sine_matrix checks it against
     Cyclotomic sines, independently of rho_theorem1.
     """
-    return rho_theorem1(ResidueMatrix(conductor(n), 0, -1, 1, 0), n)
+    S = rho_theorem1(ResidueMatrix(conductor(n), 0, -1, 1, 0), n)
+    _read_only(S.arr)
+    return S
 
 
 def rho_T(n):
@@ -526,17 +540,40 @@ def evaluate_word(word, n):
     """Evaluate an STWord by direct matrix multiplication; this is the oracle.
 
     rho(S)^2 = 1, as S^2 = -1 and rho(-1) = 1, so a token S^e multiplies by
-    rho(S) for odd e and by nothing for even e.  test_rho_S_is_the_sine_matrix
-    in tests/test_wzwrep.py checks rho(S)^2 = 1 exactly at every level where
-    the tests or the benchmark run this oracle.
+    rho(S) for odd e and by nothing for even e.  The product starts at the
+    first odd S, not at the identity: the T tokens before it add up to one
+    power rho(T)^lead, and rho(T)^lead rho(S) = (rho(S) rho(T)^lead)^T, a
+    column scaling of rho(S) and a transpose, with no product, because
+    rho(T) is diagonal and rho(S) symmetric.  So a word with m odd S tokens
+    costs m - 1 products (of the general kind, with the coordinate bound),
+    and a T after the first odd S is a column scaling.
+    test_rho_S_is_the_sine_matrix in tests/test_wzwrep.py checks exactly
+    that rho(S) is symmetric and squares to 1, at every level where the
+    tests or the benchmark run this oracle.
     """
-    conductor(n)
-    acc = RepMatrix.identity(n)
-    for letter, e in word.tokens:
+    if not isinstance(word, STWord):
+        raise TypeError(f"evaluate_word needs an STWord, got {type(word).__name__}")
+    N = conductor(n)
+    tokens = iter(word.tokens)
+    lead = 0
+    for letter, e in tokens:
+        if letter == "T":
+            lead += e
+        elif e % 2:
+            break
+    else:
+        return RepMatrix.identity(n).scale_cols(_t_exponents(n, lead))
+    S = rho_S(n)
+    acc = S
+    if lead % N:
+        # a transpose permutes the entries, so the result stays normalized
+        arr = S.scale_cols(_t_exponents(n, lead)).arr
+        acc = RepMatrix._unit_image(n, arr.transpose(1, 0, 2).copy(), S.den)
+    for letter, e in tokens:
         if letter == "T":
             acc = acc.scale_cols(_t_exponents(n, e))
         elif e % 2:
-            acc = acc * rho_S(n)
+            acc = acc * S
     return acc
 
 
@@ -592,7 +629,8 @@ def _sqrt_table(n):
     M = 8 * n
     w = np.bincount(np.arange(M) ** 2 % M, minlength=M)
     start = (w + np.roll(w, 6 * n)) @ _tables(M)["rows"]
-    return _gather_form(n, _zeta_orbit(start, M, M), M)
+    table, D, g = _gather_form(n, _zeta_orbit(start, M, M), M)
+    return _read_only(table), D, g
 
 
 def _gather_form(n, table, D):
@@ -641,7 +679,7 @@ def _sqrt_planes(n):
     M = 8 * n
     table, D, _ = _sqrt_table(n)
     k = _num_primes(M, D**2 * _vinv_bound(M))
-    return _planes(table, _max_abs(table), M, k), k
+    return _read_only(_planes(table, _max_abs(table), M, k)), k
 
 
 @lru_cache(maxsize=MAX_LEVELS)
@@ -660,7 +698,8 @@ def _theorem1_tables(n):
             inv[C] = pow(C, -1, M)
             sign[C] = jacobi(2 * n, int(inv[C]))
     a = np.arange(1, n)
-    return {"inv": inv, "sign": sign, "t": 2 * a * a - n, "cross": 4 * np.outer(a, a)}
+    arrays = {"inv": inv, "sign": sign, "t": 2 * a * a - n, "cross": 4 * np.outer(a, a)}
+    return {key: _read_only(arr) for key, arr in arrays.items()}
 
 
 def _theorem1_exponents(A, C, D, n, size=None):

@@ -26,7 +26,9 @@ from affinesl2.wzwrep import (
     _product_bound,
     _sqrt_planes,
     _sqrt_table,
+    _t_exponents,
     _tables,
+    _theorem1_tables,
     _unit_shift,
     _vinv_bound,
     conductor,
@@ -78,12 +80,14 @@ def test_generators_are_unitary(n):
 
 @pytest.mark.parametrize("n", [*range(3, 13), 20, 31, 50])
 def test_rho_S_is_the_sine_matrix(n):
-    """rho_S's gather equals sqrt(2n) sin(pi a b / n) / n built from Cyclotomic sines, and squares to 1.
+    """rho_S's gather equals sqrt(2n) sin(pi a b / n) / n built from Cyclotomic sines, is symmetric and squares to 1.
 
-    evaluate_word relies on rho(S)^2 = 1; n = 50 is the largest level where
-    the tests run the word oracle.
+    evaluate_word relies on rho(S)^2 = 1, and on the exact symmetry to fold
+    its leading T power into rho(S); n = 50 is the largest level where the
+    tests run the word oracle.
     """
     S = rho_S(n)
+    assert np.array_equal(S.arr, S.arr.transpose(1, 0, 2))
     if n <= 31:
         root = sqrt_int(2 * n, 8 * n)
         want = RepMatrix.from_entries(n, [[root * sin_value(n, a * b) / n for b in range(1, n)] for a in range(1, n)])
@@ -132,6 +136,113 @@ def test_word_evaluation_is_a_homomorphism(seed):
     for t in toks2[1:]:
         w2 = w2 * t
     assert evaluate_word(w1 * w2, n) == evaluate_word(w1, n) * evaluate_word(w2, n)
+
+
+def _word_by_identity_loop(word, n):
+    """The reference oracle: start at the identity, scale per T and multiply by rho(S) per odd S."""
+    acc = RepMatrix.identity(n)
+    for letter, e in word.tokens:
+        if letter == "T":
+            acc = acc.scale_cols(_t_exponents(n, e))
+        elif e % 2:
+            acc = acc * rho_S(n)
+    return acc
+
+
+def _oracle_words(n, rng, count):
+    """Edge-case words at level n, then count seeded random ones with exponents of both signs."""
+    N = conductor(n)
+    S, T = STWord.S, STWord.T
+    words = [
+        STWord(),
+        T(5),
+        T(-3),
+        T(N),
+        T(-2 * N),
+        S(),
+        S(2),
+        S(-1),
+        S(3),
+        S() * T(2) * S(),
+        S(2) * T(1) * S(),
+        S(-1) * T(-4),
+        T(N) * S() * T(1),
+        T(-2 * N) * S() * T(3) * S(-1),
+        T(7) * S(2) * T(-1) * S() * T(2),
+        T(N - 1) * S(2) * T(1),
+        T(1) * S() * T(N) * S() * T(1),
+    ]
+    for _ in range(count):
+        size = rng.randint(0, 7)
+        words.append(
+            STWord(
+                [("S", rng.randint(-3, 3)) if rng.random() < 0.4 else ("T", rng.randint(-2 * N, 2 * N)) for _ in range(size)]
+            )
+        )
+    return words
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 20])
+def test_word_oracle_matches_the_identity_led_loop(n):
+    """evaluate_word, which folds the leading T power into rho(S), equals the loop that starts at the identity."""
+    for word in _oracle_words(n, random.Random(n), 12 if n <= 12 else 4):
+        assert evaluate_word(word, n) == _word_by_identity_loop(word, n), (n, word)
+
+
+def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
+    """A word with m odd S tokens makes max(0, m - 1) products: none by a diagonal or the identity."""
+    products = []
+    mul = RepMatrix.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(RepMatrix, "__mul__", counted)
+    for n in (3, 4, 5, 6, 7):
+        for word in _oracle_words(n, random.Random(100 + n), 12):
+            odd_s = sum(1 for letter, e in word.tokens if letter == "S" and e % 2)
+            products.clear()
+            evaluate_word(word, n)
+            assert len(products) == max(0, odd_s - 1), (n, word)
+    # the Bantay word T S T S T: one product, not two
+    products.clear()
+    evaluate_word(STWord.T(3) * STWord.S() * STWord.T(7) * STWord.S() * STWord.T(3), 5)
+    assert len(products) == 1
+
+
+def test_scale_cols_takes_integer_exponents_of_any_kind():
+    """Signed-int arrays take the one-dtype-test path; uint64 arrays and Python ints beyond int64 go through _integer."""
+    n, M = 5, 40
+    x = rho_S(n) * rho_T(n)
+    exps = [-7, 0, 13, 41]
+    want = x.scale_cols(exps)
+    for same in (
+        np.array(exps),
+        np.array([e % M for e in exps], dtype=np.uint64),
+        [e + (1 << 70) * M for e in exps],
+        [np.int32(e) for e in exps],
+    ):
+        assert x.scale_cols(same) == want
+    with pytest.raises(ValueError):
+        x.scale_cols(np.zeros((2, 2), dtype=np.int64))
+
+
+def test_cached_level_arrays_are_read_only():
+    """The per-level caches hand out read-only arrays, so a caller's write cannot corrupt later results."""
+    n = 5
+    S = rho_S(n)
+    with pytest.raises(ValueError, match="read-only"):
+        S.arr[0, 0, 0] += 1
+    # evaluate_word may return the cached rho_S itself
+    assert evaluate_word(STWord.S(), n) is S
+    root = sqrt_int(2 * n, 8 * n)
+    want = RepMatrix.from_entries(n, [[root * sin_value(n, a * b) / n for b in range(1, n)] for a in range(1, n)])
+    assert rho_S(n) == want
+    tab = _tables(8 * n)
+    cached = [tab["rows"], tab["frows"], _sqrt_table(n)[0], _sqrt_planes(n)[0], *_prime_tables(8 * n, 0)[1:]]
+    cached += list(_theorem1_tables(n).values())
+    assert not any(arr.flags.writeable for arr in cached)
 
 
 def test_minus_identity_acts_trivially():
@@ -533,9 +644,12 @@ cases = [
     lambda: _characters(1, 5),
     lambda: _characters(3.0, 5),
     lambda: _characters(3, -1),
+    lambda: rho_S(5).scale_cols([0.5] * 4),
+    lambda: rho_S(5).galois_map(2.5),
 ]
 type_cases = [
     lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1)).applied_to_rows(rho_S(5).arr),
+    lambda: evaluate_word([("S", 1)], 5),
 ]
 zero_cases = [
     lambda: root_of_unity(24, 5) / 0,
