@@ -6,6 +6,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import index
 
 import numpy as np
 
@@ -158,7 +159,10 @@ class Cyclotomic:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
         if not isinstance(den, int) or den == 0:
             raise ValueError(f"denominator must be a nonzero integer, got {den!r}")
-        num = [int(c) for c in num]
+        try:
+            num = [index(c) for c in num]
+        except TypeError:
+            raise ValueError(f"Cyclotomic numerators must be integers, got {num!r}") from None
         if len(num) != euler_phi(order):
             raise ValueError(f"Q(zeta_{order}) needs {euler_phi(order)} coordinates, got {len(num)}")
         if den < 0:
@@ -297,12 +301,6 @@ class Cyclotomic:
         """Return the complex conjugate."""
         return galois(-1 % self.order if self.order > 1 else 1, self)
 
-    def rational_value(self):
-        """Return the element as a Fraction when it is rational, else None."""
-        if any(self.num[1:]):
-            return None
-        return Fraction(self.num[0], self.den)
-
     def to_dict(self):
         """Serialize to {order, coeffs, approx}."""
         z = embed(self)
@@ -311,15 +309,6 @@ class Cyclotomic:
             "coeffs": [str(Fraction(c, self.den)) for c in self.num],
             "approx": [z.real, z.imag],
         }
-
-    @staticmethod
-    def from_dict(d):
-        """Rebuild an element from its to_dict form."""
-        coeffs = [Fraction(s) for s in d["coeffs"]]
-        den = 1
-        for f in coeffs:
-            den = lcm(den, f.denominator)
-        return Cyclotomic(d["order"], [int(f * den) for f in coeffs], den)
 
     def __str__(self):
         if self.is_zero():

@@ -110,6 +110,11 @@ def sigma_perm(d, n):
     return SignedPermutation(n, perm, signs, jacobi(-2 * n, d))
 
 
+def _twisted(r, L):
+    """r with B scaled by L and C by L^-1 mod N, for L a unit mod N: sigma_L(rho(r)) = rho(_twisted(r, L))."""
+    return ResidueMatrix(r.N, r.a, r.b * L, r.c * pow(L, -1, r.N), r.d)
+
+
 def sigma_covariance_check(L, r, n):
     """Check sigma_L(rho(R)) = rho of R with B scaled by L and C by L^{-1}."""
     N = conductor(n)
@@ -117,9 +122,7 @@ def sigma_covariance_check(L, r, n):
     L = _integer("L", L)
     if gcd(L, N) != 1:
         raise ValueError(f"L = {L} is not coprime to N = {N}")
-    Linv = pow(L, -1, N)
-    twisted = ResidueMatrix(N, r.a, r.b * L, r.c * Linv, r.d)
-    return sigma_on_matrix(L, rho_closed(r, n)) == rho_closed(twisted, n)
+    return sigma_on_matrix(L, rho_closed(r, n)) == rho_closed(_twisted(r, L), n)
 
 
 def bantay_sigma_S_identity(C, n):
@@ -351,23 +354,23 @@ def _confirmed(n, hits):
     return kernel
 
 
-def enumerate_kernel(n, bound=64, workers=1):
+def enumerate_kernel(n, bound=None, workers=1):
     """Enumerate Ker rho by an exact exponent sweep over SL2(Z/NZ), each hit confirmed by in_kernel; no product.
 
-    The sweep runs in this process.  workers must be 1: the keyword stays
-    only until the benchmark's kernel-sweep ops stop passing workers=1
-    (ROADMAP item 1).  Raises ValueError when N exceeds bound or workers
-    is not 1, and RuntimeError when a sweep candidate is not confirmed.
+    The sweep runs in this process at any N.  bound and workers remain only
+    for the benchmark's kernel-sweep ops, which call
+    enumerate_kernel(n, bound=64, workers=1); no other caller passes them,
+    and both go once those ops stop passing them (ROADMAP item 1).  Raises
+    ValueError when N exceeds a given bound or workers is not 1, and
+    RuntimeError when a sweep candidate is not confirmed.
     """
     N = conductor(n)
-    if N > bound:
+    if bound is not None and N > bound:
         raise ValueError(f"enumeration bound exceeded: N = {N} > {bound}")
     if type(workers) is not int or workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
     hits, survivors = _sweep_rows(n, unimodular_rows(N))
-    kernel = _confirmed(n, sorted(hits))
-    assert kernel, "kernel must contain the identity"
-    return KernelReport(n, kernel, survivors)
+    return KernelReport(n, _confirmed(n, sorted(hits)), survivors)
 
 
 def factor_kernel_sl2z8(n):
@@ -391,9 +394,9 @@ def factor_kernel_sl2z8(n):
     return sorted(classes, key=lambda r: r.key())
 
 
-def image_order(n, bound=64):
-    """Order of the image of rho, as group order over kernel size."""
-    return enumerate_kernel(n, bound=bound).image_order
+def image_order(n):
+    """Order of the image of rho, as group order over kernel size; enumerate_kernel sets no limit on N."""
+    return enumerate_kernel(n).image_order
 
 
 def genus(p):
@@ -407,7 +410,7 @@ def phi2_image_is_normal(n, bound=40):
     """Check the kernel's projection to each CRT factor is a normal subgroup.
 
     bound limits the prime-power factors q of N, whose groups SL2(Z/qZ) are
-    enumerated element by element; the kernel sweep itself runs at any N.
+    enumerated element by element; the kernel sweep itself has no limit.
     """
     N = conductor(n)
     facs = sorted(idempotents(N))
@@ -415,7 +418,7 @@ def phi2_image_is_normal(n, bound=40):
         raise ValueError(f"N = {N} has one prime factor, so the kernel projects to one factor only")
     if facs[-1] > bound:
         raise ValueError(f"factor enumeration bound exceeded: {facs[-1]} > {bound}")
-    kernel = enumerate_kernel(n, bound=N).kernel
+    kernel = enumerate_kernel(n).kernel
     for q in facs:
         proj = {ResidueMatrix(q, r.a, r.b, r.c, r.d).key() for r in kernel}
         for g in enumerate_group(q):

@@ -17,7 +17,6 @@ __all__ = [
     "format_matrix",
     "mat_mul",
     "mat_det",
-    "word_matrix",
     "decompose",
     "lift",
     "idempotents",
@@ -137,19 +136,6 @@ def mat_det(m):
 
 
 _S_MAT = [[0, -1], [1, 0]]
-
-
-def word_matrix(w):
-    """Evaluate an STWord to a 2x2 integer matrix."""
-    out = [[1, 0], [0, 1]]
-    for letter, e in w.tokens:
-        if letter == "T":
-            out = mat_mul(out, [[1, e], [0, 1]])
-        else:
-            # S has order 4 in SL2(Z)
-            for _ in range(e % 4):
-                out = mat_mul(out, _S_MAT)
-    return out
 
 
 class ResidueMatrix:

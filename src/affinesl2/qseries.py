@@ -20,11 +20,12 @@ __all__ = [
 
 
 def _canonical(c):
+    """c as an int when integral, else as a Fraction; ValueError for a float or any other non-rational."""
     if isinstance(c, int):
         return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+    if isinstance(c, Fraction):
+        return int(c) if c.denominator == 1 else c
+    return _integer("a QSeries coefficient", c)
 
 
 class QSeries:
@@ -71,15 +72,6 @@ class QSeries:
 
     def end_exponent(self):
         return self.leading_exponent() + self.truncation
-
-    def coefficient_at(self, exponent):
-        """Coefficient of q^exponent; exponent must not exceed the window."""
-        step = Fraction(exponent) - self.leading_exponent()
-        if step < 0 or step.denominator != 1:
-            return 0
-        if step > self.truncation:
-            raise ValueError("exponent beyond the reliable window")
-        return self.coeffs[int(step)]
 
     def table(self, count):
         """The first count coefficients, at integer steps from the leading exponent."""
@@ -166,14 +158,6 @@ class QSeries:
         if lead == 0:
             return body
         return f"q^({lead}) * ({body})"
-
-    def to_dict(self):
-        """Serializable form {denominator, offset, coeffs}."""
-        return {
-            "denominator": self.den,
-            "offset": self.offset,
-            "coeffs": [c if isinstance(c, int) else str(c) for c in self.coeffs],
-        }
 
 
 def _descending_product_coeffs(truncation):

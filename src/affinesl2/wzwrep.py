@@ -501,10 +501,6 @@ class RepMatrix:
         roots = np.exp(2j * np.pi * np.arange(phi) / self.order)
         return np.tensordot(self.arr.astype(np.float64), roots, axes=([2], [0])) / self.den
 
-    def to_dicts(self):
-        """Nested list of entry dictionaries, for serialization."""
-        return [[self.entry(i, j).to_dict() for j in range(self.dim)] for i in range(self.dim)]
-
     def __repr__(self):
         return f"RepMatrix(n={self.n}, dim={self.dim}, den={self.den})"
 

@@ -104,8 +104,22 @@ def test_kernel_report_level_two(capsys):
     assert sum(1 for l in lines if l.startswith("kernel_element")) == 8
 
 
-def test_kernel_bound_too_small(capsys):
-    assert run(["kernel", "--level", "3", "--bound", "8"]) == 2
+def test_bound_is_an_unrecognized_argument(capsys):
+    for argv in (
+        ["kernel", "--level", "3", "--bound", "8"],
+        ["image-order", "--level", "1", "--bound", "64"],
+        ["verify-all", "--level", "1", "--samples", "2", "--bound", "64"],
+    ):
+        assert run(argv) == 2
+        assert "unrecognized arguments: --bound" in capsys.readouterr().err
+
+
+def test_kernel_runs_above_the_old_size_limit(capsys):
+    """N = 488 at level 59: the kernel has the known 16 elements."""
+    code, lines = _capture(capsys, ["kernel", "--level", "59", "--check-lists"])
+    assert code == 0
+    assert "kernel_size 16" in lines
+    assert "known_list_check pass" in lines
 
 
 def test_workers_is_an_unrecognized_argument(capsys):
@@ -121,6 +135,8 @@ def test_workers_is_an_unrecognized_argument(capsys):
 def test_image_order(capsys):
     code, lines = _capture(capsys, ["image-order", "--level", "1"])
     assert code == 0 and lines == ["144"]
+    code, lines = _capture(capsys, ["image-order", "--level", "29"])
+    assert code == 0 and lines == ["714240"]
 
 
 def test_characters_table(capsys):
@@ -188,6 +204,14 @@ def test_verify_all_level_one(capsys):
     assert code == 0
     assert "all pass" in lines
     assert any(l.startswith("closed_vs_word") and l.endswith("pass") for l in lines)
+
+
+def test_verify_all_checks_the_kernel_above_the_old_size_limit(capsys):
+    """N = 72 at level 16: the kernel checks run."""
+    code, lines = _capture(capsys, ["verify-all", "--level", "16", "--samples", "2", "--seed", "1"])
+    assert code == 0
+    assert "kernel size=4 image=62208 pass" in lines
+    assert "kernel_known_list pass" in lines
 
 
 def test_verify_all_is_deterministic(capsys):

@@ -159,18 +159,11 @@ def test_euler_phi():
     assert [euler_phi(m) for m in (1, 2, 8, 24, 40, 56)] == [1, 1, 4, 8, 16, 24]
 
 
-def test_rational_detection():
-    x = from_rational(24, Fraction(7, 3))
-    assert x.rational_value() == Fraction(7, 3)
-    assert root_of_unity(24, 1).rational_value() is None
-    assert root_of_unity(24, 12).rational_value() == -1
-
-
 def test_dict_roundtrip():
     x = root_of_unity(40, 3) * Fraction(2, 5) - one(40)
     d = x.to_dict()
     assert d["order"] == 40 and len(d["coeffs"]) == euler_phi(40)
-    assert Cyclotomic.from_dict(d) == x
+    assert [Fraction(c) for c in d["coeffs"]] == [Fraction(c, x.den) for c in x.num]
     assert abs(complex(d["approx"][0], d["approx"][1]) - embed(x)) < 1e-12
 
 

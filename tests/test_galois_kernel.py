@@ -112,8 +112,8 @@ def test_in_kernel_detects_scalars():
 
 
 def test_kernel_n5_matches_the_known_sixteen():
-    for n, bound in ((5, 64), (9, 88), (11, 88)):
-        report = enumerate_kernel(n, bound=bound)
+    for n in (5, 9, 11):
+        report = enumerate_kernel(n)
         assert len(report.kernel) == 16, n
         assert report.matches_known is True, n
         assert report.image_order == sl2_order(conductor(n)) // 16, n
@@ -159,7 +159,11 @@ def test_kernel_coprime_obstruction():
 
 
 def test_enumeration_runs_in_one_process_and_takes_only_workers_1():
-    """workers=1 gives the default report; any other value raises rather than being ignored."""
+    """workers=1 gives the default report; any other value raises rather than being ignored.
+
+    The benchmark's kernel-sweep call enumerate_kernel(n, bound=64, workers=1)
+    still works, and a bound below N still raises.
+    """
     solo = enumerate_kernel(4)
     assert enumerate_kernel(4, workers=1).to_text() == solo.to_text()
     assert solo.survivors == 192
@@ -168,6 +172,9 @@ def test_enumeration_runs_in_one_process_and_takes_only_workers_1():
     for bad in (0, 2, 1.5, "2", None):
         with pytest.raises(ValueError):
             enumerate_kernel(4, workers=bad)
+    assert len(enumerate_kernel(5, bound=64, workers=1).kernel) == 16
+    with pytest.raises(ValueError):
+        enumerate_kernel(5, bound=8)
 
 
 @pytest.mark.parametrize("M", [24, 32])
@@ -234,7 +241,7 @@ def test_congruence_sweep_matches_the_all_a_reference(n):
     want_hits, want_survivors = _all_a_sweep_rows(n, rows)
     assert sorted(hits) == sorted(want_hits)
     assert survivors == want_survivors
-    assert enumerate_kernel(n, bound=conductor(n)).survivors == want_survivors
+    assert enumerate_kernel(n).survivors == want_survivors
 
 
 def test_newly_reachable_levels_match_the_known_lists():
@@ -242,7 +249,7 @@ def test_newly_reachable_levels_match_the_known_lists():
     orders = {20: 92160, 31: 714240}
     for n in range(5, 41):
         N, size = conductor(n), 16 if n % 2 else 4
-        report = enumerate_kernel(n, bound=N)
+        report = enumerate_kernel(n)
         assert len(report.kernel) == size, n
         assert report.image_order == orders.get(n, sl2_order(N) // size), n
         assert report.matches_known is True, n
@@ -298,7 +305,7 @@ def test_genus_matches_the_exact_kernel(p):
     elliptic points, and every cusp has width ord rho(T) = N.
     """
     N = conductor(p)
-    mu = image_order(p, bound=N)
+    mu = image_order(p)
     assert genus(p) == 1 + Fraction(mu, 12) - Fraction(mu, 2 * N)
 
 
@@ -332,6 +339,6 @@ def test_factor_generator_orders():
 
 
 def test_phi2_image_is_normal():
-    """Normal at N = 24, and at N = 72..120, beyond the kernel sweep's default bound of 64: only the factor bound applies."""
+    """Normal at N = 24 and at N = 72..120: the kernel sweep has no size limit, only the factor bound applies."""
     for n in (3, 9, 11, 13, 15):
         assert phi2_image_is_normal(n), n

@@ -24,8 +24,20 @@ from affinesl2.modgroup import (
     random_matrix,
     sl2_order,
     unimodular_rows,
-    word_matrix,
 )
+
+
+def word_matrix(w):
+    """Evaluate an STWord to a 2x2 integer matrix, letter by letter: the reference for decompose."""
+    out = [[1, 0], [0, 1]]
+    for letter, e in w.tokens:
+        if letter == "T":
+            out = mat_mul(out, [[1, e], [0, 1]])
+        else:
+            # S has order 4 in SL2(Z)
+            for _ in range(e % 4):
+                out = mat_mul(out, [[0, -1], [1, 0]])
+    return out
 
 
 def _random_sl2z(rng, steps=8):

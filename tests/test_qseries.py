@@ -92,11 +92,11 @@ def test_series_ring_laws(data):
     assert (a * b) * c == a * (b * c)
     lhs = a * (b + c)
     rhs = a * b + a * c
-    end = min(lhs.end_exponent(), rhs.end_exponent())
-    e = lhs.leading_exponent()
-    while e <= end:
-        assert lhs.coefficient_at(e) == rhs.coefficient_at(e)
-        e += 1
+    # both sides on one exponent grid, from the lower lead to the shorter window's end
+    start = min(lhs.leading_exponent(), rhs.leading_exponent())
+    count = int(min(lhs.end_exponent(), rhs.end_exponent()) - start) + 1
+    grid = lambda s: ([0] * int(s.leading_exponent() - start) + s.coeffs)[:count]
+    assert grid(lhs) == grid(rhs)
 
 
 def test_powers_match_repeated_products():
@@ -167,9 +167,8 @@ def test_character_truncation_is_sound():
     """A longer computation restricted to the shorter window agrees exactly."""
     a = character(1, 4, 8)
     b = character(1, 4, 20)
-    lead = a.leading_exponent()
-    for j in range(9):
-        assert a.coefficient_at(lead + j) == b.coefficient_at(lead + j)
+    assert a.leading_exponent() == b.leading_exponent()
+    assert a.coeffs == b.coeffs[:9]
     # every weight, including those whose lead exceeds 7/8, and short windows
     for n in range(3, 13):
         for lam in range(1, n):
@@ -253,11 +252,8 @@ def test_s_transform_fails_with_wrong_sign():
     assert worst > 1e-3
 
 
-def test_str_and_dict_forms():
+def test_str_forms():
     chi1 = character(1, 3, 4)
     assert str(chi1).startswith("q^(-1/24) * (1 + 3 q^1 + 4 q^2")
-    d = chi1.to_dict()
-    assert d["denominator"] == 72 and d["offset"] == -3
-    assert d["coeffs"][0] == 1
     plain = QSeries(1, 0, [1, -2, 0, 4])
     assert str(plain) == "1 - 2 q^1 + 4 q^3"

@@ -466,7 +466,7 @@ def test_rep_matrix_entry_access_and_serialization():
     S = rho_S(3)
     e = S.entry(0, 0)
     assert abs(embed(e) - 1 / math.sqrt(2)) < 1e-12
-    dicts = S.to_dicts()
+    dicts = [[x.to_dict() for x in row] for row in S.entries()]
     assert dicts[0][0] == e.to_dict()
     assert len(dicts) == 2 and len(dicts[0]) == 2
 
@@ -523,7 +523,7 @@ cases = [
     lambda: rho_float([[2, 0], [0, 2]], 5),
     lambda: rho_closed([[2, 0], [0, 2]], 5),
     lambda: _unit_shift(types.SimpleNamespace(a=2, b=0, c=0, d=2), 5),
-    lambda: enumerate_kernel(9),
+    lambda: enumerate_kernel(5, bound=8),
     lambda: conductor(2),
     lambda: conductor(5.0),
     lambda: factor_kernel_sl2z8(5),
@@ -646,6 +646,8 @@ cases = [
     lambda: _characters(3, -1),
     lambda: rho_S(5).scale_cols([0.5] * 4),
     lambda: rho_S(5).galois_map(2.5),
+    lambda: Cyclotomic(4, [0.5, 1.9]),
+    lambda: QSeries(1, 0, [0.5, 1]),
 ]
 type_cases = [
     lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1)).applied_to_rows(rho_S(5).arr),
