@@ -18,6 +18,7 @@ from .wzwrep import (
     RepMatrix,
     _as_residue,
     _signed_fold,
+    _sqrt_table,
     _theorem1_exponents,
     _theorem1_tables,
     _unit_shift,
@@ -25,7 +26,6 @@ from .wzwrep import (
     evaluate_word,
     rho_S,
     rho_closed,
-    rho_theorem1,
 )
 
 __all__ = [
@@ -47,6 +47,11 @@ __all__ = [
 # stage 1 of the kernel sweep solves at most this many bottom rows at once: a
 # larger block raises the sweep's peak memory for little speed
 _CHUNK = 1 << 13
+# the exact confirmation gathers at most this many table values per buffer,
+# or one row if that is more: on a 2-core Xeon VM, confirming the 16 hits at
+# n = 31, 61 and 101 took 7, 50 and 264 ms with 2^15, 12, 60 and 277 ms
+# with 2^13 (_CHUNK), and 10-23, 88-128 and 371-453 ms with 2^17 and 2^19
+_BLOCK = 1 << 15
 
 
 class SignedPermutation:
@@ -137,15 +142,8 @@ def bantay_sigma_S_identity(C, n):
 
 
 def in_kernel(r, n):
-    """True when rho(r) is exactly the identity; two theorem1 gathers compared in coordinates, no product.
-
-    With k and W = r T^k S from _unit_shift, r = W S^-1 T^-k, so rho(r) = 1
-    exactly when rho(W) = rho(T^k S), and W and T^k S = (k, -1; 1, 0) both
-    lie in the theorem1 stratum.
-    """
-    r = _as_residue(r, n)
-    k, w = _unit_shift(r, n)
-    return rho_theorem1(w, n) == rho_theorem1(ResidueMatrix(r.N, k, -1, 1, 0), n)
+    """True when rho(r) is exactly the identity: _kernel_mask on r alone, no product."""
+    return bool(_kernel_mask([_as_residue(r, n)], n)[0])
 
 
 def expected_kernel_slice(n):
@@ -281,7 +279,7 @@ def _fibres(n):
 def _sweep_rows(n, rows):
     """Kernel elements among the elements of SL2(Z/NZ) with the given bottom rows (c, d), exactly.
 
-    As in in_kernel, r with bottom row (c, d) is in the kernel exactly when
+    As in _kernel_mask, r with bottom row (c, d) is in the kernel exactly when
     rho_theorem1(W) = rho_theorem1(T^k S), for W = r T^k S = (A, B; C, D)
     with C = ck + d and D = -c.  Entry (a, b) of either side is
     sqrt(2n)/(2n) (zeta^p - zeta^q), zeta = zeta_8n, with (p, q) from
@@ -338,29 +336,71 @@ def _sweep_rows(n, rows):
     return hits, survivors
 
 
-def _confirmed(n, hits):
-    """Confirm each kernel key exactly by in_kernel; RuntimeError if one fails.
+def _kernel_mask(rs, n):
+    """One bool per ResidueMatrix in rs: whether rho(r) is exactly the identity; no product.
 
-    in_kernel starts again from the key, with the scalar _unit_shift, and compares
-    coordinates, so it checks the stage-1 algebra, _least_shifts and _same_difference.
+    With k and W = r T^k S from the scalar _unit_shift, r = W S^-1 T^-k, so
+    rho(r) = 1 exactly when rho_theorem1(W) = rho_theorem1(T^k S), and W and
+    T^k S = (k, -1; 1, 0) both lie in the theorem1 stratum.  Row a of either
+    side is Q[p] - Q[q] over the table's denominator, for the table Q of
+    _sqrt_table and the exponents (p, q) of _theorem1_exponents, which runs
+    once on the arrays of every W and once on those of every T^k S.  Both
+    sides share that denominator and the normalizing divisor g, so their
+    numerators are equal before the // g exactly when they are equal after
+    it, and none is needed.  The (element, row) pairs are gathered _BLOCK
+    values at a time into buffers allocated once, and the two sides are
+    compared in coordinates, not through _same_difference, so the mask is
+    independent of the sweep.
+    """
+    if not rs:
+        return np.zeros(0, dtype=bool)
+    table, _, _ = _sqrt_table(n)
+    shifts = [_unit_shift(r, n) for r in rs]
+    k = np.array([shift for shift, _ in shifts])
+    A, _, C, D = np.array([w.key() for _, w in shifts]).T
+    dim, phi = n - 1, table.shape[1]
+    # each (element, row) pair: the row's exponents on the left, W, and on the right, T^k S
+    pairs = [x.reshape(-1, dim) for x in _theorem1_exponents(A, C, D, n) + _theorem1_exponents(k, 1, 0, n)]
+    rows_ok = np.empty(len(pairs[0]), dtype=bool)
+    step = min(len(rows_ok), max(1, _BLOCK // (dim * phi)))
+    left, right, tmp = (np.empty((step, dim, phi), dtype=table.dtype) for _ in range(3))
+    # every exponent lies in [0, 8n), so mode="clip" moves none; unlike the
+    # default mode it gathers straight into out, with no buffered copy
+    for start in range(0, len(rows_ok), step):
+        m = min(step, len(rows_ok) - start)
+        p, q, p1, q1 = (x[start : start + m] for x in pairs)
+        np.take(table, p, axis=0, out=left[:m], mode="clip")
+        left[:m] -= np.take(table, q, axis=0, out=tmp[:m], mode="clip")
+        np.take(table, p1, axis=0, out=right[:m], mode="clip")
+        right[:m] -= np.take(table, q1, axis=0, out=tmp[:m], mode="clip")
+        rows_ok[start : start + m] = (left[:m] == right[:m]).all(axis=(1, 2))
+    return rows_ok.reshape(len(rs), dim).all(axis=1)
+
+
+def _confirmed(n, hits):
+    """Confirm the kernel keys exactly, all in one _kernel_mask pass; RuntimeError for the first that fails.
+
+    _kernel_mask starts again from each key, with the scalar _unit_shift, and
+    compares coordinates, so it checks the stage-1 algebra, _least_shifts and
+    _same_difference.
     """
     N = conductor(n)
-    kernel = []
-    for key in hits:
-        r = ResidueMatrix(N, *key)
-        if not in_kernel(r, n):
+    kernel = [ResidueMatrix(N, *key) for key in hits]
+    for r, ok in zip(kernel, _kernel_mask(kernel, n)):
+        if not ok:
             raise RuntimeError(f"sweep candidate {r} at n = {n} fails exact confirmation")
-        kernel.append(r)
     return kernel
 
 
 def enumerate_kernel(n, bound=None, workers=1):
-    """Enumerate Ker rho by an exact exponent sweep over SL2(Z/NZ), each hit confirmed by in_kernel; no product.
+    """Enumerate Ker rho by an exact exponent sweep over SL2(Z/NZ), every hit confirmed by one _kernel_mask pass; no product.
 
-    The sweep runs in this process at any N.  bound and workers remain only
-    for the benchmark's kernel-sweep ops, which call
-    enumerate_kernel(n, bound=64, workers=1); no other caller passes them,
-    and both go once those ops stop passing them (ROADMAP item 1).  Raises
+    The sweep runs in this process at any N: about 0.1 s and 36 MB peak RSS
+    at n = 61 (N = 488), and 0.4 s and 46 MB at n = 101 (N = 808), on a
+    2-core Xeon VM.  bound and workers remain only for the benchmark's
+    kernel-sweep ops, which call enumerate_kernel(n, bound=64, workers=1);
+    no other caller passes them, and both go once those ops stop passing
+    them (ROADMAP item 1).  Raises
     ValueError when N exceeds a given bound or workers is not 1, and
     RuntimeError when a sweep candidate is not confirmed.
     """
@@ -379,8 +419,8 @@ def factor_kernel_sl2z8(n):
     An element of SL2(Z/8Z) embeds by CRT as itself mod 8 and the identity
     mod N/8.  One exact sweep (_sweep_rows) over the 48 embedded bottom rows
     finds every kernel element with such a row; the hits whose top row is
-    (1, 0) mod N/8 are the embedded ones, and each is confirmed by
-    in_kernel as in enumerate_kernel.
+    (1, 0) mod N/8 are the embedded ones, and they are confirmed in one
+    _kernel_mask pass (_confirmed), as in enumerate_kernel.
     """
     if n % 4 != 3:
         raise ValueError(f"the mod-8 factor kernel needs n = 3 mod 4, got n = {n}")

@@ -1,6 +1,9 @@
 """Tests for Galois symmetries, kernel enumeration, image order, and genus."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -20,6 +23,7 @@ from affinesl2.modgroup import (
 )
 from affinesl2.wzwrep import (
     RepMatrix,
+    _sqrt_table,
     _theorem1_exponents,
     _theorem1_tables,
     conductor,
@@ -29,6 +33,7 @@ from affinesl2.wzwrep import (
     rho_T,
 )
 from affinesl2.galois_kernel import (
+    _kernel_mask,
     _least_shifts,
     _same_difference,
     _sweep_rows,
@@ -191,16 +196,23 @@ def test_exponent_difference_rule_matches_cyclotomic_equality(M):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_sweep_matches_the_per_element_exact_reference(n):
+def test_sweep_matches_the_per_element_exact_reference(n, monkeypatch):
     """The exact sweep finds exactly the elements of SL2(Z/NZ) that rho_closed, one at a time, sends to 1.
 
-    in_kernel, the sweep's confirmation, agrees with rho_closed on every element.
+    _kernel_mask, the sweep's confirmation, run once over the whole group in
+    blocks of fewer rows than one element has, and in_kernel on each element
+    agree with rho_closed on every element, so no block boundary lets a
+    mask leak between elements.
     """
     N = conductor(n)
     hits, survivors = _sweep_rows(n, unimodular_rows(N))
+    group = list(enumerate_group(N))
+    monkeypatch.setattr(galois_kernel, "_BLOCK", (n - 1) ** 2 * _sqrt_table(n)[0].shape[1] - 1)
+    mask = _kernel_mask(group, n)
     want = []
-    for r in enumerate_group(N):
+    for r, confirmed in zip(group, mask, strict=True):
         identity = rho_closed(r, n).is_identity()
+        assert confirmed == identity, r
         assert in_kernel(r, n) == identity, r
         if identity:
             want.append(r.key())
@@ -255,10 +267,31 @@ def test_newly_reachable_levels_match_the_known_lists():
         assert report.matches_known is True, n
 
 
+def test_kernel_at_n101_stays_within_40_mb():
+    """enumerate_kernel(101), N = 808, finds the 16 known elements, and its peak RSS grows by under 40 MB.
+
+    The confirmation gathers a block of rows at a time; two whole gathers per
+    hit grew the peak by about 100 MB here.  ru_maxrss is in KB on Linux.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(galois_kernel.__file__)))
+    code = """
+import resource
+from affinesl2.galois_kernel import enumerate_kernel
+from affinesl2.modgroup import sl2_order
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+report = enumerate_kernel(101)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base
+print(len(report.kernel), report.matches_known, report.image_order == sl2_order(808) // 16, grown < 40 * 1024, grown)
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[:4] == ["16", "True", "True", "True"], done.stdout
+
+
 def test_kernel_confirmation_is_guarded_and_needs_no_product(monkeypatch):
-    """A sweep candidate that in_kernel does not confirm raises, and the kernel path never reaches a product."""
+    """A sweep candidate that _kernel_mask does not confirm raises, and the kernel path never reaches a product."""
     with monkeypatch.context() as m:
-        m.setattr(galois_kernel, "in_kernel", lambda r, n: False)
+        m.setattr(galois_kernel, "_kernel_mask", lambda rs, n: np.zeros(len(rs), dtype=bool))
         with pytest.raises(RuntimeError, match="exact confirmation"):
             enumerate_kernel(4)
 
@@ -271,6 +304,10 @@ def test_kernel_confirmation_is_guarded_and_needs_no_product(monkeypatch):
         assert len(enumerate_kernel(4).kernel) == 8
         assert len(factor_kernel_sl2z8(7)) == 4
         assert not in_kernel(ResidueMatrix(conductor(5), 1, 1, 0, 1), 5)
+
+    with monkeypatch.context() as m:
+        m.setattr(galois_kernel, "_sqrt_table", refuse)
+        assert galois_kernel._confirmed(5, []) == []
 
 
 def test_kernel_report_text():
