@@ -9,7 +9,6 @@ from .modgroup import (
     ResidueMatrix,
     STWord,
     _integer,
-    enumerate_group,
     idempotents,
     sl2_order,
     unimodular_rows,
@@ -446,25 +445,27 @@ def genus(p):
     return 1 + (p * p - 1) * (4 * p - 3) // 2
 
 
-def phi2_image_is_normal(n, bound=40):
-    """Check the kernel's projection to each CRT factor is a normal subgroup.
+def phi2_image_is_normal(n):
+    """Check the kernel's projection H to each CRT factor q of N is normal in SL2(Z/qZ).
 
-    bound limits the prime-power factors q of N, whose groups SL2(Z/qZ) are
-    enumerated element by element; the kernel sweep itself has no limit.
+    The check closes H under conjugation by S = (0, -1; 1, 0) and
+    T = (1, 1; 0, 1) mod q only; that is the full condition g H g^-1 = H for
+    every g in SL2(Z/qZ).  The g with g H g^-1 contained in H are closed
+    under products.  Conjugation by g is injective, so on the finite set H
+    containment is equality, and then g^-1 H g = H too: those g form a
+    subgroup.  It holds S and T mod q, and S and T generate SL2(Z), whose
+    reduction SL2(Z) -> SL2(Z/qZ) is onto, so it is all of SL2(Z/qZ).
+    Raises ValueError when N is a prime power.
     """
     N = conductor(n)
     facs = sorted(idempotents(N))
     if len(facs) < 2:
         raise ValueError(f"N = {N} has one prime factor, so the kernel projects to one factor only")
-    if facs[-1] > bound:
-        raise ValueError(f"factor enumeration bound exceeded: {facs[-1]} > {bound}")
     kernel = enumerate_kernel(n).kernel
     for q in facs:
-        proj = {ResidueMatrix(q, r.a, r.b, r.c, r.d).key() for r in kernel}
-        for g in enumerate_group(q):
+        H = {ResidueMatrix(q, r.a, r.b, r.c, r.d) for r in kernel}
+        for g in (ResidueMatrix(q, 0, -1, 1, 0), ResidueMatrix(q, 1, 1, 0, 1)):
             ginv = g.inverse()
-            for key in proj:
-                k = ResidueMatrix(q, *key)
-                if (g * k * ginv).key() not in proj:
-                    return False
+            if any(g * h * ginv not in H for h in H):
+                return False
     return True

@@ -160,6 +160,14 @@ class QSeries:
         return f"q^({lead}) * ({body})"
 
 
+def _truncation(value):
+    """value as an int truncation order; ValueError for a non-integer or a negative value."""
+    truncation = _integer("truncation", value)
+    if truncation < 0:
+        raise ValueError(f"truncation {truncation} is negative")
+    return truncation
+
+
 def _descending_product_coeffs(truncation):
     """Coefficients of prod_{m>=1} (1 - q^m) through q^truncation."""
     poly = [0] * (truncation + 1)
@@ -176,9 +184,7 @@ def eta_inverse_cubed(truncation):
     Jacobi's identity prod(1-q^m)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2) gives
     the product with O(sqrt(truncation)) terms; its inverse follows term by term.
     """
-    truncation = _integer("truncation", truncation)
-    if truncation < 0:
-        raise ValueError(f"truncation {truncation} is negative")
+    truncation = _truncation(truncation)
     jacobi = []
     k = 1
     while k * (k + 1) // 2 <= truncation:
@@ -254,11 +260,9 @@ def character(lam, n, truncation):
     coefficients from its lead (6 lam^2 - 3n)/24n.  `_characters` builds all
     weights of a level from one 1/eta^3.
     """
-    lam, n, truncation = _integer("lam", lam), _integer("n", n), _integer("truncation", truncation)
+    lam, n, truncation = _integer("lam", lam), _integer("n", n), _truncation(truncation)
     if not 1 <= lam <= n - 1:
         raise ValueError(f"weight {lam} is not in 1..{n - 1}")
-    if truncation < 0:
-        raise ValueError(f"truncation {truncation} is negative")
     return _theta(lam, n, truncation) * eta_inverse_cubed(truncation)
 
 
@@ -268,20 +272,16 @@ def _characters(n, truncation):
     n and truncation are checked as `character` checks them; below n = 2
     there is no weight, and the ValueError says so.
     """
-    n, truncation = _integer("n", n), _integer("truncation", truncation)
+    n, truncation = _integer("n", n), _truncation(truncation)
     if n < 2:
         raise ValueError(f"level n = {n} has no weight in 1..{n - 1}")
-    if truncation < 0:
-        raise ValueError(f"truncation {truncation} is negative")
     eta = eta_inverse_cubed(truncation)
     return [_theta(lam, n, truncation) * eta for lam in range(1, n)]
 
 
 def verify_k1_identity(truncation):
     """Check chi1 chi2 (chi1^4 - chi2^4) = 2 as a series through q^truncation."""
-    truncation = _integer("truncation", truncation)
-    if truncation < 0:
-        raise ValueError(f"truncation {truncation} is negative")
+    truncation = _truncation(truncation)
     chi1, chi2 = _characters(3, truncation + 3)
     p = chi1 * chi2 * (chi1**4 - chi2**4)
     if p.end_exponent() < truncation:
@@ -293,9 +293,7 @@ def verify_k1_identity(truncation):
 
 def verify_t_parametrization(truncation):
     """Check t chi1^8 - 2 chi1^4 - t^5 = 0 (t = chi1 chi2) through q^truncation."""
-    truncation = _integer("truncation", truncation)
-    if truncation < 0:
-        raise ValueError(f"truncation {truncation} is negative")
+    truncation = _truncation(truncation)
     chi1, chi2 = _characters(3, truncation + 4)
     t = chi1 * chi2
     e = t * chi1**8 - 2 * chi1**4 - t**5

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from math import gcd
 
@@ -220,6 +221,19 @@ def test_sweep_matches_the_per_element_exact_reference(n, monkeypatch):
     assert len(want) <= survivors < sl2_order(N)
 
 
+def test_kernel_mask_decides_a_short_last_block(monkeypatch):
+    """A last block shorter than the others, holding exactly the rows of T, is decided on its own rows.
+
+    Five identities and then T at n = 5 give 24 rows; blocks of five rows
+    leave the 4 rows of T alone in the last, short block.
+    """
+    n, dim = 5, 4
+    N = conductor(n)
+    rs = [ResidueMatrix(N, 1, 0, 0, 1)] * (dim + 1) + [ResidueMatrix(N, 1, 1, 0, 1)]
+    monkeypatch.setattr(galois_kernel, "_BLOCK", (dim + 1) * dim * _sqrt_table(n)[0].shape[1])
+    assert _kernel_mask(rs, n).tolist() == [True] * (dim + 1) + [False]
+
+
 def _all_a_sweep_rows(n, rows):
     """The sweep with stage 1 testing entry (1, 1) at all N values of A on every row, the reference for the congruence solve."""
     N, M = conductor(n), 8 * n
@@ -257,9 +271,9 @@ def test_congruence_sweep_matches_the_all_a_reference(n):
 
 
 def test_newly_reachable_levels_match_the_known_lists():
-    """The exhaustive kernel at every n = 5..40 (N up to 312) matches the known lists and image orders."""
+    """The exhaustive kernel at every n = 5..40 (N up to 312) and at nine levels up to n = 125 (N = 1000) matches the known lists and image orders."""
     orders = {20: 92160, 31: 714240}
-    for n in range(5, 41):
+    for n in [*range(5, 41), 45, 50, 64, 75, 81, 90, 99, 110, 125]:
         N, size = conductor(n), 16 if n % 2 else 4
         report = enumerate_kernel(n)
         assert len(report.kernel) == size, n
@@ -376,6 +390,13 @@ def test_factor_generator_orders():
 
 
 def test_phi2_image_is_normal():
-    """Normal at N = 24 and at N = 72..120: the kernel sweep has no size limit, only the factor bound applies."""
-    for n in (3, 9, 11, 13, 15):
+    """Normal at N = 24, at N = 72..120 and at N = 344, whose factor q = 43 the check handles through S and T alone."""
+    for n in (3, 9, 11, 13, 15, 43):
         assert phi2_image_is_normal(n), n
+
+
+def test_phi2_image_is_not_normal_when_conjugation_by_s_leaves_the_projection(monkeypatch):
+    """A kernel of {1, T} mod 40 projects to {1, T} mod 8, and S T S^-1 = (1, 0; -1, 1) is not in it."""
+    kernel = [ResidueMatrix(40, 1, 0, 0, 1), ResidueMatrix(40, 1, 1, 0, 1)]
+    monkeypatch.setattr(galois_kernel, "enumerate_kernel", lambda n: types.SimpleNamespace(kernel=kernel))
+    assert phi2_image_is_normal(5) is False
