@@ -21,7 +21,6 @@ __all__ = [
     "lift",
     "idempotents",
     "local_generators",
-    "enumerate_group",
     "random_matrix",
     "sl2_order",
     "unimodular_rows",
@@ -356,16 +355,6 @@ def unimodular_rows(N):
     # gcd(c, d, N) = gcd(gcd(c, N), gcd(d, N)), one N x N mask
     g = np.gcd(np.arange(N), N)
     return np.argwhere(np.gcd.outer(g, g) == 1)
-
-
-def enumerate_group(N, bound=100):
-    """Yield all of SL2(Z/NZ) as ResidueMatrix values, deterministically ordered."""
-    if N > bound:
-        raise ValueError(f"enumeration bound exceeded: N = {N} > {bound}")
-    for c, d in unimodular_rows(N).tolist():
-        a0, b0 = complete_row(N, c, d)
-        for t in range(N):
-            yield ResidueMatrix(N, a0 + t * c, b0 + t * d, c, d)
 
 
 def random_matrix(N, rng):

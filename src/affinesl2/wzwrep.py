@@ -292,7 +292,7 @@ def _multimodular_product(M, k, a, b):
     k phi products; V^-1 takes the planes of each prime back to coordinates,
     and CRT combines the primes.  a and b are overwritten.
     """
-    phi, dim = euler_phi(M), a.shape[1]
+    phi, dim = _tables(M)["phi"], a.shape[1]
     planes = np.matmul(a, b).reshape(k, phi, dim * dim)
     # a and b are free now: a is the work array, b takes the residues
     work = a.reshape(k, phi * dim * dim)
@@ -305,6 +305,29 @@ def _multimodular_product(M, k, a, b):
         _center(residues[s], p, work[s])
         primes.append(p)
     return _crt(residues, primes, work[0]).reshape(dim, dim, phi)
+
+
+def _product(x, y, ymax=None, yplanes=None):
+    """The RepMatrix x y of one level, by the multimodular product (see RepMatrix).
+
+    ymax, if given, is y's largest coordinate, and yplanes a dict that
+    keeps y's planes by prime count k for the next product; each product
+    multiplies a copy, as _multimodular_product overwrites its operands.
+    """
+    M, dim = x.order, x.dim
+    xmax = _max_abs(x.arr)
+    if ymax is None:
+        ymax = _max_abs(y.arr)
+    k = _num_primes(M, _product_bound(xmax, ymax, M))
+    a = _planes(x.arr.reshape(dim * dim, -1), xmax, M, k)
+    if yplanes is None:
+        b = _planes(y.arr.reshape(dim * dim, -1), ymax, M, k)
+    else:
+        if k not in yplanes:
+            yplanes[k] = _planes(y.arr.reshape(dim * dim, -1), ymax, M, k)
+        b = yplanes[k].copy()
+    product = _multimodular_product(M, k, a.reshape(-1, dim, dim), b.reshape(-1, dim, dim))
+    return RepMatrix(x.n, product, x.den * y.den)
 
 
 class RepMatrix:
@@ -395,7 +418,7 @@ class RepMatrix:
     @staticmethod
     def identity(n):
         """The identity matrix at level n - 2."""
-        dim, phi = n - 1, euler_phi(8 * n)
+        dim, phi = n - 1, _tables(8 * n)["phi"]
         arr = np.zeros((dim, dim, phi), dtype=np.int64)
         arr[range(dim), range(dim), 0] = 1
         # a 0/1 diagonal over 1 is normalized on sight
@@ -432,12 +455,7 @@ class RepMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"cannot multiply matrices of levels n = {self.n} and n = {other.n}")
-        M, dim = self.order, self.dim
-        amax, bmax = _max_abs(self.arr), _max_abs(other.arr)
-        k = _num_primes(M, _product_bound(amax, bmax, M))
-        a = _planes(self.arr.reshape(dim * dim, -1), amax, M, k).reshape(-1, dim, dim)
-        b = _planes(other.arr.reshape(dim * dim, -1), bmax, M, k).reshape(-1, dim, dim)
-        return RepMatrix(self.n, _multimodular_product(M, k, a, b), self.den * other.den)
+        return _product(self, other)
 
     def __neg__(self):
         return RepMatrix(self.n, -self.arr, self.den)
@@ -542,7 +560,10 @@ def evaluate_word(word, n):
     column scaling of rho(S) and a transpose, with no product, because
     rho(T) is diagonal and rho(S) symmetric.  So a word with m odd S tokens
     costs m - 1 products (of the general kind, with the coordinate bound),
-    and a T after the first odd S is a column scaling.
+    and a T after the first odd S is a column scaling.  Each product is
+    by rho(S), whose largest coordinate the word finds once and whose
+    planes it builds once per prime count k, kept for this call only;
+    each product still sizes k from its operands' coordinate bound.
     test_rho_S_is_the_sine_matrix in tests/test_wzwrep.py checks exactly
     that rho(S) is symmetric and squares to 1, at every level where the
     tests or the benchmark run this oracle.
@@ -565,11 +586,12 @@ def evaluate_word(word, n):
         # a transpose permutes the entries, so the result stays normalized
         arr = S.scale_cols(_t_exponents(n, lead)).arr
         acc = RepMatrix._unit_image(n, arr.transpose(1, 0, 2).copy(), S.den)
+    smax, splanes = _max_abs(S.arr), {}
     for letter, e in tokens:
         if letter == "T":
             acc = acc.scale_cols(_t_exponents(n, e))
         elif e % 2:
-            acc = acc * S
+            acc = _product(acc, S, smax, splanes)
     return acc
 
 
@@ -707,7 +729,11 @@ def _theorem1_exponents(A, C, D, n, size=None):
     n - 1, the whole matrix).  With L = C^-1 mod 8n, p and q are
     L (A(2a^2 - n) + D(2b^2 - n) + 6n +- s 4ab) mod 8n, where s = (2n|L) is
     the Jacobi sign of rho_theorem1: p and q trade places where it is -1.
+    Python ints A, C and D, as from a ResidueMatrix, go to _scalar_exponents;
+    arrays and numpy integers, as from the kernel sweep, broadcast here.
     """
+    if type(A) is int and type(C) is int and type(D) is int:
+        return _scalar_exponents(A, C, D, n, size)
     M = 8 * n
     tab = _theorem1_tables(n)
     t, cross = tab["t"][:size], tab["cross"][:size, :size]
@@ -719,6 +745,21 @@ def _theorem1_exponents(A, C, D, n, size=None):
     LA, LD, Ls, L6 = (lift(v) for v in (L * A % M, L * D % M, L * tab["sign"][C], 6 * n * L % M))
     base = LA * t[:, np.newaxis] + LD * t + L6
     cross = Ls * cross
+    return (base + cross) % M, (base - cross) % M
+
+
+def _scalar_exponents(A, C, D, n, size):
+    """_theorem1_exponents for Python ints A, C and D: the scalar factors on Python ints, one outer sum.
+
+    At n <= 12 numpy's per-call cost, not the arithmetic, sets the time,
+    and this path makes fewer calls than lifting and broadcasting scalars.
+    """
+    M = 8 * n
+    tab = _theorem1_tables(n)
+    t, cross = tab["t"][:size], tab["cross"][:size, :size]
+    L = tab["inv"].item(C)
+    base = np.add.outer((L * A % M) * t + 6 * n * L % M, (L * D % M) * t)
+    cross = L * tab["sign"].item(C) * cross
     return (base + cross) % M, (base - cross) % M
 
 
@@ -742,12 +783,17 @@ def rho_theorem1(r, n):
     _sqrt_table carries.
     """
     r = _as_residue(r, n)
-    if gcd(r.c, conductor(n)) != 1:
+    if gcd(r.c, r.N) != 1:
         raise ValueError(f"rho_theorem1 needs gcd(c, N) = 1, got {r} at n = {n}")
+    return _theorem1_gather(r, n)
+
+
+def _theorem1_gather(r, n):
+    """rho_theorem1(r, n), unchecked: r is a ResidueMatrix mod N with gcd(c, N) = 1."""
     table, den, g = _sqrt_table(n)
     p, q = _theorem1_exponents(r.a, r.c, r.d, n)
-    arr = np.take(table, p, axis=0)
-    arr -= np.take(table, q, axis=0)
+    arr = table.take(p, axis=0)
+    arr -= table.take(q, axis=0)
     if g > 1:
         arr //= g
     return RepMatrix._unit_image(n, arr, den // g)
@@ -778,8 +824,9 @@ def _unit_shift(r, n):
 def rho_closed(r, n):
     """Evaluate rho exactly, by one route for every matrix.
 
-    gcd(c, N) = 1 goes to rho_theorem1, one table gather.  Any other matrix
-    is shifted to W = r T^k S in that stratum (see _unit_shift), and
+    gcd(c, N) = 1 takes rho_theorem1's table gather, with r checked once
+    here and not again (_theorem1_gather).  Any other matrix is shifted to
+    W = r T^k S in that stratum (see _unit_shift), and
     rho(r) = rho(W) rho(S^-1 T^-k) = rho_theorem1(W) rho_theorem1(0, -1; 1, -k),
     as S^-1 T^-k = -(0, -1; 1, -k) and rho(-1) = rho(S)^2 = 1: two gathers
     and one product.  Both factors are gathered straight into evaluation
@@ -789,8 +836,8 @@ def rho_closed(r, n):
     oracle; none is a route of this function.
     """
     r = _as_residue(r, n)
-    if gcd(r.c, conductor(n)) == 1:
-        return rho_theorem1(r, n)
+    if gcd(r.c, r.N) == 1:
+        return _theorem1_gather(r, n)
     k, w = _unit_shift(r, n)
     planes, nprimes = _sqrt_planes(n)
     factors = []

@@ -11,11 +11,10 @@ from math import gcd
 import numpy as np
 import pytest
 
-from affinesl2 import galois_kernel
+from affinesl2 import galois_kernel, wzwrep
 from affinesl2.cyclotomic import root_of_unity
 from affinesl2.modgroup import (
     ResidueMatrix,
-    enumerate_group,
     idempotents,
     local_generators,
     random_matrix,
@@ -51,6 +50,7 @@ from affinesl2.galois_kernel import (
     sigma_on_matrix,
     sigma_perm,
 )
+from group_enumeration import enumerate_group
 
 
 def test_signed_permutation_validation_and_text():
@@ -315,6 +315,8 @@ def test_kernel_confirmation_is_guarded_and_needs_no_product(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(galois_kernel, "rho_closed", refuse)
         m.setattr(RepMatrix, "__mul__", refuse)
+        # the word oracle multiplies through _product, not __mul__
+        m.setattr(wzwrep, "_product", refuse)
         assert len(enumerate_kernel(4).kernel) == 8
         assert len(factor_kernel_sl2z8(7)) == 4
         assert not in_kernel(ResidueMatrix(conductor(5), 1, 1, 0, 1), 5)

@@ -13,7 +13,6 @@ from affinesl2.modgroup import (
     STWord,
     complete_row,
     decompose,
-    enumerate_group,
     format_matrix,
     idempotents,
     lift,
@@ -25,6 +24,7 @@ from affinesl2.modgroup import (
     sl2_order,
     unimodular_rows,
 )
+from group_enumeration import enumerate_group
 
 
 def word_matrix(w):

@@ -1,5 +1,6 @@
 """Tests for the representation matrices and their closed evaluations."""
 
+import itertools
 import math
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affinesl2
+from affinesl2 import wzwrep
 from affinesl2.cyclotomic import cyclotomic_poly, embed, euler_phi, galois, jacobi, one, root_of_unity, sqrt_int, zero
 from affinesl2.modgroup import ResidueMatrix, STWord, decompose, lift, random_matrix
 from affinesl2.wzwrep import (
@@ -28,6 +30,7 @@ from affinesl2.wzwrep import (
     _sqrt_table,
     _t_exponents,
     _tables,
+    _theorem1_exponents,
     _theorem1_tables,
     _unit_shift,
     _vinv_bound,
@@ -190,21 +193,40 @@ def test_word_oracle_matches_the_identity_led_loop(n):
 
 
 def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
-    """A word with m odd S tokens makes max(0, m - 1) products: none by a diagonal or the identity."""
-    products = []
-    mul = RepMatrix.__mul__
+    """A word with m odd S tokens makes max(0, m - 1) products, none by a diagonal or the identity.
 
-    def counted(self, other):
-        products.append(other)
-        return mul(self, other)
+    Every product multiplies by rho(S), and the word builds rho(S)'s planes
+    once per prime count k: one plane build per product for the left
+    operand, and one more per distinct k.
+    """
+    products, builds = [], []
+    product, planes = wzwrep._product, wzwrep._planes
 
-    monkeypatch.setattr(RepMatrix, "__mul__", counted)
+    def counted_product(x, y, *args):
+        products.append(y)
+        return product(x, y, *args)
+
+    def counted_planes(coords, amax, M, k):
+        builds.append(k)
+        return planes(coords, amax, M, k)
+
+    monkeypatch.setattr(wzwrep, "_product", counted_product)
+    monkeypatch.setattr(wzwrep, "_planes", counted_planes)
+    most = 0
     for n in (3, 4, 5, 6, 7):
-        for word in _oracle_words(n, random.Random(100 + n), 12):
+        rng = random.Random(100 + n)
+        # the decomposed words of random matrices carry up to four odd S
+        words = _oracle_words(n, rng, 12) + [decompose(lift(random_matrix(conductor(n), rng))) for _ in range(8)]
+        for word in words:
             odd_s = sum(1 for letter, e in word.tokens if letter == "S" and e % 2)
             products.clear()
+            builds.clear()
             evaluate_word(word, n)
             assert len(products) == max(0, odd_s - 1), (n, word)
+            assert all(y is rho_S(n) for y in products), (n, word)
+            assert len(builds) == len(products) + len(set(builds)), (n, word)
+            most = max(most, len(products))
+    assert most >= 2
     # the Bantay word T S T S T: one product, not two
     products.clear()
     evaluate_word(STWord.T(3) * STWord.S() * STWord.T(7) * STWord.S() * STWord.T(3), 5)
@@ -348,6 +370,56 @@ def test_theorem1_gather_matches_the_galois_twist(n):
         for A, D in pairs:
             r = ResidueMatrix(N, A, (A * D - 1) * pow(C, -1, N), C, D)
             assert rho_theorem1(r, n) == _galois_twist_reference(r, n), (n, r)
+
+
+def _assert_same_exponents(got, want):
+    assert all(x.dtype == y.dtype == np.int64 and np.array_equal(x, y) for x, y in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_scalar_exponents_equal_the_broadcast_exponents_exhaustively(n):
+    """On Python ints, _theorem1_exponents equals its broadcast path at every unit C and every A and D."""
+    N = conductor(n)
+    units = [c for c in range(N) if gcd(c, N) == 1]
+    for size in (None, 2):
+        p, q = _theorem1_exponents(*np.ix_(np.arange(N), np.array(units), np.arange(N)), n, size)
+        for (A, D), (j, C) in itertools.product(itertools.product(range(N), repeat=2), enumerate(units)):
+            _assert_same_exponents(_theorem1_exponents(A, C, D, n, size), (p[A, j, D], q[A, j, D]))
+
+
+@pytest.mark.parametrize("n", [12, 20, 31])
+def test_scalar_exponents_equal_the_broadcast_exponents_on_samples(n):
+    """Seeded (A, C, D) at larger levels: the Python-int exponents equal those of numpy integers."""
+    rng = random.Random(n)
+    N = conductor(n)
+    units = [c for c in range(N) if gcd(c, N) == 1]
+    for _ in range(100):
+        A, C, D = rng.randrange(N), rng.choice(units), rng.randrange(N)
+        for size in (None, 2):
+            want = _theorem1_exponents(np.int64(A), np.int64(C), np.int64(D), n, size)
+            _assert_same_exponents(_theorem1_exponents(A, C, D, n, size), want)
+
+
+def test_numpy_integers_and_arrays_take_the_broadcast_path(monkeypatch):
+    """np.int64 scalars and mixed calls such as (k_array, 1, 0) never reach _scalar_exponents, and agree with it."""
+    n, N = 7, 56
+    k = np.arange(N)
+    scalar = {}
+    for A, (C, D), size in itertools.product(range(N), ((1, 0), (3, 5)), (None, 2)):
+        scalar[A, C, D, size] = wzwrep._scalar_exponents(A, C, D, n, size)
+
+    def refuse(*args):
+        raise AssertionError("a numpy argument reached _scalar_exponents")
+
+    monkeypatch.setattr(wzwrep, "_scalar_exponents", refuse)
+    for size in (None, 2):
+        p, q = _theorem1_exponents(k, 1, 0, n, size)
+        for A in k.tolist():
+            _assert_same_exponents((p[A], q[A]), scalar[A, 1, 0, size])
+        got = _theorem1_exponents(np.int64(4), np.int64(3), np.int64(5), n, size)
+        _assert_same_exponents(got, scalar[4, 3, 5, size])
+        got = _theorem1_exponents(4, np.int64(3), 5, n, size)
+        _assert_same_exponents(got, scalar[4, 3, 5, size])
 
 
 def _assert_normalized(m):
@@ -505,7 +577,7 @@ from affinesl2.cyclotomic import cyclotomic_poly, factorize, jacobi
 from affinesl2.qseries import log_eta_expansion_check, sigma1, verify_k1_identity, verify_t_parametrization
 from affinesl2.galois_kernel import KernelReport, enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus
 from affinesl2.cyclotomic import Cyclotomic, galois, one, root_of_unity, sqrt_int
-from affinesl2.modgroup import ResidueMatrix, STWord, complete_row, decompose, enumerate_group, idempotents, lift
+from affinesl2.modgroup import ResidueMatrix, STWord, complete_row, decompose, idempotents, lift
 from affinesl2.modgroup import parse_matrix, sl2_order
 from affinesl2.qseries import QSeries, _characters, character, eta_inverse_cubed, numeric_eval, s_transform_check
 from affinesl2.galois_kernel import SignedPermutation, bantay_sigma_S_identity, sigma_covariance_check
@@ -514,6 +586,7 @@ from affinesl2.wzwrep import RepMatrix, _unit_shift, conductor, g_parity_check, 
 from affinesl2.wzwrep import _gather_form, _sqrt_table, evaluate_word, rho_T, rho_theorem1
 from affinesl2.identities import gauss_sum, gauss_sum_closed, kernel_sum, rho_coprime_closed, rho_coprime_legendre
 from affinesl2.identities import rho_unit_d_closed, rho_upper_triangular
+from group_enumeration import enumerate_group
 cases = [
     lambda: ResidueMatrix(40, 2, 0, 0, 2),
     lambda: ResidueMatrix(0, 1, 0, 0, 1),
@@ -680,7 +753,8 @@ assert False, "asserts are live"
 print("ok")
 """
     src = os.path.dirname(os.path.dirname(affinesl2.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    # the tests' own directory holds group_enumeration
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
     done = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
