@@ -134,9 +134,6 @@ def mat_det(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-_S_MAT = [[0, -1], [1, 0]]
-
-
 class ResidueMatrix:
     """A matrix in SL2(Z/NZ), stored with entries reduced to [0, N)."""
 
@@ -225,17 +222,15 @@ def decompose(m):
     """
     if mat_det(m) != 1:
         raise ValueError(f"decompose needs determinant 1, got {mat_det(m)}")
-    m = [list(m[0]), list(m[1])]
     tail = []
     while m[1][0] != 0:
-        c, d = m[1][0], m[1][1]
+        (a, b), (c, d) = m
         # centered quotient keeps |d - qc| <= |c|/2, so the row shrinks geometrically
         q = d // c
         if 2 * abs(d - q * c) > abs(c):
             q += 1
-        # m -> m * T^-q * S, recorded as tail word S^-1 T^q
-        m = mat_mul(m, [[1, -q], [0, 1]])
-        m = mat_mul(m, _S_MAT)
+        # m -> m * T^-q * S = (b - q a, -a; d - q c, -c), recorded as tail word S^-1 T^q
+        m = [[b - q * a, -a], [d - q * c, -c]]
         tail.append(("T", q))
         tail.append(("S", -1))
     tokens = []
@@ -254,6 +249,13 @@ def lift(r, shift=0):
 
     shift = 0, 1, 2, ... selects successive lifts with different bottom rows,
     so independent lifts of the same residue matrix can be compared.
+
+    The bottom row (c, d) is coprime over Z, so xgcd gives x d - y c = 1 and
+    M0 = (x, y; c, d) lies in SL2(Z).  Then r M0^-1 = r (d, -y; -c, x) =
+    (a d - b c, b x - a y; 0, 1) = (1, t; 0, 1) mod N with t = b x - a y, so
+    r = (1, t; 0, 1) M0 = (x + t c, y + t d; c, d) mod N, a matrix of
+    determinant 1 over Z.  t is taken mod N: a lift with this bottom row is
+    (1, t'; 0, 1) M0 for some integer t', and t' = t mod N.
     """
     if not isinstance(r, ResidueMatrix):
         raise TypeError(f"lift needs a ResidueMatrix, got {r!r}")
@@ -271,17 +273,9 @@ def lift(r, shift=0):
                 break
         k += 1
     d = d + k * N
-    # complete (c, d) to an SL2(Z) matrix, then add t (c, d) to its top row: mod
-    # each prime power q of N, t fixes a where c is a unit and b where d is one
     g, x, y = xgcd(d, -c)
     assert g == 1
-    t = 0
-    for q, e in _idempotent_items(N):
-        if gcd(c, q) == 1:
-            t += (r.a - x) * pow(c, -1, q) * e
-        else:
-            t += (r.b - y) * pow(d, -1, q) * e
-    t %= N
+    t = (r.b * x - r.a * y) % N
     out = [[x + t * c, y + t * d], [c, d]]
     assert mat_det(out) == 1
     assert all(

@@ -46,9 +46,9 @@ class QSeries:
         if not isinstance(den, int) or den < 1:
             raise ValueError(f"a QSeries needs an integer denominator >= 1, got {den!r}")
         offset = _integer("a QSeries offset", offset)
+        coeffs = [_canonical(c) for c in coeffs]
         if not coeffs:
             raise ValueError("a QSeries needs a nonempty coefficient window")
-        coeffs = [_canonical(c) for c in coeffs]
         lead = 0
         while lead < len(coeffs) and coeffs[lead] == 0:
             lead += 1

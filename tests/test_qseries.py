@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,16 @@ def test_series_normalization_strips_leading_zeros():
     assert s.leading_exponent() == Fraction(3, 2)
     z = QSeries(4, 1, [0, 0, 0])
     assert z.is_zero() and z.offset == 1 and z.truncation == 2
+
+
+def test_numpy_coefficient_arrays_give_the_list_series():
+    """A numpy coefficient array is read by its entries, not by its truth value."""
+    for coeffs in ([0], [0, 3], [0, 0, 3, 0, 1]):
+        s, ref = QSeries(1, 0, np.array(coeffs)), QSeries(1, 0, coeffs)
+        assert (s.den, s.offset, s.coeffs) == (ref.den, ref.offset, ref.coeffs)
+        assert all(type(c) is int for c in s.coeffs)
+    with pytest.raises(ValueError, match="nonempty"):
+        QSeries(1, 0, np.array([], dtype=np.int64))
 
 
 def test_addition_window_is_the_intersection():

@@ -195,23 +195,16 @@ def test_word_oracle_matches_the_identity_led_loop(n):
 def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
     """A word with m odd S tokens makes max(0, m - 1) products, none by a diagonal or the identity.
 
-    Every product multiplies by rho(S), and the word builds rho(S)'s planes
-    once per prime count k: one plane build per product for the left
-    operand, and one more per distinct k.
+    Every product goes through RepMatrix.__mul__ and multiplies by rho(S).
     """
-    products, builds = [], []
-    product, planes = wzwrep._product, wzwrep._planes
+    products = []
+    product = RepMatrix.__mul__
 
-    def counted_product(x, y, *args):
+    def counted_product(x, y):
         products.append(y)
-        return product(x, y, *args)
+        return product(x, y)
 
-    def counted_planes(coords, amax, M, k):
-        builds.append(k)
-        return planes(coords, amax, M, k)
-
-    monkeypatch.setattr(wzwrep, "_product", counted_product)
-    monkeypatch.setattr(wzwrep, "_planes", counted_planes)
+    monkeypatch.setattr(RepMatrix, "__mul__", counted_product)
     most = 0
     for n in (3, 4, 5, 6, 7):
         rng = random.Random(100 + n)
@@ -220,11 +213,9 @@ def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
         for word in words:
             odd_s = sum(1 for letter, e in word.tokens if letter == "S" and e % 2)
             products.clear()
-            builds.clear()
             evaluate_word(word, n)
             assert len(products) == max(0, odd_s - 1), (n, word)
             assert all(y is rho_S(n) for y in products), (n, word)
-            assert len(builds) == len(products) + len(set(builds)), (n, word)
             most = max(most, len(products))
     assert most >= 2
     # the Bantay word T S T S T: one product, not two
@@ -599,6 +590,7 @@ cases = [
     lambda: enumerate_kernel(5, bound=8),
     lambda: conductor(2),
     lambda: conductor(5.0),
+    lambda: conductor(np.int64(5)),
     lambda: factor_kernel_sl2z8(5),
     lambda: character(5, 3, 5),
     lambda: character(3, 3, 5),
