@@ -47,10 +47,10 @@ __all__ = [
 # larger block raises the sweep's peak memory for little speed
 _CHUNK = 1 << 13
 # the exact confirmation gathers at most this many table values per buffer,
-# or one row if that is more: on a 2-core Xeon VM, confirming the 16 hits at
-# n = 31, 61 and 101 took 7, 50 and 264 ms with 2^15, 12, 60 and 277 ms
-# with 2^13 (_CHUNK), and 10-23, 88-128 and 371-453 ms with 2^17 and 2^19
-_BLOCK = 1 << 15
+# or one row if that is more (256 KB of int8): on a 2-core Xeon VM, confirming
+# the 16 hits at n = 31, 61 and 101 took 1.9, 7.4 and 33 ms with 2^18, 1.6,
+# 8.6 and 38 ms with 2^17, 2.9, 8.3 and 36 ms with 2^19, 2.3, 16 and 57 ms with 2^15
+_BLOCK = 1 << 18
 
 
 class SignedPermutation:
@@ -349,7 +349,8 @@ def _kernel_mask(rs, n):
     it, and none is needed.  The (element, row) pairs are gathered _BLOCK
     values at a time into buffers allocated once, and the two sides are
     compared in coordinates, not through _same_difference, so the mask is
-    independent of the sweep.
+    independent of the sweep.  The buffers take the table's narrow type
+    (see wzwrep._gather_form), and nothing widens to int64.
     """
     if not rs:
         return np.zeros(0, dtype=bool)
@@ -394,14 +395,15 @@ def _confirmed(n, hits):
 def enumerate_kernel(n, bound=None, workers=1):
     """Enumerate Ker rho by an exact exponent sweep over SL2(Z/NZ), every hit confirmed by one _kernel_mask pass; no product.
 
-    The sweep runs in this process at any N: about 0.1 s and 36 MB peak RSS
-    at n = 61 (N = 488), and 0.4 s and 46 MB at n = 101 (N = 808), on a
-    2-core Xeon VM.  bound and workers remain only for the benchmark's
-    kernel-sweep ops, which call enumerate_kernel(n, bound=64, workers=1);
-    no other caller passes them, and both go once those ops stop passing
-    them (ROADMAP item 1).  Raises
-    ValueError when N exceeds a given bound or workers is not 1, and
-    RuntimeError when a sweep candidate is not confirmed.
+    The sweep runs in this process at any N: about 0.05 s and 36 MB peak RSS
+    at n = 61 (N = 488), 0.17 s and 46 MB at n = 101 (N = 808), 0.25 s and
+    63 MB at n = 200 and 5.5 s and 276 MB at n = 401, on a 2-core Xeon VM;
+    at n = 401 the exact confirmation of the 16 hits takes 3.8 s of that.
+    bound and workers remain only for the benchmark's kernel-sweep ops,
+    which call enumerate_kernel(n, bound=64, workers=1); no other caller
+    passes them, and both go once those ops stop passing them (ROADMAP
+    item 1).  Raises ValueError when N exceeds a given bound or workers is
+    not 1, and RuntimeError when a sweep candidate is not confirmed.
     """
     N = conductor(n)
     if bound is not None and N > bound:

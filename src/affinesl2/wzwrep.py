@@ -40,7 +40,7 @@ def conductor(n):
 
 
 def _max_abs(arr):
-    """Largest absolute value in a nonempty int64 coefficient array, as a Python int."""
+    """Largest absolute value in a nonempty signed integer coefficient array, as a Python int."""
     return int(np.abs(arr).max())
 
 
@@ -235,7 +235,7 @@ def _num_primes(M, bound):
 
 
 def _residues(arr, amax, p):
-    """Residues r mod p, |r| <= (p + 1)/2, of an int64 array whose entries are at most amax, as float64."""
+    """Residues r mod p, |r| <= (p + 1)/2, of a signed integer array whose entries are at most amax, as float64."""
     if amax <= p // 2:
         return arr.astype(np.float64)
     # int64 % first: _center alone can round for entries near 2^53
@@ -622,7 +622,8 @@ def _sqrt_table(n):
         M sqrt(2n)/(2n) = (1 - i) (1 + i) sqrt(M) = sum_(x mod M) (zeta^(x^2) + zeta^(x^2 + 6n)),
     so row 0 over M adds the rows of _tables(M) with the counts w[k] of the
     squares x^2 = k mod M.  g is the normalizing divisor of every theorem1
-    gather (see rho_theorem1 and _gather_form).
+    gather (see rho_theorem1 and _gather_form).  Q is int8 at every level
+    measured (max |Q| <= 26 for n = 3..130, 200, 210, 330 and 401).
     """
     M = 8 * n
     w = np.bincount(np.arange(M) ** 2 % M, minlength=M)
@@ -640,6 +641,8 @@ def _gather_form(n, table, D):
     n <= 130 but n = 3 (g = 3) and n = 4 (g = 2).  A difference of two rows
     is at most 2 max |Q|, so the stored numerators of every gather lie
     below 2^53 unless 2 max |Q| // g reaches it; then this raises ValueError.
+    After that check, Q is stored in the first of int8, int16, int32 and
+    int64 that holds 2 max |Q|, so a difference of two rows fits it.
     """
     M = 8 * n
     c = gcd(D, int(np.gcd.reduce(table, axis=None)))
@@ -650,9 +653,11 @@ def _gather_form(n, table, D):
     # or +- one of the first column's, m = a
     a4 = 4 * np.arange(1, n)
     g = gcd(D, int(np.gcd.reduce(table[(6 * n + a4) % M] - table[6 * n - a4], axis=None)))
-    if 2 * _max_abs(table) // g >= _FLOAT_EXACT:
+    top = 2 * _max_abs(table)
+    if top // g >= _FLOAT_EXACT:
         raise ValueError(f"a theorem1 gather at n = {n} can reach 2^53 after normalization")
-    return table, D, g
+    dtype = next((t for t in (np.int8, np.int16, np.int32) if top <= np.iinfo(t).max), np.int64)
+    return table.astype(dtype), D, g
 
 
 @lru_cache(maxsize=MAX_LEVELS)
@@ -760,7 +765,8 @@ def rho_theorem1(r, n):
     content, the gcd of its coordinates.  Every theorem1 gather over den
     thus has the contents of rho(S)'s gather, entry by entry, and the same
     normalizing divisor g = gcd(den, content), one number per level that
-    _sqrt_table carries.
+    _sqrt_table carries.  The gather runs in the table's narrow type (see
+    _gather_form) and widens to int64 once.
     """
     r = _as_residue(r, n)
     if gcd(r.c, r.N) != 1:
@@ -769,14 +775,17 @@ def rho_theorem1(r, n):
 
 
 def _theorem1_gather(r, n):
-    """rho_theorem1(r, n), unchecked: r is a ResidueMatrix mod N with gcd(c, N) = 1."""
+    """rho_theorem1(r, n), unchecked: r is a ResidueMatrix mod N with gcd(c, N) = 1.
+
+    Take, subtract and // g run in the table's type; the result widens to int64 once.
+    """
     table, den, g = _sqrt_table(n)
     p, q = _theorem1_exponents(r.a, r.c, r.d, n)
     arr = table.take(p, axis=0)
     arr -= table.take(q, axis=0)
     if g > 1:
         arr //= g
-    return RepMatrix._unit_image(n, arr, den // g)
+    return RepMatrix._unit_image(n, arr.astype(np.int64), den // g)
 
 
 def _signed_fold(A, n):

@@ -445,12 +445,60 @@ def test_random_theorem1_gathers_are_born_normalized():
 
 def test_gather_range_guard_is_per_level():
     """The table guard passes while 2 max |Q| // g stays below 2^53 and raises from there."""
-    table = _sqrt_table(5)[0]
+    # widened first: a shift of the cached int8 table would wrap to 0
+    table = _sqrt_table(5)[0].astype(np.int64)
     assert _max_abs(table) == 2
     Q, D, g = _gather_form(5, table << 50, 1)
     assert 2 * _max_abs(Q) // g == 1 << 52
     with pytest.raises(ValueError, match="2\\^53"):
         _gather_form(5, table << 51, 1)
+
+
+@pytest.mark.parametrize(
+    "top, dtype",
+    [
+        (63, np.int8),
+        (64, np.int16),
+        (-64, np.int16),
+        ((1 << 14) - 1, np.int16),
+        (1 << 14, np.int32),
+        ((1 << 30) - 1, np.int32),
+        (1 << 30, np.int64),
+    ],
+)
+def test_gather_form_picks_the_narrowest_type_for_a_row_difference(top, dtype):
+    """A table is stored in the first of int8..int64 that holds 2 max |Q|, and the widest row difference fits it."""
+    table = _sqrt_table(5)[0].astype(np.int64)
+    table[0, 0], table[1, 0] = top, -top
+    Q, D, g = _gather_form(5, table, 1)
+    assert (Q.dtype, D, g) == (dtype, 1, 1)
+    assert np.array_equal(Q, table)
+    assert np.array_equal((Q[0] - Q[1]).astype(np.int64), table[0] - table[1])
+
+
+def _int64_gather(r, n):
+    """(numerators, den) of the theorem1 gather of r from an int64 copy of the table."""
+    table, den, g = _sqrt_table(n)
+    wide = table.astype(np.int64)
+    p, q = _theorem1_exponents(r.a, r.c, r.d, n)
+    return (wide[p] - wide[q]) // g, den // g
+
+
+@pytest.mark.parametrize("n", [*range(3, 41), 61, 101])
+def test_narrow_table_gathers_equal_the_int64_gather(n):
+    """rho_S, rho_theorem1 and theorem1 rho_closed equal a gather from an int64 table, in int64, on seeded elements."""
+    assert _sqrt_table(n)[0].dtype == np.int8
+    N = conductor(n)
+    rng = random.Random(n)
+    units = [c for c in range(1, N) if gcd(c, N) == 1]
+    rs = [ResidueMatrix(N, 0, -1, 1, 0)]
+    for _ in range(3):
+        C, A, D = rng.choice(units), rng.randrange(N), rng.randrange(N)
+        rs.append(ResidueMatrix(N, A, (A * D - 1) * pow(C, -1, N), C, D))
+    pairs = [(rho_S(n), rs[0])] + [(f(r, n), r) for r in rs for f in (rho_theorem1, rho_closed)]
+    for m, r in pairs:
+        arr, den = _int64_gather(r, n)
+        assert m.arr.dtype == np.int64 and m.den == den and np.array_equal(m.arr, arr), (n, r)
 
 
 def _sqrt_int_table(n):
@@ -603,7 +651,7 @@ cases = [
     lambda: QSeries(2, 1, [1, 1]) + QSeries(1, 0, [1, 1]),
     lambda: rho_closed(ResidueMatrix(40, 0, 39, 1, 0), 7),
     lambda: rho_theorem1(ResidueMatrix(56, 1, 0, 2, 1), 7),
-    lambda: _gather_form(5, _sqrt_table(5)[0] << 51, 1),
+    lambda: _gather_form(5, _sqrt_table(5)[0].astype(np.int64) << 51, 1),
     lambda: KernelReport(5, enumerate_kernel(5).kernel[:7], 0),
     lambda: KernelReport(5, [], 0),
     lambda: numeric_eval(character(1, 3, 20), 0.5 - 1j),
