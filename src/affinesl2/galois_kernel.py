@@ -17,7 +17,6 @@ from .wzwrep import (
     RepMatrix,
     _as_residue,
     _signed_fold,
-    _sqrt_table,
     _theorem1_exponents,
     _theorem1_tables,
     _unit_shift,
@@ -46,11 +45,6 @@ __all__ = [
 # stage 1 of the kernel sweep solves at most this many bottom rows at once: a
 # larger block raises the sweep's peak memory for little speed
 _CHUNK = 1 << 13
-# the exact confirmation gathers at most this many table values per buffer,
-# or one row if that is more (256 KB of int8): on a 2-core Xeon VM, confirming
-# the 16 hits at n = 31, 61 and 101 took 1.9, 7.4 and 33 ms with 2^18, 1.6,
-# 8.6 and 38 ms with 2^17, 2.9, 8.3 and 36 ms with 2^19, 2.3, 16 and 57 ms with 2^15
-_BLOCK = 1 << 18
 
 
 class SignedPermutation:
@@ -340,49 +334,27 @@ def _kernel_mask(rs, n):
 
     With k and W = r T^k S from the scalar _unit_shift, r = W S^-1 T^-k, so
     rho(r) = 1 exactly when rho_theorem1(W) = rho_theorem1(T^k S), and W and
-    T^k S = (k, -1; 1, 0) both lie in the theorem1 stratum.  Row a of either
-    side is Q[p] - Q[q] over the table's denominator, for the table Q of
-    _sqrt_table and the exponents (p, q) of _theorem1_exponents, which runs
-    once on the arrays of every W and once on those of every T^k S.  Both
-    sides share that denominator and the normalizing divisor g, so their
-    numerators are equal before the // g exactly when they are equal after
-    it, and none is needed.  The (element, row) pairs are gathered _BLOCK
-    values at a time into buffers allocated once, and the two sides are
-    compared in coordinates, not through _same_difference, so the mask is
-    independent of the sweep.  The buffers take the table's narrow type
-    (see wzwrep._gather_form), and nothing widens to int64.
+    T^k S = (k, -1; 1, 0) both lie in the theorem1 stratum.  Entry (a, b) of
+    either side is sqrt(2n)/(2n) (zeta^p - zeta^q), zeta = zeta_8n, with
+    (p, q) from _theorem1_exponents, and _same_difference decides each
+    entry from the two exponent pairs alone, as in the sweep.
     """
-    if not rs:
-        return np.zeros(0, dtype=bool)
-    table, _, _ = _sqrt_table(n)
     shifts = [_unit_shift(r, n) for r in rs]
-    k = np.array([shift for shift, _ in shifts])
-    A, _, C, D = np.array([w.key() for _, w in shifts]).T
-    dim, phi = n - 1, table.shape[1]
-    # each (element, row) pair: the row's exponents on the left, W, and on the right, T^k S
-    pairs = [x.reshape(-1, dim) for x in _theorem1_exponents(A, C, D, n) + _theorem1_exponents(k, 1, 0, n)]
-    rows_ok = np.empty(len(pairs[0]), dtype=bool)
-    step = min(len(rows_ok), max(1, _BLOCK // (dim * phi)))
-    left, right, tmp = (np.empty((step, dim, phi), dtype=table.dtype) for _ in range(3))
-    # every exponent lies in [0, 8n), so mode="clip" moves none; unlike the
-    # default mode it gathers straight into out, with no buffered copy
-    for start in range(0, len(rows_ok), step):
-        m = min(step, len(rows_ok) - start)
-        p, q, p1, q1 = (x[start : start + m] for x in pairs)
-        np.take(table, p, axis=0, out=left[:m], mode="clip")
-        left[:m] -= np.take(table, q, axis=0, out=tmp[:m], mode="clip")
-        np.take(table, p1, axis=0, out=right[:m], mode="clip")
-        right[:m] -= np.take(table, q1, axis=0, out=tmp[:m], mode="clip")
-        rows_ok[start : start + m] = (left[:m] == right[:m]).all(axis=(1, 2))
-    return rows_ok.reshape(len(rs), dim).all(axis=1)
+    k = np.array([shift for shift, _ in shifts], dtype=np.int64)
+    A, _, C, D = np.array([w.key() for _, w in shifts], dtype=np.int64).reshape(-1, 4).T
+    e, f = _theorem1_exponents(A, C, D, n)
+    g, h = _theorem1_exponents(k, 1, 0, n)
+    return _same_difference(e, f, g, h, 8 * n).all(axis=(1, 2))
 
 
 def _confirmed(n, hits):
     """Confirm the kernel keys exactly, all in one _kernel_mask pass; RuntimeError for the first that fails.
 
-    _kernel_mask starts again from each key, with the scalar _unit_shift, and
-    compares coordinates, so it checks the stage-1 algebra, _least_shifts and
-    _same_difference.
+    _kernel_mask starts again from each key, with the scalar _unit_shift, so
+    it checks the stage-1 algebra, _least_shifts and the reconstruction of
+    B.  It shares _same_difference with the sweep; the tests check that rule
+    against equality in Q(zeta_M), and the mask against a comparison of
+    rho_theorem1's coordinates.
     """
     N = conductor(n)
     kernel = [ResidueMatrix(N, *key) for key in hits]
@@ -396,9 +368,10 @@ def enumerate_kernel(n, bound=None, workers=1):
     """Enumerate Ker rho by an exact exponent sweep over SL2(Z/NZ), every hit confirmed by one _kernel_mask pass; no product.
 
     The sweep runs in this process at any N: about 0.05 s and 36 MB peak RSS
-    at n = 61 (N = 488), 0.17 s and 46 MB at n = 101 (N = 808), 0.25 s and
-    63 MB at n = 200 and 5.5 s and 276 MB at n = 401, on a 2-core Xeon VM;
-    at n = 401 the exact confirmation of the 16 hits takes 3.8 s of that.
+    at n = 61 (N = 488), 0.1 s and 46 MB at n = 101 (N = 808), 0.1 s and
+    47 MB at n = 200 and 2 s and 276 MB at n = 401, on a 2-core Xeon VM;
+    at n = 401 the exact confirmation of the 16 hits takes 0.18 s of that,
+    and the bottom rows of unimodular_rows(N) most of the memory.
     bound and workers remain only for the benchmark's kernel-sweep ops,
     which call enumerate_kernel(n, bound=64, workers=1); no other caller
     passes them, and both go once those ops stop passing them (ROADMAP

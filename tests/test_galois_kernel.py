@@ -11,7 +11,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from affinesl2 import galois_kernel
+from affinesl2 import galois_kernel, wzwrep
 from affinesl2.cyclotomic import root_of_unity
 from affinesl2.modgroup import (
     ResidueMatrix,
@@ -23,7 +23,6 @@ from affinesl2.modgroup import (
 )
 from affinesl2.wzwrep import (
     RepMatrix,
-    _sqrt_table,
     _theorem1_exponents,
     _theorem1_tables,
     conductor,
@@ -50,7 +49,7 @@ from affinesl2.galois_kernel import (
     sigma_on_matrix,
     sigma_perm,
 )
-from group_enumeration import enumerate_group
+from group_enumeration import coordinate_kernel_mask, enumerate_group
 
 
 def test_signed_permutation_validation_and_text():
@@ -197,18 +196,15 @@ def test_exponent_difference_rule_matches_cyclotomic_equality(M):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_sweep_matches_the_per_element_exact_reference(n, monkeypatch):
+def test_sweep_matches_the_per_element_exact_reference(n):
     """The exact sweep finds exactly the elements of SL2(Z/NZ) that rho_closed, one at a time, sends to 1.
 
-    _kernel_mask, the sweep's confirmation, run once over the whole group in
-    blocks of fewer rows than one element has, and in_kernel on each element
-    agree with rho_closed on every element, so no block boundary lets a
-    mask leak between elements.
+    _kernel_mask, the sweep's confirmation, run once over the whole group,
+    and in_kernel on each element agree with rho_closed on every element.
     """
     N = conductor(n)
     hits, survivors = _sweep_rows(n, unimodular_rows(N))
     group = list(enumerate_group(N))
-    monkeypatch.setattr(galois_kernel, "_BLOCK", (n - 1) ** 2 * _sqrt_table(n)[0].shape[1] - 1)
     mask = _kernel_mask(group, n)
     want = []
     for r, confirmed in zip(group, mask, strict=True):
@@ -221,17 +217,32 @@ def test_sweep_matches_the_per_element_exact_reference(n, monkeypatch):
     assert len(want) <= survivors < sl2_order(N)
 
 
-def test_kernel_mask_decides_a_short_last_block(monkeypatch):
-    """A last block shorter than the others, holding exactly the rows of T, is decided on its own rows.
+def test_kernel_mask_on_five_identities_then_t():
+    """Each element is decided on its own: five identities pass and T, after them, fails."""
+    N = conductor(5)
+    rs = [ResidueMatrix(N, 1, 0, 0, 1)] * 5 + [ResidueMatrix(N, 1, 1, 0, 1)]
+    assert _kernel_mask(rs, 5).tolist() == [True] * 5 + [False]
 
-    Five identities and then T at n = 5 give 24 rows; blocks of five rows
-    leave the 4 rows of T alone in the last, short block.
+
+@pytest.mark.parametrize("n", [3, 4, 31, 101])
+def test_kernel_mask_matches_the_coordinate_oracle(n):
+    """_kernel_mask, by exponent pairs, equals the coordinate comparison of rho_theorem1(W) and rho_theorem1(T^k S).
+
+    At n = 3 and 4 on all of SL2(Z/NZ).  At n = 31 and 101 on the known
+    kernel list (the whole kernel at odd n), each of its elements times T,
+    and seeded random elements, of which the mask accepts exactly the list.
     """
-    n, dim = 5, 4
     N = conductor(n)
-    rs = [ResidueMatrix(N, 1, 0, 0, 1)] * (dim + 1) + [ResidueMatrix(N, 1, 1, 0, 1)]
-    monkeypatch.setattr(galois_kernel, "_BLOCK", (dim + 1) * dim * _sqrt_table(n)[0].shape[1])
-    assert _kernel_mask(rs, n).tolist() == [True] * (dim + 1) + [False]
+    if n < 5:
+        rs = list(enumerate_group(N))
+    else:
+        kernel = expected_kernel_slice(n)
+        rng = random.Random(n)
+        rs = kernel + [r * ResidueMatrix(N, 1, 1, 0, 1) for r in kernel] + [random_matrix(N, rng) for _ in range(16)]
+    mask = _kernel_mask(rs, n)
+    assert mask.tolist() == coordinate_kernel_mask(rs, n)
+    if n > 4:
+        assert [r for r, ok in zip(rs, mask) if ok] == kernel
 
 
 def _all_a_sweep_rows(n, rows):
@@ -284,8 +295,9 @@ def test_newly_reachable_levels_match_the_known_lists():
 def test_kernel_at_n101_stays_within_40_mb():
     """enumerate_kernel(101), N = 808, finds the 16 known elements, and its peak RSS grows by under 40 MB.
 
-    The confirmation gathers a block of rows at a time; two whole gathers per
-    hit grew the peak by about 100 MB here.  ru_maxrss is in KB on Linux.
+    The confirmation compares exponent pairs and gathers no table; the whole
+    call grew the peak by about 16 MB on a 2-core Xeon VM, most of it the
+    unimodular rows.  ru_maxrss is in KB on Linux.
     """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(galois_kernel.__file__)))
     code = """
@@ -319,8 +331,12 @@ def test_kernel_confirmation_is_guarded_and_needs_no_product(monkeypatch):
         assert len(factor_kernel_sl2z8(7)) == 4
         assert not in_kernel(ResidueMatrix(conductor(5), 1, 1, 0, 1), 5)
 
+    # the confirmation gathers no sqrt(2n) table: the kernel and in_kernel still work without one
     with monkeypatch.context() as m:
-        m.setattr(galois_kernel, "_sqrt_table", refuse)
+        m.setattr(wzwrep, "_sqrt_table", refuse)
+        assert len(enumerate_kernel(5).kernel) == 16
+        assert in_kernel(ResidueMatrix(conductor(5), 1, 0, 0, 1), 5)
+        assert not in_kernel(ResidueMatrix(conductor(5), 1, 1, 0, 1), 5)
         assert galois_kernel._confirmed(5, []) == []
 
 
