@@ -310,14 +310,24 @@ def _multimodular_product(M, k, a, b):
 class RepMatrix:
     """A square matrix over Q(zeta_{8n}) with one shared denominator.
 
-    Numerators sit in an int64 array of shape (dim, dim, phi(8n)) holding
-    power-basis coordinates mod the 8n-th cyclotomic polynomial; the stored
-    form is normalized (den > 0, no common factor), so equal matrices have
-    identical arrays and equality is array comparison.  Every stored
+    Numerators sit in a signed integer array of shape (dim, dim, phi(8n))
+    holding power-basis coordinates mod the 8n-th cyclotomic polynomial; the
+    stored form is normalized (den > 0, no common factor), so equal matrices
+    have equal arrays and equality is array comparison.  Every stored
     numerator lies below 2^53, so float64 holds it exactly; the constructor
     raises ValueError, also under python -O, for a numerator that reaches
     2^53 after normalization.  Python ints appear only inside the CRT of a
     product and its normalization.
+
+    The dtype rule: a theorem1 gather (rho_S, rho_theorem1, rho_closed on
+    gcd(c, N) = 1) keeps the sqrt(2n) table's narrow type, int8 at every
+    level measured, and every other result is int64.  The constructor
+    accepts any signed integer array and stores int64.  Every consumer in
+    the library widens on its own or compares values: maps and products go
+    to float64, negation through the constructor, entry through int(), and
+    galois_kernel's signed row permutation through int64 signs.  Other
+    arithmetic on a stored .arr must widen it first: in int8, * 2^40 raises
+    and smaller factors wrap silently.
 
     A product is multimodular.  The operands' largest numerators bound the
     product's coordinates, and the bound fixes the number k of primes
@@ -353,10 +363,13 @@ class RepMatrix:
         if arr.shape != (n - 1, n - 1, _tables(8 * n)["phi"]):
             raise ValueError(f"rho at n = {n} needs an array of shape (n-1, n-1, phi(8n)), got {arr.shape}")
         # object holds the Python ints of a product's CRT
-        if not (arr.dtype == np.int64 or arr.dtype == object and all(isinstance(v, int) for v in arr.flat)):
-            raise ValueError(f"a RepMatrix needs int64 numerators or Python ints, got dtype {arr.dtype}")
+        if not (arr.dtype.kind == "i" or arr.dtype == object and all(isinstance(v, int) for v in arr.flat)):
+            raise ValueError(f"a RepMatrix needs signed integer numerators or Python ints, got dtype {arr.dtype}")
         if not isinstance(den, int) or den == 0:
             raise ValueError(f"a RepMatrix needs a nonzero integer denominator, got {den!r}")
+        # widened first: in int8, -(-128) is -128 again
+        if arr.dtype != object:
+            arr = arr.astype(np.int64, copy=False)
         g = gcd(den, int(np.gcd.reduce(arr, axis=None)))
         if g > 1:
             arr = arr // g
@@ -642,7 +655,8 @@ def _gather_form(n, table, D):
     is at most 2 max |Q|, so the stored numerators of every gather lie
     below 2^53 unless 2 max |Q| // g reaches it; then this raises ValueError.
     After that check, Q is stored in the first of int8, int16, int32 and
-    int64 that holds 2 max |Q|, so a difference of two rows fits it.
+    int64 that holds 2 max |Q|, so a difference of two rows fits it, and
+    so does every gather's result, which is stored in that type.
     """
     M = 8 * n
     c = gcd(D, int(np.gcd.reduce(table, axis=None)))
@@ -765,8 +779,8 @@ def rho_theorem1(r, n):
     content, the gcd of its coordinates.  Every theorem1 gather over den
     thus has the contents of rho(S)'s gather, entry by entry, and the same
     normalizing divisor g = gcd(den, content), one number per level that
-    _sqrt_table carries.  The gather runs in the table's narrow type (see
-    _gather_form) and widens to int64 once.
+    _sqrt_table carries.  The gather runs, and its result stays, in the
+    table's narrow type (see _gather_form).
     """
     r = _as_residue(r, n)
     if gcd(r.c, r.N) != 1:
@@ -777,7 +791,7 @@ def rho_theorem1(r, n):
 def _theorem1_gather(r, n):
     """rho_theorem1(r, n), unchecked: r is a ResidueMatrix mod N with gcd(c, N) = 1.
 
-    Take, subtract and // g run in the table's type; the result widens to int64 once.
+    Take, subtract and // g run in the table's type, and the result keeps it.
     """
     table, den, g = _sqrt_table(n)
     p, q = _theorem1_exponents(r.a, r.c, r.d, n)
@@ -785,7 +799,7 @@ def _theorem1_gather(r, n):
     arr -= table.take(q, axis=0)
     if g > 1:
         arr //= g
-    return RepMatrix._unit_image(n, arr.astype(np.int64), den // g)
+    return RepMatrix._unit_image(n, arr, den // g)
 
 
 def _signed_fold(A, n):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import affinesl2
 from affinesl2 import wzwrep
 from affinesl2.cyclotomic import cyclotomic_poly, embed, euler_phi, galois, jacobi, one, root_of_unity, sqrt_int, zero
+from affinesl2.galois_kernel import sigma_perm
 from affinesl2.modgroup import ResidueMatrix, STWord, decompose, lift, random_matrix
 from affinesl2.wzwrep import (
     _FLOAT_EXACT,
@@ -414,9 +415,15 @@ def test_numpy_integers_and_arrays_take_the_broadcast_path(monkeypatch):
 
 
 def _assert_normalized(m):
-    """m is stored as RepMatrix.__init__'s gcd pass would store it."""
+    """m is stored as RepMatrix.__init__'s gcd pass would store it: the same den and numerator values."""
     again = RepMatrix(m.n, m.arr.copy(), m.den)
-    assert (again.den, again.arr.dtype) == (m.den, m.arr.dtype) and np.array_equal(again.arr, m.arr), m
+    assert again.den == m.den and np.array_equal(again.arr, m.arr), m
+
+
+def _assert_normalized_gather(m):
+    """m is normalized and kept in the dtype of its level's sqrt(2n) table."""
+    assert m.arr.dtype == _sqrt_table(m.n)[0].dtype, m
+    _assert_normalized(m)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -426,8 +433,9 @@ def test_theorem1_gathers_are_born_normalized(n):
     for C in (c for c in range(1, N) if gcd(c, N) == 1):
         for D in range(N):
             for A in (0, 1, N - 3):
-                _assert_normalized(rho_theorem1(ResidueMatrix(N, A, (A * D - 1) * pow(C, -1, N), C, D), n))
+                _assert_normalized_gather(rho_theorem1(ResidueMatrix(N, A, (A * D - 1) * pow(C, -1, N), C, D), n))
     _assert_normalized(RepMatrix.identity(n))
+    assert RepMatrix.identity(n).arr.dtype == np.int64
     # once the table is divided by its content, a divisor is left only at n = 3 and 4
     assert _sqrt_table(n)[2] == {3: 3, 4: 2}.get(n, 1)
 
@@ -440,7 +448,7 @@ def test_random_theorem1_gathers_are_born_normalized():
         for _ in range(3):
             C = rng.choice([c for c in range(1, N) if gcd(c, N) == 1])
             A, D = rng.randrange(N), rng.randrange(N)
-            _assert_normalized(rho_theorem1(ResidueMatrix(N, A, (A * D - 1) * pow(C, -1, N), C, D), n))
+            _assert_normalized_gather(rho_theorem1(ResidueMatrix(N, A, (A * D - 1) * pow(C, -1, N), C, D), n))
 
 
 def test_gather_range_guard_is_per_level():
@@ -486,7 +494,7 @@ def _int64_gather(r, n):
 
 @pytest.mark.parametrize("n", [*range(3, 41), 61, 101])
 def test_narrow_table_gathers_equal_the_int64_gather(n):
-    """rho_S, rho_theorem1 and theorem1 rho_closed equal a gather from an int64 table, in int64, on seeded elements."""
+    """rho_S, rho_theorem1 and theorem1 rho_closed equal a gather from an int64 table, in the table's int8, on seeded elements."""
     assert _sqrt_table(n)[0].dtype == np.int8
     N = conductor(n)
     rng = random.Random(n)
@@ -498,7 +506,7 @@ def test_narrow_table_gathers_equal_the_int64_gather(n):
     pairs = [(rho_S(n), rs[0])] + [(f(r, n), r) for r in rs for f in (rho_theorem1, rho_closed)]
     for m, r in pairs:
         arr, den = _int64_gather(r, n)
-        assert m.arr.dtype == np.int64 and m.den == den and np.array_equal(m.arr, arr), (n, r)
+        assert m.arr.dtype == np.int8 and m.den == den and np.array_equal(m.arr, arr), (n, r)
 
 
 def _sqrt_int_table(n):
@@ -720,6 +728,8 @@ cases = [
     lambda: verify_t_parametrization(-1),
     lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1)).applied_to_rows(rho_S(7)),
     lambda: RepMatrix(3, rho_S(3).arr.astype(float), 1),
+    lambda: RepMatrix(3, rho_S(3).arr.astype(np.uint8), 1),
+    lambda: RepMatrix(3, rho_S(3).arr.astype(bool), 1),
     lambda: RepMatrix(3, rho_S(3).arr.astype(complex), 1),
     lambda: RepMatrix(3, rho_S(3).arr.astype(object) * 1.5, 1),
     lambda: RepMatrix(3, rho_S(3).arr, 2.5),
@@ -868,8 +878,10 @@ def _entrywise_product(x, y):
 def test_rep_matrix_with_numerators_scaled_by_2_40(n):
     """Products, scalings and Galois maps of large numerators are exact int64, and 2^53 raises."""
     S, T = rho_S(n), rho_T(n)
+    # widened first: S.arr is int8, where * 2^40 raises and smaller factors wrap
+    wide = S.arr.astype(np.int64)
     # over denominator 1 the factor 2^40 cannot cancel
-    big = RepMatrix(n, S.arr * (1 << 40), 1)
+    big = RepMatrix(n, wide * (1 << 40), 1)
     assert big.arr.dtype == np.int64 and np.abs(big.arr).max() >= 1 << 40
     other = S * T
     prod = big * other
@@ -881,34 +893,44 @@ def test_rep_matrix_with_numerators_scaled_by_2_40(n):
     exps = [3 * j + 1 for j in range(n - 1)]
     L = 8 * n - 3
     # scaling and Galois maps bound their sums by max |numerator| phi rowmax: S scaled up to the limit keeps it below 2^53
-    for x in (big, RepMatrix(n, S.arr * (_map_limit(n) // _max_abs(S.arr)), 1)):
+    for x in (big, RepMatrix(n, wide * (_map_limit(n) // _max_abs(wide)), 1)):
         assert x.scale_cols(exps).entries() == [
             [x.entry(i, j) * root_of_unity(8 * n, e) for j, e in enumerate(exps)] for i in range(n - 1)
         ]
         assert x.galois_map(L).entries() == [[galois(L, v) for v in row] for row in x.entries()]
     # stored below 2^53, but its maps' bound reaches it
-    near = RepMatrix(n, S.arr * (1 << 50), 1)
+    near = RepMatrix(n, wide * (1 << 50), 1)
     assert near.arr.dtype == np.int64
     for op in (lambda: near.scale_cols(exps), lambda: near.galois_map(L), near.dagger):
         with pytest.raises(ValueError):
             op()
     # 2^53 is refused as a stored numerator, never wrapped or promoted; normalization comes first
     with pytest.raises(ValueError):
-        RepMatrix(n, S.arr * (1 << 53), 1)
-    assert RepMatrix(n, S.arr * (1 << 53), S.den << 53) == S
+        RepMatrix(n, wide * (1 << 53), 1)
+    assert RepMatrix(n, wide * (1 << 53), S.den << 53) == S
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_outputs_are_int64_below_2_53(n):
-    """Every RepMatrix that the exact routes, products, unit maps and from_entries build is int64 below 2^53."""
+    """Every RepMatrix that the exact routes, products, unit maps and from_entries build lies below 2^53.
+
+    Theorem1 gathers keep the dtype of the sqrt(2n) table; every other output is int64.
+    """
     M, N = 8 * n, conductor(n)
     rng = random.Random(n)
     mats = [random_matrix(N, rng) for _ in range(3)]
-    outs = [rho_S(n), rho_T(n), RepMatrix.from_entries(n, rho_S(n).entries())]
-    outs += [rho_closed(r, n) for r in mats] + [evaluate_word(decompose(lift(r)), n) for r in mats]
+    # c = 1: a theorem1 element, so that rho_closed returns a gather at every n
+    mats.append(ResidueMatrix(N, 1, 0, 1, 1))
+    gathers = [rho_S(n)] + [rho_closed(r, n) for r in mats if dispatch_path(r, n) == "theorem1"]
+    outs = [rho_T(n), RepMatrix.from_entries(n, rho_S(n).entries())]
+    outs += [rho_closed(r, n) for r in mats if dispatch_path(r, n) != "theorem1"]
+    outs += [evaluate_word(decompose(lift(r)), n) for r in mats]
     exps = [rng.randint(0, M) for _ in range(n - 1)]
-    for x in list(outs):
+    for x in gathers + outs:
         outs += [x * x, x.scale_cols(exps), x.galois_map(4 * n + 1), x.dagger()]
+    assert len(gathers) >= 2
+    for x in gathers:
+        assert x.arr.dtype == _sqrt_table(n)[0].dtype and _max_abs(x.arr) < _FLOAT_EXACT
     for x in outs:
         assert x.arr.dtype == np.int64 and _max_abs(x.arr) < _FLOAT_EXACT
 
@@ -949,6 +971,71 @@ print(m.arr.shape == (100, 100, 400), m.is_identity(), grown < 200 * 1024, grown
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[:3] == ["True", "False", "True"], done.stdout
+
+
+def test_rho_S_at_n101_stays_within_20_mb():
+    """rho_S(101) grows peak RSS by under 20 MB over the import.
+
+    Its gather stays in the sqrt(2n) table's int8: a 3.8 MB result, and
+    about 14.5 MB of growth on a 2-core Xeon VM, where an int64 copy of it
+    grew the peak by 40.4 MB.  ru_maxrss is in KB on Linux.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affinesl2.__file__)))
+    code = """
+import resource
+from affinesl2.wzwrep import rho_S
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+m = rho_S(101)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base
+print(m.arr.shape == (100, 100, 400), grown < 20 * 1024, grown)
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[:2] == ["True", "True"], done.stdout
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 20, 31])
+def test_narrow_numerators_give_the_int64_results(n):
+    """Every consumer of an int8 gather gives what it gives on the same numerators in int64, and returns int64."""
+    N, M = conductor(n), 8 * n
+    rng = random.Random(n)
+    units = [c for c in range(1, N) if gcd(c, N) == 1]
+    gathers = [rho_S(n)]
+    for _ in range(2):
+        C, A, D = rng.choice(units), rng.randrange(N), rng.randrange(N)
+        gathers.append(rho_closed(ResidueMatrix(N, A, (A * D - 1) * pow(C, -1, N), C, D), n))
+    T = rho_T(n)
+    exps = [rng.randrange(M) for _ in range(n - 1)]
+    L = rng.choice([L for L in range(2, M) if gcd(L, M) == 1])
+    perm = sigma_perm(rng.choice([d for d in range(1, 2 * n) if gcd(d, 2 * n) == 1]), n)
+    maps = [
+        lambda m: -m,
+        lambda m: m * T,
+        lambda m: T * m,
+        lambda m: m.scale_cols(exps),
+        lambda m: m.galois_map(L),
+        lambda m: m.dagger(),
+        perm.applied_to_rows,
+    ]
+    for X in gathers:
+        W = RepMatrix(n, X.arr.astype(np.int64), X.den)
+        assert X.arr.dtype == np.int8 and W.arr.dtype == np.int64
+        assert X == W and W == X
+        for f in maps:
+            x, w = f(X), f(W)
+            assert x.arr.dtype == w.arr.dtype == np.int64
+            assert x.den == w.den and np.array_equal(x.arr, w.arr)
+        assert X.is_unitary() and W.is_unitary()
+        assert np.array_equal(X.to_floats(), W.to_floats())
+        assert X.entries() == W.entries()
+
+
+def test_int8_numerators_widen_before_the_sign_flip():
+    """-128 in int8 over den -1 is stored as +128 over 1: the constructor widens before it negates."""
+    arr = np.full((2, 2, 8), -128, dtype=np.int8)
+    m = RepMatrix(3, arr, -1)
+    assert m.den == 1 and m.arr.dtype == np.int64
+    assert np.array_equal(m.arr, np.full((2, 2, 8), 128))
 
 
 def _random_coords(n, rng, amax):
@@ -1002,7 +1089,8 @@ def test_unit_maps_keep_matrices_normalized(n):
         # every numerator shares the factor 5, coprime to den = 2
         RepMatrix(n, _random_coords(n, rng, 50) * 5, 2),
         rho_S(n) * rho_T(n),
-        RepMatrix(n, rho_S(n).arr * (1 << 40), 1),
+        # widened first: rho_S(n).arr is int8, where * 2^40 raises
+        RepMatrix(n, rho_S(n).arr.astype(np.int64) * (1 << 40), 1),
         # the largest numerators whose maps stay exact
         RepMatrix(n, _random_coords(n, rng, _map_limit(n)), 3),
     ]
