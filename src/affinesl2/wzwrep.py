@@ -89,12 +89,14 @@ def _float_coords(arr, tab):
 # kept centered (|r| <= (p + 1)/2):
 #   dim (p + 2)^2 < 2^53 - p    for a product of planes (and for gathered
 #                               planes, differences of two residues, |d| <= p - 1);
-#   phi (p/2 + 2)^2 < 2^53 - p  for the change of basis by V or V^-1.
+#   phi (p/2 + 2)^2 < 2^52 - p  for the change of basis by V or V^-1.
 # _center reduces any such value x by x - p rint(x / p): q = rint(x / p) is an
 # integer with |x - p q| <= p/2 + 1, so |p q| <= 2^53, p q and x - p q are exact,
 # x - p q = x (mod p) and |x - p q| <= (p + 1)/2; for |x| < 2^52, where
 # rint(x / p) is the nearest integer, |x - p q| <= (p - 1)/2.  Closer to 2^53
 # p q can round: at x = 2^53 - 1 and p = 2097097 the result is off by one.
+# The change of basis stays below 2^52, so one _center of its sums gives the
+# digits in [-(p - 1)/2, (p - 1)/2] that _crt takes as they are.
 _PRIME_LIMIT = 1 << 21
 
 
@@ -134,7 +136,7 @@ def _prime_tables(M, i):
     if p is None:
         raise ValueError(f"fewer than {i + 1} primes p = 1 (mod {M}) lie below 2^21")
     phi, dim = euler_phi(M), M // 8 - 1
-    if dim * (p + 2) ** 2 >= _FLOAT_EXACT - p or phi * (p + 4) ** 2 >= 4 * (_FLOAT_EXACT - p):
+    if dim * (p + 2) ** 2 >= _FLOAT_EXACT - p or phi * (p + 4) ** 2 >= 4 * (_FLOAT_EXACT // 2 - p):
         raise ValueError(f"planes mod {p} are not exact in float64 at M = {M}")
     # w = c^((p-1)/M) has order dividing M; take the first c where it is exactly M
     prime_factors = list(factorize(M))
@@ -257,23 +259,24 @@ def _planes(coords, amax, M, k):
 def _crt(residues, primes, tmp):
     """The integers x with |x| < prod(primes)/2 and x = residues[s] (mod primes[s]).
 
-    residues is a (k, ...) float64 array with |residues| <= (p + 1)/2; it is
-    overwritten, and tmp is a work array of one residues[s]'s size.
-    Garner's mixed radix x = t_0 + p_0 (t_1 + p_1 (t_2 + ...)) with every
-    digit t_s centered in [-(p_s-1)/2, (p_s-1)/2] makes x the centered
-    representative.  Each digit comes from values below 2^43 in float64; x
-    is assembled in float64 while prod(primes) < 2^53 and on Python ints
-    beyond.
+    residues is a (k, ...) float64 array whose entries arrive centered in
+    [-(p-1)/2, (p-1)/2], as one _center of the multimodular product's sums
+    leaves them (see _PRIME_LIMIT); it is overwritten, and tmp is a work
+    array of one residues[s]'s size.  Garner's mixed radix
+    x = t_0 + p_0 (t_1 + p_1 (t_2 + ...)) with every digit t_s centered in
+    [-(p_s-1)/2, (p_s-1)/2] makes x the centered representative.  Digit 0
+    is residues[0], used as given; each later digit comes from values below
+    2^43 in float64 and is centered once.  x is assembled in float64 while
+    prod(primes) < 2^53 and on Python ints beyond.
     """
-    for s, p in enumerate(primes):
-        r = residues[s]
-        if s:
-            # t_0 + p_0 (t_1 + ...) mod p, by Horner over the digits so far
-            acc = residues[s - 1]
-            for j in range(s - 2, -1, -1):
-                acc = _center(acc * primes[j] + residues[j], p, tmp)
-            r -= acc
-            r *= pow(prod(primes[:s]), -1, p)
+    for s in range(1, len(primes)):
+        p, r = primes[s], residues[s]
+        # t_0 + p_0 (t_1 + ...) mod p, by Horner over the digits so far
+        acc = residues[s - 1]
+        for j in range(s - 2, -1, -1):
+            acc = _center(acc * primes[j] + residues[j], p, tmp)
+        r -= acc
+        r *= pow(prod(primes[:s]), -1, p)
         _center(r, p, tmp)
     if prod(primes) >= _FLOAT_EXACT:
         residues = residues.astype(np.int64).astype(object)
@@ -354,12 +357,18 @@ class RepMatrix:
     inverses, so they keep the stored form normalized (see _unit_image).
     So do theorem1 gathers, which divide by one divisor per level (see
     rho_theorem1), and identity.  Products and every other construction
-    run the full pass.
+    normalize by one confirmed divisor: g0 = gcd(den, content of row 0),
+    which the normalizing divisor divides, is checked to divide every
+    numerator in one exact pass; only where it does not (or row 0 is zero)
+    does the gcd pass over every numerator run.
     """
 
     __slots__ = ("n", "order", "arr", "den")
 
     def __init__(self, n, arr, den=1):
+        conductor(n)
+        if not isinstance(arr, np.ndarray):
+            raise TypeError(f"a RepMatrix needs a numpy array of numerators, got {type(arr).__name__}")
         if arr.shape != (n - 1, n - 1, _tables(8 * n)["phi"]):
             raise ValueError(f"rho at n = {n} needs an array of shape (n-1, n-1, phi(8n)), got {arr.shape}")
         # object holds the Python ints of a product's CRT
@@ -370,10 +379,19 @@ class RepMatrix:
         # widened first: in int8, -(-128) is -128 again
         if arr.dtype != object:
             arr = arr.astype(np.int64, copy=False)
-        g = gcd(den, int(np.gcd.reduce(arr, axis=None)))
+        # The normalizing divisor g = gcd(den, content of arr) divides
+        # g0 = gcd(den, content of row 0), and g0 divides g once it divides
+        # every numerator: one exact pass, arr // g0 times g0, confirms that.
+        # The gcd pass over arr runs where that fails, and for a zero row 0,
+        # whose g0 = |den| int64 may not hold.
+        row = int(np.gcd.reduce(arr[0], axis=None))
+        g = gcd(den, row or int(np.gcd.reduce(arr, axis=None)))
         if g > 1:
-            arr = arr // g
-            den //= g
+            q = arr // g
+            if row and not (q * g == arr).all():
+                g = gcd(g, int(np.gcd.reduce(arr, axis=None)))
+                q = arr // g
+            arr, den = q, den // g
         # negating after the division: -arr wraps only at -2^63, which the range test rejects
         if den < 0:
             arr, den = -arr, -den

@@ -703,6 +703,9 @@ cases = [
     lambda: sigma_covariance_check(3.0, ResidueMatrix(40, 1, 0, 0, 1), 5),
     lambda: bantay_sigma_S_identity(3.0, 5),
     lambda: RepMatrix(5, rho_S(3).arr, 1),
+    lambda: RepMatrix(np.int64(3), rho_S(3).arr, 1),
+    lambda: RepMatrix(3.0, rho_S(3).arr, 1),
+    lambda: RepMatrix(2, np.zeros((1, 1, 4), dtype=np.int64), 1),
     lambda: g_parity_check(4),
     lambda: gauss_sum(1, 0),
     lambda: decompose([[2, 0], [0, 1]]),
@@ -774,6 +777,7 @@ cases = [
 type_cases = [
     lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1)).applied_to_rows(rho_S(5).arr),
     lambda: evaluate_word([("S", 1)], 5),
+    lambda: RepMatrix(3, [[1]]),
 ]
 zero_cases = [
     lambda: root_of_unity(24, 5) / 0,
@@ -858,6 +862,23 @@ def test_exact_kernel_python_ints_from_2_53():
             got = _crt(residues, primes, np.empty(len(xs)))
             assert got.dtype == (object if prod(primes) >= _FLOAT_EXACT else np.int64)
             assert got.tolist() == xs
+
+
+@pytest.mark.parametrize("M", [40, 160, 248])
+def test_one_centering_lands_within_half_p_below_2_52(M):
+    """One _center of any |x| < 2^52 gives r = x (mod p) with |r| <= (p - 1)/2, the range _crt takes digit 0 in."""
+    rng = random.Random(M)
+    top = (1 << 52) - 1
+    for s in range(2):
+        p = _prime_tables(M, s)[0]
+        xs = [rng.randint(-top, top) for _ in range(200)] + [top, -top]
+        # the two halfway neighbours of a multiple of p, on either side
+        for m in (0, 1, rng.randrange(top // p), top // p - 1):
+            xs += [sign * (p * m + d) for sign in (1, -1) for d in ((p - 1) // 2, (p + 1) // 2, -(p - 1) // 2, -(p + 1) // 2)]
+        assert max(map(abs, xs)) == top
+        got = wzwrep._center(np.array(xs, dtype=np.float64), p)
+        for x, r in zip(xs, got.tolist()):
+            assert r == int(r) and (int(r) - x) % p == 0 and abs(r) <= (p - 1) // 2, (p, x, r)
 
 
 def _entrywise_product(x, y):
@@ -1038,6 +1059,63 @@ def test_int8_numerators_widen_before_the_sign_flip():
     assert np.array_equal(m.arr, np.full((2, 2, 8), 128))
 
 
+def _normalization_mismatches():
+    """Labels of the cases whose stored (arr, den) differs from the reference gcd(den, content) normal form.
+
+    Empty when every case agrees.  It uses no assert, so it checks the
+    constructor under python -O as well.
+    """
+    rng = random.Random(29)
+    shape = (2, 2, 8)
+
+    def coords(step):
+        return np.array([step * rng.randint(-10, 10) for _ in range(32)], dtype=np.int64).reshape(shape)
+
+    proper = coords(2) * 3
+    proper[0, 0, :2] = (6, 18)
+    # row 0's content is 6, the whole array's 2
+    proper[1, 1, 3] = 8
+    confirmed = coords(6)
+    confirmed[0, 0, 0] = 6
+    zero_row = coords(5)
+    zero_row[0] = 0
+    zero_row[1, 0, 0] = 5
+    cases = {
+        "row 0 a proper multiple": (proper, 12),
+        "row 0 confirmed": (confirmed, 12),
+        "row 0 coprime to den": (coords(1) | 1, 10),
+        "zero row 0": (zero_row, 10),
+        "zero matrix": (np.zeros(shape, dtype=np.int64), 7),
+        "zero matrix over den < 0": (np.zeros(shape, dtype=np.int64), -4),
+        "den < 0": (coords(3), -9),
+    }
+    bad = []
+    for label, (arr, den) in cases.items():
+        vals = [int(v) for v in arr.flat]
+        g = gcd(den, *vals)
+        sign = -1 if den < 0 else 1
+        want = ([sign * v // g for v in vals], sign * den // g)
+        for dtype in (np.int8, np.int64, object):
+            m = RepMatrix(3, arr.astype(dtype), den)
+            if m.arr.dtype != np.int64 or (m.arr.flatten().tolist(), m.den) != want:
+                bad.append(f"{label} ({np.dtype(dtype)})")
+    if RepMatrix(3, proper, 12).den != 6:
+        bad.append("row 0 a proper multiple: den is not 6")
+    return bad
+
+
+def test_normalization_confirms_the_row_divisor():
+    """RepMatrix stores the gcd pass's normal form whether or not row 0's divisor divides every numerator, also under -O."""
+    assert _normalization_mismatches() == []
+    code = "from test_wzwrep import _normalization_mismatches\nassert False, 'asserts are live'\nprint(_normalization_mismatches())"
+    src = os.path.dirname(os.path.dirname(affinesl2.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 def _random_coords(n, rng, amax):
     """A random (dim, dim, phi) coordinate array with entries in [-amax, amax] and a few at +-amax."""
     dim, phi = n - 1, euler_phi(8 * n)
@@ -1048,10 +1126,22 @@ def _random_coords(n, rng, amax):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-def test_rep_matrix_product_matches_the_schoolbook_product(n):
+def test_rep_matrix_product_matches_the_schoolbook_product(n, monkeypatch):
     """The multimodular product equals the product of Cyclotomic entries, for one to many primes."""
     rng = random.Random(n)
     M = 8 * n
+    center, calls = wzwrep._center, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return center(*args)
+
+    def centerings(op):
+        calls[0] = 0
+        op()
+        return calls[0]
+
+    monkeypatch.setattr(wzwrep, "_center", counted)
     cases = [tuple(RepMatrix(n, _random_coords(n, rng, 9), rng.randint(1, 99)) for _ in range(2))]
     # c X over 1 times Y over c: operands and the bound are large, and the
     # product normalizes to X Y, below 2^53, only if CRT assembles it exactly
@@ -1064,8 +1154,17 @@ def test_rep_matrix_product_matches_the_schoolbook_product(n):
     primes = []
     for x, y in cases:
         assert _max_abs(x.arr) < _FLOAT_EXACT and _max_abs(y.arr) < _FLOAT_EXACT
-        primes.append(_num_primes(M, _product_bound(_max_abs(x.arr), _max_abs(y.arr), M)))
+        k = _num_primes(M, _product_bound(_max_abs(x.arr), _max_abs(y.arr), M))
+        primes.append(k)
         assert (x * y).entries() == _entrywise_product(x, y)
+        planes = sum(
+            centerings(lambda m=m: wzwrep._planes(m.arr.reshape((n - 1) ** 2, -1), _max_abs(m.arr), M, k))
+            for m in (x, y)
+        )
+        # two per prime in the product, then CRT: digit 0 arrives centered
+        # and is used as given, digits 1..k-1 are centered once each, and
+        # digit s takes s - 1 Horner steps
+        assert centerings(lambda: x * y) == planes + 2 * k + (k - 1) + (k - 1) * (k - 2) // 2, k
     assert top * RepMatrix.identity(n) == top
     # three or more primes assemble CRT on Python ints
     assert primes[0] <= 2 and primes[1] >= 3 and primes[2] >= 5, primes
