@@ -307,6 +307,8 @@ def _multimodular_product(M, k, a, b):
         np.matmul(planes[s].T, Vinv, out=residues[s])
         _center(residues[s], p, work[s])
         primes.append(p)
+    # released before _crt, not at return: see rho_closed
+    del planes
     return _crt(residues, primes, work[0]).reshape(dim, dim, phi)
 
 
@@ -323,12 +325,13 @@ class RepMatrix:
     product and its normalization.
 
     The dtype rule: a theorem1 gather (rho_S, rho_theorem1, rho_closed on
-    gcd(c, N) = 1) keeps the sqrt(2n) table's narrow type, int8 at every
-    level measured, and every other result is int64.  The constructor
-    accepts any signed integer array and stores int64.  Every consumer in
-    the library widens on its own or compares values: maps and products go
-    to float64, negation through the constructor, entry through int(), and
-    galois_kernel's signed row permutation through int64 signs.  Other
+    gcd(c, N) = 1, evaluate_word on a word with one odd S) keeps the sqrt(2n)
+    table's narrow type, int8 at every level measured; all else is int64.
+    The constructor accepts any signed integer array and stores int64.
+    Every consumer in the library widens on its own or compares values:
+    maps and products go to float64, negation through the constructor,
+    entry through int(), and galois_kernel's signed row permutation
+    through int64 signs.  Other
     arithmetic on a stored .arr must widen it first: in int8, * 2^40 raises
     and smaller factors wrap silently.
 
@@ -382,10 +385,11 @@ class RepMatrix:
         # The normalizing divisor g = gcd(den, content of arr) divides
         # g0 = gcd(den, content of row 0), and g0 divides g once it divides
         # every numerator: one exact pass, arr // g0 times g0, confirms that.
-        # The gcd pass over arr runs where that fails, and for a zero row 0,
-        # whose g0 = |den| int64 may not hold.
+        # The gcd pass over arr runs where that fails, and for a zero row 0.
+        # A zero matrix is 0 over 1, with no division: int64 may not hold |den|.
         row = int(np.gcd.reduce(arr[0], axis=None))
-        g = gcd(den, row or int(np.gcd.reduce(arr, axis=None)))
+        content = row or int(np.gcd.reduce(arr, axis=None))
+        den, g = (den, gcd(den, content)) if content else (1, 1)
         if g > 1:
             q = arr // g
             if row and not (q * g == arr).all():
@@ -550,8 +554,8 @@ def rho_S(n):
     S = (0, -1; 1, 0) lies in the theorem1 stratum, so this is one
     rho_theorem1 gather, with L = 1 and entry (a, b) equal to
     sqrt(2n)/(2n) (zeta_8n^(6n + 4ab) - zeta_8n^(6n - 4ab)).  The word oracle
-    multiplies by it, so test_rho_S_is_the_sine_matrix checks it against
-    Cyclotomic sines, independently of rho_theorem1.
+    gathers from the same table, so test_rho_S_is_the_sine_matrix checks it
+    against Cyclotomic sines, independently of rho_theorem1.
     """
     S = rho_theorem1(ResidueMatrix(conductor(n), 0, -1, 1, 0), n)
     _read_only(S.arr)
@@ -567,42 +571,35 @@ def rho_T(n):
 def evaluate_word(word, n):
     """Evaluate an STWord by direct matrix multiplication; this is the oracle.
 
-    rho(S)^2 = 1, as S^2 = -1 and rho(-1) = 1, so a token S^e multiplies by
-    rho(S) for odd e and by nothing for even e.  The product starts at the
-    first odd S, not at the identity: the T tokens before it add up to one
-    power rho(T)^lead, and rho(T)^lead rho(S) = (rho(S) rho(T)^lead)^T, a
-    column scaling of rho(S) and a transpose, with no product, because
-    rho(T) is diagonal and rho(S) symmetric.  So a word with m odd S tokens
-    costs m - 1 products (of the general kind, with the coordinate bound),
-    and a T after the first odd S is a column scaling.  Each product is
-    acc * rho(S), through RepMatrix.__mul__.
-    test_rho_S_is_the_sine_matrix in tests/test_wzwrep.py checks exactly
-    that rho(S) is symmetric and squares to 1, at every level where the
-    tests or the benchmark run this oracle.
+    rho(S)^2 = 1, as S^2 = -1 and rho(-1) = 1, so a token S^e counts only
+    for odd e (test_rho_S_is_the_sine_matrix checks it at every level where
+    the tests or the benchmark run this oracle).  Each odd S, with the T
+    powers around it, is one factor rho(T^x S T^y): x is the word's leading
+    T power for the first factor and 0 for the rest, and y sums the T
+    powers up to the next odd S, across even S.  T^x S T^y = (x, xy - 1;
+    1, y) has C = 1, so the factor is one theorem1 gather with L = 1 and no
+    Jacobi sign; with rho_closed the oracle shares only the sqrt(2n) table
+    and the C = 1 exponents, as rho_S did.  So a word with m odd S costs m
+    gathers and m - 1 general products (RepMatrix.__mul__, with the
+    coordinate bound); one with no odd S is a column scaling of the identity.
     """
     if not isinstance(word, STWord):
         raise TypeError(f"evaluate_word needs an STWord, got {type(word).__name__}")
     N = conductor(n)
-    tokens = iter(word.tokens)
-    lead = 0
-    for letter, e in tokens:
+    lead, ys = 0, []
+    for letter, e in word.tokens:
         if letter == "T":
-            lead += e
+            if ys:
+                ys[-1] += e
+            else:
+                lead += e
         elif e % 2:
-            break
-    else:
+            ys.append(0)
+    if not ys:
         return RepMatrix.identity(n).scale_cols(_t_exponents(n, lead))
-    S = rho_S(n)
-    acc = S
-    if lead % N:
-        # a transpose permutes the entries, so the result stays normalized
-        arr = S.scale_cols(_t_exponents(n, lead)).arr
-        acc = RepMatrix._unit_image(n, arr.transpose(1, 0, 2).copy(), S.den)
-    for letter, e in tokens:
-        if letter == "T":
-            acc = acc.scale_cols(_t_exponents(n, e))
-        elif e % 2:
-            acc = acc * S
+    acc = _theorem1_gather(ResidueMatrix(N, lead, lead * ys[0] - 1, 1, ys[0]), n)
+    for y in ys[1:]:
+        acc = acc * _theorem1_gather(ResidueMatrix(N, 0, -1, 1, y), n)
     return acc
 
 
@@ -868,8 +865,11 @@ def rho_closed(r, n):
         gathered = np.take(planes, p, axis=1)
         gathered -= np.take(planes, q, axis=1)
         factors.append(gathered)
-    D = _sqrt_table(n)[1]
-    return RepMatrix(n, _multimodular_product(8 * n, nprimes, *factors), D**2)
+    arr = _multimodular_product(8 * n, nprimes, *factors)
+    # released before normalizing, as planes before _crt: in this order glibc reuses the memory, not faulting it
+    # in anew (verify-all --level 48, 2-core VM: 0.09 M minor faults; 1.8 M without, 0.66 M if __mul__ also does)
+    del factors
+    return RepMatrix(n, arr, _sqrt_table(n)[1] ** 2)
 
 
 def g_parity_check(n):

@@ -86,9 +86,8 @@ def test_generators_are_unitary(n):
 def test_rho_S_is_the_sine_matrix(n):
     """rho_S's gather equals sqrt(2n) sin(pi a b / n) / n built from Cyclotomic sines, is symmetric and squares to 1.
 
-    evaluate_word relies on rho(S)^2 = 1, and on the exact symmetry to fold
-    its leading T power into rho(S); n = 50 is the largest level where the
-    tests run the word oracle.
+    evaluate_word relies on rho(S)^2 = 1, and gathers its factors from the
+    same table; n = 50 is the largest level where the tests run the word oracle.
     """
     S = rho_S(n)
     assert np.array_equal(S.arr, S.arr.transpose(1, 0, 2))
@@ -188,15 +187,34 @@ def _oracle_words(n, rng, count):
 
 @pytest.mark.parametrize("n", [*range(3, 13), 20])
 def test_word_oracle_matches_the_identity_led_loop(n):
-    """evaluate_word, which folds the leading T power into rho(S), equals the loop that starts at the identity."""
+    """evaluate_word, which multiplies gathered rho(T^x S T^y) factors, equals the loop that starts at the identity."""
     for word in _oracle_words(n, random.Random(n), 12 if n <= 12 else 4):
         assert evaluate_word(word, n) == _word_by_identity_loop(word, n), (n, word)
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 20])
+def test_word_oracle_factor_matches_the_identity_loop(n):
+    """The gathered factor rho(T^x S T^y) of evaluate_word equals the identity-led loop on T^x S T^y.
+
+    x and y are seeded, of both signs, and include 0, multiples of N and
+    values above 2N.
+    """
+    N = conductor(n)
+    rng = random.Random(300 + n)
+    pairs = [(0, 0), (0, -5), (N, 1), (-2 * N, 3 * N + 2), (2 * N + 7, -N), (-1, 2 * N + 1)]
+    pairs += [(rng.randint(-3 * N, 3 * N), rng.randint(-3 * N, 3 * N)) for _ in range(6)]
+    for x, y in pairs:
+        word = STWord.T(x) * STWord.S() * STWord.T(y)
+        got = evaluate_word(word, n)
+        assert got.arr.dtype == _sqrt_table(n)[0].dtype, (n, x, y)
+        assert got == _word_by_identity_loop(word, n), (n, x, y)
 
 
 def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
     """A word with m odd S tokens makes max(0, m - 1) products, none by a diagonal or the identity.
 
-    Every product goes through RepMatrix.__mul__ and multiplies by rho(S).
+    Every product goes through RepMatrix.__mul__, and its right operand is
+    rho(S T^y), with y the T powers between that odd S and the next.
     """
     products = []
     product = RepMatrix.__mul__
@@ -212,11 +230,16 @@ def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
         # the decomposed words of random matrices carry up to four odd S
         words = _oracle_words(n, rng, 12) + [decompose(lift(random_matrix(conductor(n), rng))) for _ in range(8)]
         for word in words:
-            odd_s = sum(1 for letter, e in word.tokens if letter == "S" and e % 2)
+            ys = []
+            for letter, e in word.tokens:
+                if letter == "S" and e % 2:
+                    ys.append(0)
+                elif letter == "T" and ys:
+                    ys[-1] += e
             products.clear()
             evaluate_word(word, n)
-            assert len(products) == max(0, odd_s - 1), (n, word)
-            assert all(y is rho_S(n) for y in products), (n, word)
+            assert len(products) == max(0, len(ys) - 1), (n, word)
+            assert all(x == rho_S(n).scale_cols(_t_exponents(n, y)) for x, y in zip(products, ys[1:])), (n, word)
             most = max(most, len(products))
     assert most >= 2
     # the Bantay word T S T S T: one product, not two
@@ -248,8 +271,8 @@ def test_cached_level_arrays_are_read_only():
     S = rho_S(n)
     with pytest.raises(ValueError, match="read-only"):
         S.arr[0, 0, 0] += 1
-    # evaluate_word may return the cached rho_S itself
-    assert evaluate_word(STWord.S(), n) is S
+    # evaluate_word gathers rho(S) afresh from the same read-only table
+    assert evaluate_word(STWord.S(), n) == S
     root = sqrt_int(2 * n, 8 * n)
     want = RepMatrix.from_entries(n, [[root * sin_value(n, a * b) / n for b in range(1, n)] for a in range(1, n)])
     assert rho_S(n) == want
@@ -935,7 +958,9 @@ def test_rep_matrix_with_numerators_scaled_by_2_40(n):
 def test_outputs_are_int64_below_2_53(n):
     """Every RepMatrix that the exact routes, products, unit maps and from_entries build lies below 2^53.
 
-    Theorem1 gathers keep the dtype of the sqrt(2n) table; every other output is int64.
+    Theorem1 gathers keep the dtype of the sqrt(2n) table, and so does the
+    word oracle on a word with one odd S, a single gather; every other
+    output is int64, the oracle's products among them.
     """
     M, N = 8 * n, conductor(n)
     rng = random.Random(n)
@@ -945,7 +970,12 @@ def test_outputs_are_int64_below_2_53(n):
     gathers = [rho_S(n)] + [rho_closed(r, n) for r in mats if dispatch_path(r, n) == "theorem1"]
     outs = [rho_T(n), RepMatrix.from_entries(n, rho_S(n).entries())]
     outs += [rho_closed(r, n) for r in mats if dispatch_path(r, n) != "theorem1"]
-    outs += [evaluate_word(decompose(lift(r)), n) for r in mats]
+    # one odd S: a single gather; two: a product
+    words = [decompose(lift(r)) for r in mats]
+    words += [STWord.T(3) * STWord.S() * STWord.T(-1), STWord.S() * STWord.T(2) * STWord.S()]
+    for word in words:
+        odd_s = sum(1 for letter, e in word.tokens if letter == "S" and e % 2)
+        (gathers if odd_s == 1 else outs).append(evaluate_word(word, n))
     exps = [rng.randint(0, M) for _ in range(n - 1)]
     for x in gathers + outs:
         outs += [x * x, x.scale_cols(exps), x.galois_map(4 * n + 1), x.dagger()]
@@ -976,8 +1006,9 @@ def test_off_stratum_rho_closed_at_n101_stays_within_200_mb():
     """One rho_closed off the theorem1 stratum at n = 101, r = (1, 0; 2, 1) mod 808, grows peak RSS by under 200 MB.
 
     gcd(c, N) = 2, so the call takes the product route; it grew the peak by
-    about 153 MB on a 2-core Xeon VM, for a 31 MB result.  ru_maxrss is in KB
-    on Linux.
+    about 157 MB on a 2-core Xeon VM, for a 31 MB result, where keeping the
+    gathered factors alive through normalization grew it by 188 MB.
+    ru_maxrss is in KB on Linux.
     """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affinesl2.__file__)))
     code = """
@@ -1087,6 +1118,8 @@ def _normalization_mismatches():
         "zero row 0": (zero_row, 10),
         "zero matrix": (np.zeros(shape, dtype=np.int64), 7),
         "zero matrix over den < 0": (np.zeros(shape, dtype=np.int64), -4),
+        "zero matrix over den = 2^70": (np.zeros(shape, dtype=np.int64), 1 << 70),
+        "zero matrix over den = -2^70": (np.zeros(shape, dtype=np.int64), -(1 << 70)),
         "den < 0": (coords(3), -9),
     }
     bad = []
