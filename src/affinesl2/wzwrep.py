@@ -56,6 +56,9 @@ def _tables(M):
 
     rows is the zeta-orbit of 1 (see cyclotomic._zeta_orbit), and frows is
     rows in float64, the operand of the exact float64 maps of RepMatrix.
+    tail = 1 + max_u sum_(t = phi .. 2 phi - 2) |rows[t][u]| is the factor
+    by which reduction mod Phi_M can grow a coordinate (see _product_bound).
+    M is even, so 2 phi - 2 < M.
     """
     phi = euler_phi(M)
     rows = _zeta_orbit(np.eye(1, phi, dtype=np.int64)[0], M, M)
@@ -64,6 +67,7 @@ def _tables(M):
         "frows": _read_only(rows.astype(np.float64)),
         "phi": phi,
         "rowmax": max(1, int(np.abs(rows).max())),
+        "tail": 1 + int(np.abs(rows[phi : 2 * phi - 1]).sum(axis=0).max(initial=0)),
     }
 
 
@@ -115,10 +119,11 @@ def _center(x, p, tmp=None):
     return x
 
 
-# rho_closed needs one prime for every n <= 230 (see _sqrt_planes); the general
-# products of the word oracle and is_unitary need one (n <= 12) or two
-# (n = 20, 31) at the benchmark workloads' levels, so four per level keep the
-# primes of MAX_LEVELS levels.
+# rho_closed's product takes one prime for every n <= 230 (see _sqrt_table),
+# and so do the word oracle's and is_unitary's at the benchmark workloads'
+# levels (n <= 12, 20, 31 and 50); the oracle's take two at many levels from
+# n = 55 on, 105 among them, and products of large numerators more, so four
+# per level keep the primes of MAX_LEVELS levels.
 @lru_cache(maxsize=4 * MAX_LEVELS)
 def _prime_tables(M, i):
     """(p, x, V, Vinv) for the i-th largest prime p = 1 (mod M) below 2^21.
@@ -161,12 +166,46 @@ def _prime_tables(M, i):
     return p, _read_only(x), _read_only(V), _read_only(Vinv)
 
 
-def _product_bound(amax, bmax, M):
-    """Bound on the coordinates of a product of matrices whose coordinates are at most amax and bmax."""
-    tab = _tables(M)
-    phi = tab["phi"]
-    # phi products per power of zeta in each of dim terms, then the tail rows
-    return amax * bmax * (M // 8 - 1) * phi * (1 + phi * tab["rowmax"])
+def _norms(arr):
+    """(amax, arow) of a (dim, dim, phi) coordinate array, the operand norms of _product_bound.
+
+    amax is the largest |coordinate|, a Python int.  arow, a float, bounds
+    max_i sum_j ||arr[i, j]||_1 from above.  The row sums run in float64
+    (in int64 they can wrap, as coordinates reach 2^53), after widening:
+    an int8 -128 has no int8 absolute value.  Each |coordinate| is exact in
+    float64, and a float64 sum of m nonnegative terms errs, in any order, by
+    at most gamma_(m-1) = (m - 1) 2^-53 / (1 - (m - 1) 2^-53) relative
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2).  A
+    row has m = dim phi terms; for m <= 2^22 the computed largest row sum
+    times (1 + 2^-30), plus 1, exceeds the exact one with room for the two
+    roundings of _product_bound's products.  Beyond that this raises
+    ValueError: m < 4 n^2 stays below 2^22 for every n <= 1024.
+    """
+    dim, _, phi = arr.shape
+    if dim * phi > 1 << 22:
+        raise ValueError(f"a row of {dim * phi} coordinates is too long for the float64 row norm")
+    mags = np.abs(arr, dtype=np.float64)
+    return int(mags.max()), float(mags.sum(axis=(1, 2)).max()) * (1 + 2.0**-30) + 1
+
+
+def _product_bound(arow, bmax, M):
+    """Bound on every coordinate of a product A B over Q(zeta_M), from the operands' coordinates alone.
+
+    arow bounds max_i sum_j ||a_ij||_1, the largest row sum of A's
+    |coordinates| (see _norms), and bmax bounds every |coordinate| of B.
+
+    Proof.  Before reduction, entry (i, k) of A B is sum_j a_ij b_jk, a
+    polynomial in zeta_M of degree at most 2 phi - 2.  Its coefficient of
+    zeta^s is sum_j sum_(u + v = s) a_iju b_jkv, at most
+    sum_j ||a_ij||_1 bmax <= arow bmax in magnitude.  Reduction mod Phi_M
+    keeps the coefficients of zeta^u, u < phi, and adds the coefficient of
+    zeta^t times rows[t] for t = phi .. 2 phi - 2, so coordinate u is at
+    most arow bmax (1 + sum_t |rows[t][u]|) <= arow bmax tail_M (see
+    _tables).  The bound assumes nothing about the operands, unitarity
+    least of all, so the word oracle that rests on it stays independent
+    of rho_closed's argument (see _sqrt_table).
+    """
+    return arow * bmax * _tables(M)["tail"]
 
 
 def _vinv_bound(M):
@@ -335,8 +374,8 @@ class RepMatrix:
     arithmetic on a stored .arr must widen it first: in int8, * 2^40 raises
     and smaller factors wrap silently.
 
-    A product is multimodular.  The operands' largest numerators bound the
-    product's coordinates, and the bound fixes the number k of primes
+    A product is multimodular.  A bound that reads only the operands'
+    coordinates (see _product_bound) fixes the number k of primes
     p = 1 (mod 8n) below 2^21 whose product exceeds twice it.  Mod each
     prime a matrix becomes phi(8n) evaluation planes, one per primitive
     8n-th root mod p; one batched float64 matmul multiplies all k phi(8n)
@@ -344,11 +383,15 @@ class RepMatrix:
     coordinates, and CRT combines the primes.  Every value stays an integer
     below 2^53, which float64 holds exactly (see _PRIME_LIMIT), so the
     result is exact whatever the summation order, FMA use or thread count.
-    rho_closed runs the same algorithm on its two gathered factors but sizes
-    k from the unitarity of rho instead (see _sqrt_planes): one prime for
-    every n <= 230.  __mul__, the product of the word oracle and
-    is_unitary, builds both operands' planes on every call and keeps the
-    coordinate bound, which assumes nothing about its operands.
+    Every exact product in the library is one such _multimodular_product.
+    A theorem1 factor enters it as planes gathered straight from the
+    sqrt(2n) table's evaluation form, with no change of basis
+    (_gathered_planes): both factors of rho_closed, and each right operand
+    of the word oracle, with the left one of its first product.  Only
+    computed matrices go through _planes: the oracle's running product and
+    both operands of __mul__, which is_unitary uses.  rho_closed also takes
+    the smaller of that bound and one from the unitarity of rho (see
+    _sqrt_table): one prime for every n <= 230.
 
     A column scaling right-multiplies by diag(zeta^e_j): one batched matmul
     takes column j's coordinates through the matrix of "multiply by
@@ -469,8 +512,8 @@ class RepMatrix:
         if self.n != other.n:
             raise ValueError(f"cannot multiply matrices of levels n = {self.n} and n = {other.n}")
         M, dim = self.order, self.dim
-        amax, bmax = _max_abs(self.arr), _max_abs(other.arr)
-        k = _num_primes(M, _product_bound(amax, bmax, M))
+        (amax, arow), bmax = _norms(self.arr), _max_abs(other.arr)
+        k = _num_primes(M, _product_bound(arow, bmax, M))
         a = _planes(self.arr.reshape(dim * dim, -1), amax, M, k).reshape(-1, dim, dim)
         b = _planes(other.arr.reshape(dim * dim, -1), bmax, M, k).reshape(-1, dim, dim)
         return RepMatrix(self.n, _multimodular_product(M, k, a, b), self.den * other.den)
@@ -579,9 +622,13 @@ def evaluate_word(word, n):
     powers up to the next odd S, across even S.  T^x S T^y = (x, xy - 1;
     1, y) has C = 1, so the factor is one theorem1 gather with L = 1 and no
     Jacobi sign; with rho_closed the oracle shares only the sqrt(2n) table
-    and the C = 1 exponents, as rho_S did.  So a word with m odd S costs m
-    gathers and m - 1 general products (RepMatrix.__mul__, with the
-    coordinate bound); one with no odd S is a column scaling of the identity.
+    in both its forms, the C = 1 exponents and _multimodular_product.  So
+    a word with m odd S costs m - 1 products; one with a single odd S is a
+    gather, and one with none a column scaling of the identity.  Each
+    product's right operand is a factor's gathered planes, as is the left
+    one of the first; later left operands, the running product, go through
+    _planes.  k comes from the operand bound on every product, never from
+    unitarity, so the oracle does not rest on the argument rho_closed does.
     """
     if not isinstance(word, STWord):
         raise TypeError(f"evaluate_word needs an STWord, got {type(word).__name__}")
@@ -597,9 +644,23 @@ def evaluate_word(word, n):
             ys.append(0)
     if not ys:
         return RepMatrix.identity(n).scale_cols(_t_exponents(n, lead))
-    acc = _theorem1_gather(ResidueMatrix(N, lead, lead * ys[0] - 1, 1, ys[0]), n)
+    first = ResidueMatrix(N, lead, lead * ys[0] - 1, 1, ys[0])
+    if len(ys) == 1:
+        return _theorem1_gather(first, n)
+    M, dim, tab = 8 * n, n - 1, _sqrt_table(n)
+    acc = None
     for y in ys[1:]:
-        acc = acc * _theorem1_gather(ResidueMatrix(N, 0, -1, 1, y), n)
+        if acc is None:
+            k = _num_primes(M, _product_bound(tab["arow"], tab["bmax"], M))
+            left, den = _gathered_planes(first, n, k), tab["den"]
+        else:
+            amax, arow = _norms(acc.arr)
+            k = _num_primes(M, _product_bound(arow, tab["bmax"], M))
+            left, den = _planes(acc.arr.reshape(dim * dim, -1), amax, M, k).reshape(-1, dim, dim), acc.den
+        arr = _multimodular_product(M, k, left, _gathered_planes(ResidueMatrix(N, 0, -1, 1, y), n, k))
+        # released before normalizing, as in rho_closed (verify-all --level 48: 0.13 M minor faults, 0.51 M without)
+        del left
+        acc = RepMatrix(n, arr, den * tab["den"])
     return acc
 
 
@@ -641,23 +702,55 @@ def _legendre_g(C, n):
 
 @lru_cache(maxsize=MAX_LEVELS)
 def _sqrt_table(n):
-    """(Q, D, g): row j < 8n of Q over D holds the power-basis coordinates of sqrt(2n)/(2n) zeta_8n^j.
+    """The table of sqrt(2n)/(2n) zeta_8n^j, with what its gathers and their products need.
 
+    A dict: row j < 8n of "table" over "den" = D holds the power-basis
+    coordinates of sqrt(2n)/(2n) zeta_8n^j, and "g" is the normalizing
+    divisor of every theorem1 gather (see rho_theorem1 and _gather_form).
     Row j is the zeta-orbit (see cyclotomic._zeta_orbit) of row 0, and row 0
     comes from the quadratic Gauss sum mod M = 8n,
     sum_(x mod M) zeta^(x^2) = (1 + i) sqrt(M) (Berndt, Evans and Williams,
     Gauss and Jacobi Sums, 1998, Thm 1.2.4).  With -i = zeta^(6n) it gives
         M sqrt(2n)/(2n) = (1 - i) (1 + i) sqrt(M) = sum_(x mod M) (zeta^(x^2) + zeta^(x^2 + 6n)),
     so row 0 over M adds the rows of _tables(M) with the counts w[k] of the
-    squares x^2 = k mod M.  g is the normalizing divisor of every theorem1
-    gather (see rho_theorem1 and _gather_form).  Q is int8 at every level
-    measured (max |Q| <= 26 for n = 3..130, 200, 210, 330 and 401).
+    squares x^2 = k mod M.  The table is int8 at every level measured
+    (max |Q| <= 26 for n = 3..130, 200, 210, 330 and 401).
+
+    "arow" = dim 2 max_e ||Q_e||_1 and "bmax" = 2 max |Q| are the norms of
+    _product_bound for a gather over D, before division by g (see
+    _gathered_planes): each entry is a difference of two table rows, and a
+    row of the matrix has dim of them.
+
+    "closed_primes" is the number of primes rho_closed's product takes.  That
+    product is D^2 rho(r) (see rho_closed), and the operand bound on two
+    gathers covers it: one prime at n = 3..12, 20, 31, 50, 101 and 200.
+    Where that bound asks for more, unitarity gives a second bound.  rho(r)
+    is unitary, and complex conjugation commutes with every sigma_L of the
+    abelian group Gal(Q(zeta_8n)/Q), so sigma_L(rho(r)) is unitary too
+    (Coste-Gannon): every embedding of every entry has modulus at most 1,
+    and each coordinate of D^2 rho(r) is at most D^2 B_M (see _vinv_bound).
+    The smaller bound fixes the primes: one for every n <= 230, where the
+    operand bound asks for two at 74 levels from n = 55 on (105 and 210
+    among them, where tail_M = 29).  Counting them builds the level's first
+    prime table, which every product at the level takes.
     """
     M = 8 * n
     w = np.bincount(np.arange(M) ** 2 % M, minlength=M)
     start = (w + np.roll(w, 6 * n)) @ _tables(M)["rows"]
     table, D, g = _gather_form(n, _zeta_orbit(start, M, M), M)
-    return _read_only(table), D, g
+    arow = (n - 1) * 2 * int(np.abs(table.astype(np.int64)).sum(axis=1).max())
+    bmax = 2 * _max_abs(table)
+    bound = _product_bound(arow, bmax, M)
+    if _num_primes(M, bound) > 1:
+        bound = min(bound, D**2 * _vinv_bound(M))
+    return {
+        "table": _read_only(table),
+        "den": D,
+        "g": g,
+        "arow": arow,
+        "bmax": bmax,
+        "closed_primes": _num_primes(M, bound),
+    }
 
 
 def _gather_form(n, table, D):
@@ -689,29 +782,34 @@ def _gather_form(n, table, D):
     return table.astype(dtype), D, g
 
 
-@lru_cache(maxsize=MAX_LEVELS)
-def _sqrt_planes(n):
-    """(planes, k): _sqrt_table(n) in evaluation form, mod the k primes a product of two gathers needs.
+# one entry per level for the one prime of rho_closed, and a second where the
+# word oracle's products take two (many levels from n = 55 on)
+@lru_cache(maxsize=2 * MAX_LEVELS)
+def _sqrt_planes(n, k):
+    """_sqrt_table(n)'s table in evaluation form, mod the first k primes.
 
-    Row s phi + j of planes holds, in column e < 8n, the image of
+    Row s phi + j holds, in column e < 8n, the image of
     D sqrt(2n)/(2n) zeta_8n^e at the j-th evaluation point mod the s-th
     prime, as a centered residue in float64.
-
-    k is sized from unitarity, not from the operands' coordinates.  The
-    product of rho_closed's two gathered factors is D^2 rho(r), where D is
-    the table's denominator, that of each factor.  rho(r) is unitary, and
-    complex conjugation commutes with every sigma_L of the abelian group
-    Gal(Q(zeta_8n)/Q), so sigma_L(rho(r)) is unitary too (Coste-Gannon):
-    every embedding of every entry has modulus at most 1.  Each coordinate
-    of the product is then at most D^2 B_M (see _vinv_bound), and k is the
-    least number of primes whose product exceeds twice that: one for every
-    n <= 230 and, when n has at most one odd prime factor, up to about
-    n = 400.  The general product's bound asks for two from n = 20.
     """
-    M = 8 * n
-    table, D, _ = _sqrt_table(n)
-    k = _num_primes(M, D**2 * _vinv_bound(M))
-    return _read_only(_planes(table, _max_abs(table), M, k)), k
+    table = _sqrt_table(n)["table"]
+    return _read_only(_planes(table, _max_abs(table), 8 * n, k))
+
+
+def _gathered_planes(r, n, k):
+    """The (k phi, dim, dim) evaluation planes of D rho_theorem1(r), mod the first k primes.
+
+    r is a ResidueMatrix with gcd(c, N) = 1, and D the table's
+    denominator: entry (a, b) is the difference of the planes of two table
+    rows (see _theorem1_exponents), a difference of two centered residues,
+    |d| <= p - 1 (see _PRIME_LIMIT).  Its norms are _sqrt_table's "arow" and
+    "bmax".  np.take keeps the result contiguous for the batched matmul.
+    """
+    planes = _sqrt_planes(n, k)
+    p, q = _theorem1_exponents(r.a, r.c, r.d, n)
+    out = np.take(planes, p, axis=1)
+    out -= np.take(planes, q, axis=1)
+    return out
 
 
 @lru_cache(maxsize=MAX_LEVELS)
@@ -808,13 +906,14 @@ def _theorem1_gather(r, n):
 
     Take, subtract and // g run in the table's type, and the result keeps it.
     """
-    table, den, g = _sqrt_table(n)
+    tab = _sqrt_table(n)
+    table, g = tab["table"], tab["g"]
     p, q = _theorem1_exponents(r.a, r.c, r.d, n)
     arr = table.take(p, axis=0)
     arr -= table.take(q, axis=0)
     if g > 1:
         arr //= g
-    return RepMatrix._unit_image(n, arr, den // g)
+    return RepMatrix._unit_image(n, arr, tab["den"] // g)
 
 
 def _signed_fold(A, n):
@@ -848,8 +947,8 @@ def rho_closed(r, n):
     rho(r) = rho(W) rho(S^-1 T^-k) = rho_theorem1(W) rho_theorem1(0, -1; 1, -k),
     as S^-1 T^-k = -(0, -1; 1, -k) and rho(-1) = rho(S)^2 = 1: two gathers
     and one product.  Both factors are gathered straight into evaluation
-    planes (_sqrt_planes) and multiplied by the RepMatrix product's
-    multimodular algorithm, mod as many primes as unitarity asks for.  The
+    planes (_gathered_planes), and their product, D^2 rho(r), takes
+    _sqrt_table's "closed_primes": one prime for every n <= 230.  The
     paper's other closed forms live in identities, checked against the word
     oracle; none is a route of this function.
     """
@@ -857,19 +956,14 @@ def rho_closed(r, n):
     if gcd(r.c, r.N) == 1:
         return _theorem1_gather(r, n)
     k, w = _unit_shift(r, n)
-    planes, nprimes = _sqrt_planes(n)
-    factors = []
-    for x in (w, ResidueMatrix(w.N, 0, -1, 1, -k)):
-        p, q = _theorem1_exponents(x.a, x.c, x.d, n)
-        # np.take keeps the (k phi, dim, dim) result contiguous for the batched matmul
-        gathered = np.take(planes, p, axis=1)
-        gathered -= np.take(planes, q, axis=1)
-        factors.append(gathered)
+    tab = _sqrt_table(n)
+    nprimes = tab["closed_primes"]
+    factors = [_gathered_planes(x, n, nprimes) for x in (w, ResidueMatrix(w.N, 0, -1, 1, -k))]
     arr = _multimodular_product(8 * n, nprimes, *factors)
     # released before normalizing, as planes before _crt: in this order glibc reuses the memory, not faulting it
     # in anew (verify-all --level 48, 2-core VM: 0.09 M minor faults; 1.8 M without, 0.66 M if __mul__ also does)
     del factors
-    return RepMatrix(n, arr, _sqrt_table(n)[1] ** 2)
+    return RepMatrix(n, arr, tab["den"] ** 2)
 
 
 def g_parity_check(n):

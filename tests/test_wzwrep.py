@@ -1,5 +1,6 @@
 """Tests for the representation matrices and their closed evaluations."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -15,7 +16,18 @@ from hypothesis import strategies as st
 
 import affinesl2
 from affinesl2 import wzwrep
-from affinesl2.cyclotomic import cyclotomic_poly, embed, euler_phi, galois, jacobi, one, root_of_unity, sqrt_int, zero
+from affinesl2.cyclotomic import (
+    Cyclotomic,
+    cyclotomic_poly,
+    embed,
+    euler_phi,
+    galois,
+    jacobi,
+    one,
+    root_of_unity,
+    sqrt_int,
+    zero,
+)
 from affinesl2.galois_kernel import sigma_perm
 from affinesl2.modgroup import ResidueMatrix, STWord, decompose, lift, random_matrix
 from affinesl2.wzwrep import (
@@ -24,6 +36,7 @@ from affinesl2.wzwrep import (
     _crt,
     _gather_form,
     _max_abs,
+    _norms,
     _num_primes,
     _prime_tables,
     _product_bound,
@@ -206,24 +219,35 @@ def test_word_oracle_factor_matches_the_identity_loop(n):
     for x, y in pairs:
         word = STWord.T(x) * STWord.S() * STWord.T(y)
         got = evaluate_word(word, n)
-        assert got.arr.dtype == _sqrt_table(n)[0].dtype, (n, x, y)
+        assert got.arr.dtype == _sqrt_table(n)["table"].dtype, (n, x, y)
         assert got == _word_by_identity_loop(word, n), (n, x, y)
 
 
 def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
     """A word with m odd S tokens makes max(0, m - 1) products, none by a diagonal or the identity.
 
-    Every product goes through RepMatrix.__mul__, and its right operand is
-    rho(S T^y), with y the T powers between that odd S and the next.
+    Every product is one _multimodular_product, and its right operand is
+    the gathered planes of rho(S T^y) over the table's denominator D, with y
+    the T powers between that odd S and the next: mod each prime, the
+    planes of rho_S(n).scale_cols(...) with its numerators brought over D.
     """
     products = []
-    product = RepMatrix.__mul__
+    product = wzwrep._multimodular_product
 
-    def counted_product(x, y):
-        products.append(y)
-        return product(x, y)
+    def counted_product(M, k, a, b):
+        products.append((k, b.copy()))
+        return product(M, k, a, b)
 
-    monkeypatch.setattr(RepMatrix, "__mul__", counted_product)
+    monkeypatch.setattr(wzwrep, "_multimodular_product", counted_product)
+
+    def right_operand_of(k, planes, y, n):
+        M, D = 8 * n, _sqrt_table(n)["den"]
+        x = rho_S(n).scale_cols(_t_exponents(n, y))
+        over_D = x.arr.astype(np.int64) * (D // x.den)
+        want = wzwrep._planes(over_D.reshape((n - 1) ** 2, -1), _max_abs(over_D), M, k).reshape(k, -1)
+        primes = np.array([_prime_tables(M, s)[0] for s in range(k)])[:, np.newaxis]
+        return not ((planes.reshape(k, -1) - want) % primes).any()
+
     most = 0
     for n in (3, 4, 5, 6, 7):
         rng = random.Random(100 + n)
@@ -239,7 +263,7 @@ def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
             products.clear()
             evaluate_word(word, n)
             assert len(products) == max(0, len(ys) - 1), (n, word)
-            assert all(x == rho_S(n).scale_cols(_t_exponents(n, y)) for x, y in zip(products, ys[1:])), (n, word)
+            assert all(right_operand_of(k, b, y, n) for (k, b), y in zip(products, ys[1:])), (n, word)
             most = max(most, len(products))
     assert most >= 2
     # the Bantay word T S T S T: one product, not two
@@ -277,7 +301,7 @@ def test_cached_level_arrays_are_read_only():
     want = RepMatrix.from_entries(n, [[root * sin_value(n, a * b) / n for b in range(1, n)] for a in range(1, n)])
     assert rho_S(n) == want
     tab = _tables(8 * n)
-    cached = [tab["rows"], tab["frows"], _sqrt_table(n)[0], _sqrt_planes(n)[0], *_prime_tables(8 * n, 0)[1:]]
+    cached = [tab["rows"], tab["frows"], _sqrt_table(n)["table"], _sqrt_planes(n, 1), *_prime_tables(8 * n, 0)[1:]]
     cached += list(_theorem1_tables(n).values())
     assert not any(arr.flags.writeable for arr in cached)
 
@@ -445,7 +469,7 @@ def _assert_normalized(m):
 
 def _assert_normalized_gather(m):
     """m is normalized and kept in the dtype of its level's sqrt(2n) table."""
-    assert m.arr.dtype == _sqrt_table(m.n)[0].dtype, m
+    assert m.arr.dtype == _sqrt_table(m.n)["table"].dtype, m
     _assert_normalized(m)
 
 
@@ -460,7 +484,7 @@ def test_theorem1_gathers_are_born_normalized(n):
     _assert_normalized(RepMatrix.identity(n))
     assert RepMatrix.identity(n).arr.dtype == np.int64
     # once the table is divided by its content, a divisor is left only at n = 3 and 4
-    assert _sqrt_table(n)[2] == {3: 3, 4: 2}.get(n, 1)
+    assert _sqrt_table(n)["g"] == {3: 3, 4: 2}.get(n, 1)
 
 
 def test_random_theorem1_gathers_are_born_normalized():
@@ -477,7 +501,7 @@ def test_random_theorem1_gathers_are_born_normalized():
 def test_gather_range_guard_is_per_level():
     """The table guard passes while 2 max |Q| // g stays below 2^53 and raises from there."""
     # widened first: a shift of the cached int8 table would wrap to 0
-    table = _sqrt_table(5)[0].astype(np.int64)
+    table = _sqrt_table(5)["table"].astype(np.int64)
     assert _max_abs(table) == 2
     Q, D, g = _gather_form(5, table << 50, 1)
     assert 2 * _max_abs(Q) // g == 1 << 52
@@ -499,7 +523,7 @@ def test_gather_range_guard_is_per_level():
 )
 def test_gather_form_picks_the_narrowest_type_for_a_row_difference(top, dtype):
     """A table is stored in the first of int8..int64 that holds 2 max |Q|, and the widest row difference fits it."""
-    table = _sqrt_table(5)[0].astype(np.int64)
+    table = _sqrt_table(5)["table"].astype(np.int64)
     table[0, 0], table[1, 0] = top, -top
     Q, D, g = _gather_form(5, table, 1)
     assert (Q.dtype, D, g) == (dtype, 1, 1)
@@ -507,9 +531,15 @@ def test_gather_form_picks_the_narrowest_type_for_a_row_difference(top, dtype):
     assert np.array_equal((Q[0] - Q[1]).astype(np.int64), table[0] - table[1])
 
 
+def _sqrt_parts(n):
+    """(table, den, g) of _sqrt_table(n)."""
+    tab = _sqrt_table(n)
+    return tab["table"], tab["den"], tab["g"]
+
+
 def _int64_gather(r, n):
     """(numerators, den) of the theorem1 gather of r from an int64 copy of the table."""
-    table, den, g = _sqrt_table(n)
+    table, den, g = _sqrt_parts(n)
     wide = table.astype(np.int64)
     p, q = _theorem1_exponents(r.a, r.c, r.d, n)
     return (wide[p] - wide[q]) // g, den // g
@@ -518,7 +548,7 @@ def _int64_gather(r, n):
 @pytest.mark.parametrize("n", [*range(3, 41), 61, 101])
 def test_narrow_table_gathers_equal_the_int64_gather(n):
     """rho_S, rho_theorem1 and theorem1 rho_closed equal a gather from an int64 table, in the table's int8, on seeded elements."""
-    assert _sqrt_table(n)[0].dtype == np.int8
+    assert _sqrt_table(n)["table"].dtype == np.int8
     N = conductor(n)
     rng = random.Random(n)
     units = [c for c in range(1, N) if gcd(c, N) == 1]
@@ -548,7 +578,7 @@ def _sqrt_int_table(n):
 @pytest.mark.parametrize("n", [*range(3, 41), 61, 101])
 def test_sqrt_table_matches_the_sqrt_int_construction(n):
     """The Gauss-sum zeta-orbit gives the sqrt_int table in Q, dtype, D and g."""
-    Q, D, g = _sqrt_table(n)
+    Q, D, g = _sqrt_parts(n)
     want_Q, want_D, want_g = _sqrt_int_table(n)
     assert (Q.dtype, D, g) == (want_Q.dtype, want_D, want_g)
     assert np.array_equal(Q, want_Q)
@@ -682,7 +712,7 @@ cases = [
     lambda: QSeries(2, 1, [1, 1]) + QSeries(1, 0, [1, 1]),
     lambda: rho_closed(ResidueMatrix(40, 0, 39, 1, 0), 7),
     lambda: rho_theorem1(ResidueMatrix(56, 1, 0, 2, 1), 7),
-    lambda: _gather_form(5, _sqrt_table(5)[0].astype(np.int64) << 51, 1),
+    lambda: _gather_form(5, _sqrt_table(5)["table"].astype(np.int64) << 51, 1),
     lambda: KernelReport(5, enumerate_kernel(5).kernel[:7], 0),
     lambda: KernelReport(5, [], 0),
     lambda: numeric_eval(character(1, 3, 20), 0.5 - 1j),
@@ -981,19 +1011,19 @@ def test_outputs_are_int64_below_2_53(n):
         outs += [x * x, x.scale_cols(exps), x.galois_map(4 * n + 1), x.dagger()]
     assert len(gathers) >= 2
     for x in gathers:
-        assert x.arr.dtype == _sqrt_table(n)[0].dtype and _max_abs(x.arr) < _FLOAT_EXACT
+        assert x.arr.dtype == _sqrt_table(n)["table"].dtype and _max_abs(x.arr) < _FLOAT_EXACT
     for x in outs:
         assert x.arr.dtype == np.int64 and _max_abs(x.arr) < _FLOAT_EXACT
 
 
 def test_level_caches_stay_bounded_and_rebuild_bit_identically():
     """Cycling more levels than a per-level cache holds evicts the oldest; a rebuild equals the first build."""
-    first = rho_S(3), rho_T(3), _sqrt_table(3)
+    first = rho_S(3), rho_T(3), _sqrt_parts(3)
     bound = rho_S.cache_parameters()["maxsize"]
     for n in range(4, 4 + bound):
         rho_S(n), rho_T(n), _sqrt_table(n)
         assert rho_S.cache_info().currsize <= bound
-    again = rho_S(3), rho_T(3), _sqrt_table(3)
+    again = rho_S(3), rho_T(3), _sqrt_parts(3)
     for old, new in zip(first[:2], again[:2]):
         assert new is not old, "level 3 was not evicted"
         assert (new.den, new.arr.dtype) == (old.den, old.arr.dtype) and np.array_equal(new.arr, old.arr)
@@ -1023,6 +1053,136 @@ print(m.arr.shape == (100, 100, 400), m.is_identity(), grown < 200 * 1024, grown
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[:3] == ["True", "False", "True"], done.stdout
+
+
+def test_dense_reduction_level_n105_in_a_subprocess():
+    """At n = 105 = 3 5 7, where tail_840 = 29, rho_closed equals the word oracle and the Galois checks hold.
+
+    The first printed line is the primes the operand bound asks for on two
+    gathers: two.  rho_closed's product takes one prime on each seeded
+    off-stratum sample all the same (see _sqrt_table).  It also checks one
+    Bantay word and sigma covariance for three units.  The run took about
+    3.5 s and 230 MB peak on a 2-core Xeon VM; the 15 s bound leaves room
+    for a loaded machine.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affinesl2.__file__)))
+    code = """
+import random
+from math import gcd
+from affinesl2 import wzwrep
+from affinesl2.galois_kernel import bantay_sigma_S_identity, sigma_covariance_check
+from affinesl2.modgroup import decompose, lift, random_matrix
+n, N, M = 105, 840, 840
+tab = wzwrep._sqrt_table(n)
+print(wzwrep._tables(M)["tail"], wzwrep._num_primes(M, wzwrep._product_bound(tab["arow"], tab["bmax"], M)))
+primes, product = [], wzwrep._multimodular_product
+def counted(M, k, a, b):
+    primes.append(k)
+    return product(M, k, a, b)
+wzwrep._multimodular_product = counted
+rng = random.Random(105)
+samples = []
+while len(samples) < 2:
+    r = random_matrix(N, rng)
+    if wzwrep.dispatch_path(r, n) != "theorem1":
+        samples.append(r)
+closed = [wzwrep.rho_closed(r, n) for r in samples]
+print(primes)
+print(all(m == wzwrep.evaluate_word(decompose(lift(r)), n) for m, r in zip(closed, samples)))
+units = [L for L in range(2, N) if gcd(L, N) == 1]
+print(bantay_sigma_S_identity(rng.choice(units), n))
+print(all(sigma_covariance_check(L, samples[0], n) for L in rng.sample(units, 3)))
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=15)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["29 2", "[1, 1]", "True", "True", "True"], done.stdout
+
+
+def _exact_product_top(a, b, M):
+    """The largest |coordinate| of entry (0, 0) of the product of coordinate arrays a and b, by Cyclotomic schoolbook products."""
+    acc = zero(M)
+    for j in range(a.shape[0]):
+        if a[0, j].any() and b[j, 0].any():
+            acc = acc + Cyclotomic(M, a[0, j].tolist()) * Cyclotomic(M, b[j, 0].tolist())
+    return max(map(abs, acc.num))
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 20, 31, 105])
+def test_product_bound_covers_the_schoolbook_product(n):
+    """_product_bound on _norms' row norm and the largest |b| is at least every coordinate of the exact product.
+
+    A is nonzero in row 0 only and B in column 0 only, both on the rows J
+    (twelve seeded ones at n = 105, every one below), so the product is its
+    entry (0, 0), found by Cyclotomic schoolbook products.  The operands:
+    seeded coordinates; one sign throughout, where the unreduced
+    coefficients are largest; int8 coordinates down to -127 times a column
+    of a theorem1 gather; and numerators near 2^53, whose row sum reaches
+    2^63, where an int64 sum would wrap, from n = 20 on.
+    """
+    M, dim, phi = 8 * n, n - 1, euler_phi(8 * n)
+    rng = random.Random(500 + n)
+    J = sorted(rng.sample(range(dim), 12)) if n > 31 else list(range(dim))
+
+    def coords(top, dtype=np.int64):
+        return np.array([[rng.randint(-top, top) for _ in range(phi)] for _ in J], dtype=dtype)
+
+    def pair(row, col):
+        a, b = np.zeros((dim, dim, phi), dtype=row.dtype), np.zeros((dim, dim, phi), dtype=col.dtype)
+        a[0, J], b[J, 0] = row, col
+        return a, b
+
+    low = coords(127, np.int8)
+    low[0, 0] = -127
+    gather = rho_theorem1(ResidueMatrix(conductor(n), 0, -1, 1, rng.randrange(conductor(n))), n).arr
+    assert gather.dtype == np.int8
+    near = np.array([[rng.choice((-1, 1)) * (_FLOAT_EXACT - 1 - rng.randrange(1 << 20)) for _ in range(phi)] for _ in J])
+    cases = [
+        pair(coords(9), coords(9)),
+        pair(np.full((len(J), phi), 9), np.full((len(J), phi), 7)),
+        pair(low, gather[J, 0]),
+        pair(near, coords(3)),
+    ]
+    for a, b in cases:
+        amax, arow = _norms(a)
+        mags = np.abs(a.astype(object))
+        assert amax == mags.max() and mags[0].sum() <= arow
+        assert _exact_product_top(a, b, M) <= _product_bound(arow, int(np.abs(b.astype(object)).max()), M)
+    assert (np.abs(near.astype(object)).sum() >= 1 << 63) == (n >= 20)
+
+
+def _exact_results_digest():
+    """One sha256 over (numerators as little-endian int64, den) of exact results at n = 3..12, 20 and 31.
+
+    At each level: rho_closed on a seeded sample of every stratum the
+    samples reach, and one upper-triangular matrix; and the word oracle on
+    decompose(lift(r, s)) of each, for s = 0 and 1.
+    """
+    digest = hashlib.sha256()
+    for n in [*range(3, 13), 20, 31]:
+        N = conductor(n)
+        rng = random.Random(900 + n)
+        samples = {}
+        for _ in range(400):
+            r = random_matrix(N, rng)
+            samples.setdefault(dispatch_path(r, n), r)
+        a = rng.choice([x for x in range(N) if gcd(x, N) == 1])
+        samples.setdefault("upper", ResidueMatrix(N, a, rng.randrange(N), 0, pow(a, -1, N)))
+        for stratum in sorted(samples):
+            r = samples[stratum]
+            for m in (rho_closed(r, n), *(evaluate_word(decompose(lift(r, s)), n) for s in (0, 1))):
+                digest.update(m.arr.astype("<i8").tobytes())
+                digest.update(str(m.den).encode())
+    return digest.hexdigest()
+
+
+def test_exact_results_match_the_pinned_digest():
+    """rho_closed and the word oracle give, bit for bit, the results pinned here.
+
+    A change to the product path, its bounds or the normalization must leave
+    every numerator and denominator as it is; verify-all's stdout carries a
+    float deviation, so its hash does not pin them across machines.
+    """
+    assert _exact_results_digest() == "806684286ed0047f4978c7cb8f3af92c49448c393e4b698b70ec582362ae6a7f"
 
 
 def test_rho_S_at_n101_stays_within_20_mb():
@@ -1178,7 +1338,7 @@ def test_rep_matrix_product_matches_the_schoolbook_product(n, monkeypatch):
     cases = [tuple(RepMatrix(n, _random_coords(n, rng, 9), rng.randint(1, 99)) for _ in range(2))]
     # c X over 1 times Y over c: operands and the bound are large, and the
     # product normalizes to X Y, below 2^53, only if CRT assembles it exactly
-    for shift, bmax in ((36, 9), (49, 1 << 25)):
+    for shift, bmax in ((36, 9), (49, 1 << 32)):
         x = RepMatrix(n, _random_coords(n, rng, 9) << shift, 1)
         cases.append((x, RepMatrix(n, _random_coords(n, rng, bmax), 1 << shift)))
     # numerators just below 2^53, where a residue taken in float64 alone rounds
@@ -1187,7 +1347,7 @@ def test_rep_matrix_product_matches_the_schoolbook_product(n, monkeypatch):
     primes = []
     for x, y in cases:
         assert _max_abs(x.arr) < _FLOAT_EXACT and _max_abs(y.arr) < _FLOAT_EXACT
-        k = _num_primes(M, _product_bound(_max_abs(x.arr), _max_abs(y.arr), M))
+        k = _num_primes(M, _product_bound(_norms(x.arr)[1], _max_abs(y.arr), M))
         primes.append(k)
         assert (x * y).entries() == _entrywise_product(x, y)
         planes = sum(
@@ -1266,18 +1426,22 @@ def test_prime_tables_evaluate_at_the_roots_of_phi(n):
 
 @pytest.mark.parametrize("n", [*range(3, 13), 20, 31, 50])
 def test_vinv_bound_covers_the_float_norm_and_gives_one_prime(n):
-    """B_M lies between the float column-sum norm of V^-1 and twice it, and rho_closed then needs one prime."""
+    """B_M lies between the float column-sum norm of V^-1 and twice it, and D^2 B_M and the operand bound each give one prime."""
     M, phi = 8 * n, euler_phi(8 * n)
     roots = [e for e in range(1, M) if gcd(e, M) == 1]
     V = np.exp(2j * np.pi / M * np.outer(np.arange(phi), roots))
     norm = float(np.abs(np.linalg.inv(V)).sum(axis=0).max())
     assert norm <= _vinv_bound(M) <= 2 * norm
-    assert _sqrt_planes(n)[1] == 1
+    tab = _sqrt_table(n)
+    assert _num_primes(M, tab["den"] ** 2 * _vinv_bound(M)) == 1
+    # the operand bound on two gathers asks for one prime too, so rho_closed takes it without B_M
+    assert _num_primes(M, _product_bound(tab["arow"], tab["bmax"], M)) == 1
+    assert tab["closed_primes"] == 1
 
 
 @pytest.mark.parametrize("n", [20, 31, 50])
 def test_one_prime_product_matches_the_general_product(n):
-    """Off theorem1, rho_closed equals its two theorem1 factors multiplied by RepMatrix.__mul__ on the coordinate bound."""
+    """Off theorem1, rho_closed equals its two theorem1 factors multiplied by RepMatrix.__mul__ on the operand bound."""
     N, M = conductor(n), 8 * n
     rng = random.Random(n)
     samples = {}
@@ -1292,6 +1456,6 @@ def test_one_prime_product_matches_the_general_product(n):
     for r in samples.values():
         k, w = _unit_shift(r, n)
         x, y = rho_theorem1(w, n), rho_theorem1(ResidueMatrix(N, 0, -1, 1, -k), n)
-        # the general product sizes its CRT from the factors' coordinates: two primes here
-        assert _num_primes(M, _product_bound(_max_abs(x.arr), _max_abs(y.arr), M)) == 2
+        # the general product sizes its CRT from the factors' coordinates: one prime here too
+        assert _num_primes(M, _product_bound(_norms(x.arr)[1], _max_abs(y.arr), M)) == 1
         assert rho_closed(r, n) == x * y, r
