@@ -1,7 +1,6 @@
 """The level-k affine sl2 modular representation: exact arithmetic, generators, word oracle, rho_closed."""
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
@@ -119,7 +118,7 @@ def _center(x, p, tmp=None):
     return x
 
 
-# rho_closed's product takes one prime for every n <= 230 (see _sqrt_table),
+# rho_closed's product takes one prime for every n <= 272 (see _sqrt_table),
 # and so do the word oracle's and is_unitary's at the benchmark workloads'
 # levels (n <= 12, 20, 31 and 50); the oracle's take two at many levels from
 # n = 55 on, 105 among them, and products of large numerators more, so four
@@ -201,69 +200,11 @@ def _product_bound(arow, bmax, M):
     keeps the coefficients of zeta^u, u < phi, and adds the coefficient of
     zeta^t times rows[t] for t = phi .. 2 phi - 2, so coordinate u is at
     most arow bmax (1 + sum_t |rows[t][u]|) <= arow bmax tail_M (see
-    _tables).  The bound assumes nothing about the operands, unitarity
-    least of all, so the word oracle that rests on it stays independent
-    of rho_closed's argument (see _sqrt_table).
+    _tables).  The bound assumes nothing about the operands, so it covers
+    every product, the word oracle's among them; rho_closed's product of
+    two gathers has a sharper bound of its own (see _sqrt_table).
     """
     return arow * bmax * _tables(M)["tail"]
-
-
-def _vinv_bound(M):
-    """A proven upper bound B_M, as a Fraction, on the largest column sum of |V^-1| over C.
-
-    V[u, j] = z_j^u at the phi = phi(M) primitive M-th roots z_j in C, and
-    the coordinates of x in Q(zeta_M) are its values times V^-1:
-    x_u = sum_j x(z_j) V^-1[j, u].  So |x_u| <= B_M when every embedding of
-    x has modulus at most 1.  V^-1 has the Lagrange form of _prime_tables:
-    V^-1[j, u] = q_j[u] / Phi_M'(z_j), where q_j[u] = sum_(i > u) c_i z_j^(i-u-1)
-    are the coefficients of Phi_M(t) / (t - z_j) for Phi_M = sum_i c_i t^i,
-    and Phi_M'(z_j) = q_j(z_j).
-
-    Proof that the value returned bounds B_M from above.  Let eps = 2^-53,
-    S = sum_i |c_i| (so |q_j[u]| <= S) and gamma_m = m eps / (1 - m eps), the
-    error bound of a float64 dot product of m terms in any summation order,
-    with or without FMA (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 3.1).  Assume numpy's cos and sin err by at most 4 ulp
-    and hypot by at most 2^-50 relative.
-    - Each angle 2 pi (e_j k mod M) / M takes three roundings, an error
-      below 19 eps, so each part of every computed power z^_j^k is within
-      2^-48 of the exact one, and |z^ - z| <= 2^-47.5.
-    - The dot products q^ = z^ H, with H[k, u] = c_(u+1+k), give
-      |q^ - q| <= sqrt 2 S (2^-48 + gamma_phi (1 + 2^-48)) <= E,
-      where E = (64 + phi) S 2^-52.
-    - Phi'^_j = sum_u q^_j[u] z^_j^u, four dot products and two roundings,
-      gives |Phi'^ - Phi'| <= phi (E (1 + 2^-47) + S 2^-47.5)
-      + 2.9 phi (phi + 1) eps (S + E) <= F = 4 phi E.  E and F are exact in
-      float64.
-    - For the computed moduli h of q^ and g of Phi'^, the true |V^-1[j, u]|
-      is then at most (h + E) / (g - F) (1 + 2^-50) / (1 - 2^-50), and
-      the float quotients and their column sum err by at most
-      gamma_(phi+2), all terms being positive.
-    So B_M is at most the computed largest column sum times 1 + phi 2^-40.
-    Measured, the result exceeds the float norm of np.linalg.inv(V) by less
-    than 10^-8 relative.  For M = 8n it is 1.0 to 1.28 when n has at most
-    one odd prime factor, and grows with their number: 3.6 at n = 105 and
-    8.6 at n = 385 = 5 7 11.
-    """
-    phi, poly = euler_phi(M), cyclotomic_poly(M)
-    k = np.arange(phi)
-    e = np.array([x for x in range(1, M) if gcd(x, M) == 1])
-    angle = 2 * np.pi / M * (e[:, np.newaxis] * k % M)
-    # the real and imaginary parts of z^[j, k] = z_j^k
-    z = np.stack((np.cos(angle), np.sin(angle)))
-    # c[k + u] = c_(u+1+k), zero from k + u = phi on
-    c = np.zeros(2 * phi)
-    c[:phi] = poly[1:]
-    q = z @ c[k[:, np.newaxis] + k]
-    # d[s, t, j] = sum_u q[s, j, u] z[t, j, u]
-    d = np.einsum("sju,tju->stj", q, z)
-    E = (64 + phi) * sum(map(abs, poly)) * 2.0**-52
-    F = 4 * phi * E
-    h, g = np.hypot(*q), np.hypot(d[0, 0] - d[1, 1], d[0, 1] + d[1, 0])
-    if g.min() <= F:
-        raise ValueError(f"|Phi_{M}'| at a primitive root is too small to bound V^-1 in float64")
-    col = ((h + E) / (g - F)[:, np.newaxis]).sum(axis=0).max()
-    return Fraction(col) * (1 + Fraction(phi, 1 << 40))
 
 
 def _num_primes(M, bound):
@@ -389,9 +330,9 @@ class RepMatrix:
     (_gathered_planes): both factors of rho_closed, and each right operand
     of the word oracle, with the left one of its first product.  Only
     computed matrices go through _planes: the oracle's running product and
-    both operands of __mul__, which is_unitary uses.  rho_closed also takes
-    the smaller of that bound and one from the unitarity of rho (see
-    _sqrt_table): one prime for every n <= 230.
+    both operands of __mul__, which is_unitary uses.  rho_closed's product
+    of two gathers takes a sharper bound, from sqrt(2n)^2 = 2n (see
+    _sqrt_table): one prime for every n <= 272.
 
     A column scaling right-multiplies by diag(zeta^e_j): one batched matmul
     takes column j's coordinates through the matrix of "multiply by
@@ -627,8 +568,9 @@ def evaluate_word(word, n):
     gather, and one with none a column scaling of the identity.  Each
     product's right operand is a factor's gathered planes, as is the left
     one of the first; later left operands, the running product, go through
-    _planes.  k comes from the operand bound on every product, never from
-    unitarity, so the oracle does not rest on the argument rho_closed does.
+    _planes.  k comes from the operand bound on every product, which reads
+    only the operands' coordinates, so the oracle's CRT does not rest on
+    the sqrt(2n)^2 = 2n argument that sizes rho_closed's (see _sqrt_table).
     """
     if not isinstance(word, STWord):
         raise TypeError(f"evaluate_word needs an STWord, got {type(word).__name__}")
@@ -721,34 +663,30 @@ def _sqrt_table(n):
     _gathered_planes): each entry is a difference of two table rows, and a
     row of the matrix has dim of them.
 
-    "closed_primes" is the number of primes rho_closed's product takes.  That
-    product is D^2 rho(r) (see rho_closed), and the operand bound on two
-    gathers covers it: one prime at n = 3..12, 20, 31, 50, 101 and 200.
-    Where that bound asks for more, unitarity gives a second bound.  rho(r)
-    is unitary, and complex conjugation commutes with every sigma_L of the
-    abelian group Gal(Q(zeta_8n)/Q), so sigma_L(rho(r)) is unitary too
-    (Coste-Gannon): every embedding of every entry has modulus at most 1,
-    and each coordinate of D^2 rho(r) is at most D^2 B_M (see _vinv_bound).
-    The smaller bound fixes the primes: one for every n <= 230, where the
-    operand bound asks for two at 74 levels from n = 55 on (105 and 210
-    among them, where tail_M = 29).  Counting them builds the level's first
-    prime table, which every product at the level takes.
+    "closed_bound" bounds every coordinate of rho_closed's product, and
+    "closed_primes" is the number of primes that product takes.  The
+    product is D^2 rho(r) (see rho_closed), and entry (a, b) of each of its
+    two gathers is D sqrt(2n)/(2n) (zeta^p - zeta^q).  As sqrt(2n)^2 = 2n,
+    an entry of the product is D^2/(2n) times a signed sum of 4(n - 1)
+    powers of zeta, each with coordinates of magnitude at most rowmax (see
+    _tables), so every coordinate is at most D^2 2 (n - 1) rowmax / n, and
+    below that floored plus 1.  The bound needs no unitarity, no float and
+    no operand norm, and gives one prime for every n <= 272.  Counting the
+    primes builds the level's first prime table, which every product at
+    the level takes.
     """
     M = 8 * n
     w = np.bincount(np.arange(M) ** 2 % M, minlength=M)
     start = (w + np.roll(w, 6 * n)) @ _tables(M)["rows"]
     table, D, g = _gather_form(n, _zeta_orbit(start, M, M), M)
-    arow = (n - 1) * 2 * int(np.abs(table.astype(np.int64)).sum(axis=1).max())
-    bmax = 2 * _max_abs(table)
-    bound = _product_bound(arow, bmax, M)
-    if _num_primes(M, bound) > 1:
-        bound = min(bound, D**2 * _vinv_bound(M))
+    bound = D * D * 2 * (n - 1) * _tables(M)["rowmax"] // n + 1
     return {
         "table": _read_only(table),
         "den": D,
         "g": g,
-        "arow": arow,
-        "bmax": bmax,
+        "arow": (n - 1) * 2 * int(np.abs(table.astype(np.int64)).sum(axis=1).max()),
+        "bmax": 2 * _max_abs(table),
+        "closed_bound": bound,
         "closed_primes": _num_primes(M, bound),
     }
 
@@ -948,7 +886,7 @@ def rho_closed(r, n):
     as S^-1 T^-k = -(0, -1; 1, -k) and rho(-1) = rho(S)^2 = 1: two gathers
     and one product.  Both factors are gathered straight into evaluation
     planes (_gathered_planes), and their product, D^2 rho(r), takes
-    _sqrt_table's "closed_primes": one prime for every n <= 230.  The
+    _sqrt_table's "closed_primes": one prime for every n <= 272.  The
     paper's other closed forms live in identities, checked against the word
     oracle; none is a route of this function.
     """

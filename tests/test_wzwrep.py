@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd, prod
 
 import numpy as np
@@ -35,7 +36,9 @@ from affinesl2.wzwrep import (
     RepMatrix,
     _crt,
     _gather_form,
+    _gathered_planes,
     _max_abs,
+    _multimodular_product,
     _norms,
     _num_primes,
     _prime_tables,
@@ -47,7 +50,6 @@ from affinesl2.wzwrep import (
     _theorem1_exponents,
     _theorem1_tables,
     _unit_shift,
-    _vinv_bound,
     conductor,
     dispatch_path,
     evaluate_word,
@@ -1424,19 +1426,33 @@ def test_prime_tables_evaluate_at_the_roots_of_phi(n):
         assert np.array_equal(ident, np.eye(phi, dtype=np.int64))
 
 
-@pytest.mark.parametrize("n", [*range(3, 13), 20, 31, 50])
-def test_vinv_bound_covers_the_float_norm_and_gives_one_prime(n):
-    """B_M lies between the float column-sum norm of V^-1 and twice it, and D^2 B_M and the operand bound each give one prime."""
-    M, phi = 8 * n, euler_phi(8 * n)
-    roots = [e for e in range(1, M) if gcd(e, M) == 1]
-    V = np.exp(2j * np.pi / M * np.outer(np.arange(phi), roots))
-    norm = float(np.abs(np.linalg.inv(V)).sum(axis=0).max())
-    assert norm <= _vinv_bound(M) <= 2 * norm
+@pytest.mark.parametrize("n", [*range(3, 13), 20, 31, 50, 55])
+def test_closed_bound_covers_two_gathers_and_gives_one_prime(n):
+    """rho_closed's bound rests on (sqrt(2n)/(2n))^2 = 1/(2n), covers its product, and gives one prime.
+
+    The product on two primes is exact by the operand bound on two
+    gathers, which asks for at most two here, so it does not rest on
+    "closed_bound"; it must equal rho_closed and stay within that bound.
+    At n = 55 the operand bound asks for two primes, and "closed_bound"
+    for one.
+    """
+    N, M = conductor(n), 8 * n
     tab = _sqrt_table(n)
-    assert _num_primes(M, tab["den"] ** 2 * _vinv_bound(M)) == 1
-    # the operand bound on two gathers asks for one prime too, so rho_closed takes it without B_M
-    assert _num_primes(M, _product_bound(tab["arow"], tab["bmax"], M)) == 1
-    assert tab["closed_primes"] == 1
+    assert Cyclotomic(M, tab["table"][0].tolist(), tab["den"]) ** 2 == Fraction(1, 2 * n)
+    assert tab["closed_primes"] == _num_primes(M, tab["closed_bound"]) == 1
+    assert _num_primes(M, _product_bound(tab["arow"], tab["bmax"], M)) == (2 if n == 55 else 1)
+    rng = random.Random(n)
+    seen = 0
+    while seen < 3:
+        r = random_matrix(N, rng)
+        if dispatch_path(r, n) == "theorem1":
+            continue
+        seen += 1
+        k, w = _unit_shift(r, n)
+        factors = [_gathered_planes(x, n, 2) for x in (w, ResidueMatrix(N, 0, -1, 1, -k))]
+        arr = _multimodular_product(M, 2, *factors)
+        assert _max_abs(arr) <= tab["closed_bound"]
+        assert RepMatrix(n, arr, tab["den"] ** 2) == rho_closed(r, n)
 
 
 @pytest.mark.parametrize("n", [20, 31, 50])
