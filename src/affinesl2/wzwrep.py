@@ -168,30 +168,26 @@ def _prime_tables(M, i):
 def _norms(arr):
     """(amax, arow) of a (dim, dim, phi) coordinate array, the operand norms of _product_bound.
 
-    amax is the largest |coordinate|, a Python int.  arow, a float, bounds
-    max_i sum_j ||arr[i, j]||_1 from above.  The row sums run in float64
-    (in int64 they can wrap, as coordinates reach 2^53), after widening:
-    an int8 -128 has no int8 absolute value.  Each |coordinate| is exact in
-    float64, and a float64 sum of m nonnegative terms errs, in any order, by
-    at most gamma_(m-1) = (m - 1) 2^-53 / (1 - (m - 1) 2^-53) relative
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2).  A
-    row has m = dim phi terms; for m <= 2^22 the computed largest row sum
-    times (1 + 2^-30), plus 1, exceeds the exact one with room for the two
-    roundings of _product_bound's products.  Beyond that this raises
-    ValueError: m < 4 n^2 stays below 2^22 for every n <= 1024.
+    amax is the largest |coordinate| and arow = max_i sum_j ||arr[i, j]||_1,
+    the largest row sum of |coordinates|, both exact Python ints.  The
+    magnitudes are taken in int64, which also widens an int8 -128.  A row
+    sum is at most amax dim phi, so the sums run in int64 while that is
+    below 2^63, and on Python ints beyond (numerators near 2^53 reach it).
     """
     dim, _, phi = arr.shape
-    if dim * phi > 1 << 22:
-        raise ValueError(f"a row of {dim * phi} coordinates is too long for the float64 row norm")
-    mags = np.abs(arr, dtype=np.float64)
-    return int(mags.max()), float(mags.sum(axis=(1, 2)).max()) * (1 + 2.0**-30) + 1
+    mags = np.abs(arr, dtype=np.int64)
+    amax = int(mags.max())
+    if amax * dim * phi >= 1 << 63:
+        mags = mags.astype(object)
+    return amax, int(mags.sum(axis=(1, 2)).max())
 
 
 def _product_bound(arow, bmax, M):
     """Bound on every coordinate of a product A B over Q(zeta_M), from the operands' coordinates alone.
 
     arow bounds max_i sum_j ||a_ij||_1, the largest row sum of A's
-    |coordinates| (see _norms), and bmax bounds every |coordinate| of B.
+    |coordinates| (_norms gives it exactly), and bmax bounds every
+    |coordinate| of B.
 
     Proof.  Before reduction, entry (i, k) of A B is sum_j a_ij b_jk, a
     polynomial in zeta_M of degree at most 2 phi - 2.  Its coefficient of
@@ -350,7 +346,7 @@ class RepMatrix:
     does the gcd pass over every numerator run.
     """
 
-    __slots__ = ("n", "order", "arr", "den")
+    __slots__ = ("n", "arr", "den")
 
     def __init__(self, n, arr, den=1):
         conductor(n)
@@ -386,14 +382,7 @@ class RepMatrix:
         top = max(-int(arr.min()), int(arr.max()))
         if top >= _FLOAT_EXACT:
             raise ValueError(f"a RepMatrix stores numerators below 2^53, got {top} after normalization")
-        self._store(n, arr.astype(np.int64, copy=False), den)
-
-    def _store(self, n, arr, den):
-        """Set the fields from a normalized (arr, den)."""
-        self.n = n
-        self.order = 8 * n
-        self.arr = arr
-        self.den = den
+        self.n, self.arr, self.den = n, arr.astype(np.int64, copy=False), den
 
     @classmethod
     def _unit_image(cls, n, arr, den):
@@ -409,7 +398,7 @@ class RepMatrix:
         with the same den > 0.
         """
         out = cls.__new__(cls)
-        out._store(n, arr, den)
+        out.n, out.arr, out.den = n, arr, den
         return out
 
     @staticmethod
@@ -434,6 +423,11 @@ class RepMatrix:
         if any(abs(c) >= _FLOAT_EXACT for c in nums):
             raise ValueError(f"an entry's numerator over the common denominator {den} reaches 2^53")
         return RepMatrix(n, np.array(nums, dtype=np.int64).reshape(dim, dim, -1), den)
+
+    @property
+    def order(self):
+        """M = 8n: the entries lie in Q(zeta_M)."""
+        return 8 * self.n
 
     @property
     def dim(self):
@@ -684,7 +678,7 @@ def _sqrt_table(n):
         "table": _read_only(table),
         "den": D,
         "g": g,
-        "arow": (n - 1) * 2 * int(np.abs(table.astype(np.int64)).sum(axis=1).max()),
+        "arow": (n - 1) * 2 * int(np.abs(table, dtype=np.int64).sum(axis=1).max()),
         "bmax": 2 * _max_abs(table),
         "closed_bound": bound,
         "closed_primes": _num_primes(M, bound),

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import gcd, prod
 
@@ -643,6 +644,13 @@ def test_rep_matrix_entry_access_and_serialization():
     dicts = [[x.to_dict() for x in row] for row in S.entries()]
     assert dicts[0][0] == e.to_dict()
     assert len(dicts) == 2 and len(dicts[0]) == 2
+    # order is derived from n, not stored: a constructed matrix, the identity, a gather and a unit image
+    n = 5
+    built = RepMatrix(n, np.ones((n - 1, n - 1, euler_phi(8 * n)), dtype=np.int64), 3)
+    for m in (built, RepMatrix.identity(n), rho_S(n), rho_S(n).galois_map(3)):
+        assert m.order == 8 * n
+        with pytest.raises(AttributeError):
+            m.order = 8
 
 
 def test_rep_matrix_scalar_and_galois():
@@ -1095,7 +1103,14 @@ units = [L for L in range(2, N) if gcd(L, N) == 1]
 print(bantay_sigma_S_identity(rng.choice(units), n))
 print(all(sigma_covariance_check(L, samples[0], n) for L in rng.sample(units, 3)))
 """
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=15)
+    start = time.monotonic()
+    try:
+        # -u: a timed-out run keeps the lines it printed
+        done = subprocess.run([sys.executable, "-u", "-c", code], env=env, capture_output=True, text=True, timeout=15)
+    except subprocess.TimeoutExpired as exc:
+        # the partial output arrives as bytes even with text=True
+        out, err = (b.decode(errors="replace") if isinstance(b, bytes) else b for b in (exc.stdout, exc.stderr))
+        pytest.fail(f"timed out after {time.monotonic() - start:.1f} s\nstdout:\n{out}\nstderr:\n{err}")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["29 2", "[1, 1]", "True", "True", "True"], done.stdout
 
@@ -1117,9 +1132,11 @@ def test_product_bound_covers_the_schoolbook_product(n):
     (twelve seeded ones at n = 105, every one below), so the product is its
     entry (0, 0), found by Cyclotomic schoolbook products.  The operands:
     seeded coordinates; one sign throughout, where the unreduced
-    coefficients are largest; int8 coordinates down to -127 times a column
-    of a theorem1 gather; and numerators near 2^53, whose row sum reaches
-    2^63, where an int64 sum would wrap, from n = 20 on.
+    coefficients are largest; int8 coordinates down to -128, which has no
+    int8 absolute value, times a column of a theorem1 gather; and
+    numerators near 2^53, whose row sum reaches 2^63, where an int64 sum
+    would wrap, from n = 20 on.  _norms' amax and row norm equal the exact
+    ones on Python ints.
     """
     M, dim, phi = 8 * n, n - 1, euler_phi(8 * n)
     rng = random.Random(500 + n)
@@ -1134,7 +1151,7 @@ def test_product_bound_covers_the_schoolbook_product(n):
         return a, b
 
     low = coords(127, np.int8)
-    low[0, 0] = -127
+    low[0, 0], low[-1, -1] = -127, -128
     gather = rho_theorem1(ResidueMatrix(conductor(n), 0, -1, 1, rng.randrange(conductor(n))), n).arr
     assert gather.dtype == np.int8
     near = np.array([[rng.choice((-1, 1)) * (_FLOAT_EXACT - 1 - rng.randrange(1 << 20)) for _ in range(phi)] for _ in J])
@@ -1147,7 +1164,7 @@ def test_product_bound_covers_the_schoolbook_product(n):
     for a, b in cases:
         amax, arow = _norms(a)
         mags = np.abs(a.astype(object))
-        assert amax == mags.max() and mags[0].sum() <= arow
+        assert amax == mags.max() and arow == mags[0].sum()
         assert _exact_product_top(a, b, M) <= _product_bound(arow, int(np.abs(b.astype(object)).max()), M)
     assert (np.abs(near.astype(object)).sum() >= 1 << 63) == (n >= 20)
 
