@@ -118,11 +118,11 @@ def _center(x, p, tmp=None):
     return x
 
 
-# rho_closed's product takes one prime for every n <= 272 (see _sqrt_table),
-# and so do the word oracle's and is_unitary's at the benchmark workloads'
-# levels (n <= 12, 20, 31 and 50); the oracle's take two at many levels from
-# n = 55 on, 105 among them, and products of large numerators more, so four
-# per level keep the primes of MAX_LEVELS levels.
+# rho_closed's product and the word oracle's leading run take one prime for
+# every n <= 272 (see _chain_bound).  The oracle's later products and
+# is_unitary's take one at n <= 12, 20, 31, 50, 61 and 101, and one or two at
+# n = 55 and 105; products of large numerators take more, so four per level
+# keep the primes of MAX_LEVELS levels.
 @lru_cache(maxsize=4 * MAX_LEVELS)
 def _prime_tables(M, i):
     """(p, x, V, Vinv) for the i-th largest prime p = 1 (mod M) below 2^21.
@@ -197,8 +197,8 @@ def _product_bound(arow, bmax, M):
     zeta^t times rows[t] for t = phi .. 2 phi - 2, so coordinate u is at
     most arow bmax (1 + sum_t |rows[t][u]|) <= arow bmax tail_M (see
     _tables).  The bound assumes nothing about the operands, so it covers
-    every product, the word oracle's among them; rho_closed's product of
-    two gathers has a sharper bound of its own (see _sqrt_table).
+    every product, the word oracle's past its leading run among them; a
+    product of gathers has a sharper bound of its own (see _chain_bound).
     """
     return arow * bmax * _tables(M)["tail"]
 
@@ -263,23 +263,36 @@ def _crt(residues, primes, tmp):
     return out if out.dtype == object else out.astype(np.int64)
 
 
+def _plane_product(M, k, a, b, out=None):
+    """The products a[j] b[j] of (k phi, dim, dim) evaluation planes, centered mod each of the k primes.
+
+    One batched matmul forms all k phi products, into out if given, and one
+    _center per prime reduces them, with a, free once the matmul is done,
+    as its work array: a is overwritten.
+    """
+    planes = np.matmul(a, b, out=out)
+    work, flat = a.reshape(k, -1), planes.reshape(k, -1)
+    for s in range(k):
+        _center(flat[s], _prime_tables(M, s)[0], work[s])
+    return planes
+
+
 def _multimodular_product(M, k, a, b):
     """Power-basis coordinates of the products a[j] b[j] of (k phi, dim, dim) evaluation planes.
 
     Exact when every coordinate of the product has magnitude below half the
-    product of the k primes (see _num_primes).  One batched matmul forms all
-    k phi products; V^-1 takes the planes of each prime back to coordinates,
-    and CRT combines the primes.  a and b are overwritten.
+    product of the k primes (see _num_primes).  _plane_product forms the
+    products; V^-1 takes the planes of each prime back to coordinates, and
+    CRT combines the primes.  a and b are overwritten.
     """
     phi, dim = _tables(M)["phi"], a.shape[1]
-    planes = np.matmul(a, b).reshape(k, phi, dim * dim)
+    planes = _plane_product(M, k, a, b).reshape(k, phi, dim * dim)
     # a and b are free now: a is the work array, b takes the residues
     work = a.reshape(k, phi * dim * dim)
     residues = b.reshape(k, dim * dim, phi)
     primes = []
     for s in range(k):
         p, _, _, Vinv = _prime_tables(M, s)
-        _center(planes[s], p, work[s])
         np.matmul(planes[s].T, Vinv, out=residues[s])
         _center(residues[s], p, work[s])
         primes.append(p)
@@ -311,8 +324,9 @@ class RepMatrix:
     arithmetic on a stored .arr must widen it first: in int8, * 2^40 raises
     and smaller factors wrap silently.
 
-    A product is multimodular.  A bound that reads only the operands'
-    coordinates (see _product_bound) fixes the number k of primes
+    A product is multimodular.  A proven bound on its coordinates, one
+    that reads only the operands' coordinates (see _product_bound) or one
+    for a product of gathers (see _chain_bound), fixes the number k of primes
     p = 1 (mod 8n) below 2^21 whose product exceeds twice it.  Mod each
     prime a matrix becomes phi(8n) evaluation planes, one per primitive
     8n-th root mod p; one batched float64 matmul multiplies all k phi(8n)
@@ -320,15 +334,17 @@ class RepMatrix:
     coordinates, and CRT combines the primes.  Every value stays an integer
     below 2^53, which float64 holds exactly (see _PRIME_LIMIT), so the
     result is exact whatever the summation order, FMA use or thread count.
-    Every exact product in the library is one such _multimodular_product.
-    A theorem1 factor enters it as planes gathered straight from the
-    sqrt(2n) table's evaluation form, with no change of basis
-    (_gathered_planes): both factors of rho_closed, and each right operand
-    of the word oracle, with the left one of its first product.  Only
-    computed matrices go through _planes: the oracle's running product and
-    both operands of __mul__, which is_unitary uses.  rho_closed's product
-    of two gathers takes a sharper bound, from sqrt(2n)^2 = 2n (see
-    _sqrt_table): one prime for every n <= 272.
+    Every exact product in the library ends in one such
+    _multimodular_product.  A theorem1 factor enters it as planes gathered
+    straight from the sqrt(2n) table's evaluation form, with no change of
+    basis (_gathered_planes): both factors of rho_closed, every factor of
+    the word oracle's leading run, whose planes multiply by _plane_product
+    up to its last product, and the right operand of each later oracle
+    product.  Only computed matrices go through _planes: the oracle's
+    running product past its run and both operands of __mul__, which
+    is_unitary uses.  A product of gathers takes a sharper bound, from
+    sqrt(2n)^2 = 2n (see _chain_bound): rho_closed's and the oracle's run
+    take one prime for every n <= 272.
 
     A column scaling right-multiplies by diag(zeta^e_j): one batched matmul
     takes column j's coordinates through the matrix of "multiply by
@@ -556,15 +572,25 @@ def evaluate_word(word, n):
     T power for the first factor and 0 for the rest, and y sums the T
     powers up to the next odd S, across even S.  T^x S T^y = (x, xy - 1;
     1, y) has C = 1, so the factor is one theorem1 gather with L = 1 and no
-    Jacobi sign; with rho_closed the oracle shares only the sqrt(2n) table
-    in both its forms, the C = 1 exponents and _multimodular_product.  So
-    a word with m odd S costs m - 1 products; one with a single odd S is a
-    gather, and one with none a column scaling of the identity.  Each
-    product's right operand is a factor's gathered planes, as is the left
-    one of the first; later left operands, the running product, go through
-    _planes.  k comes from the operand bound on every product, which reads
-    only the operands' coordinates, so the oracle's CRT does not rest on
-    the sqrt(2n)^2 = 2n argument that sizes rho_closed's (see _sqrt_table).
+    Jacobi sign.  So a word with m odd S costs m - 1 products; one with a
+    single odd S is a gather, and one with none a column scaling of the
+    identity.
+
+    A leading run of j = min(m, chain_len) factors stays in evaluation
+    planes: their gathered planes, on _sqrt_table's "closed_primes",
+    multiply by j - 2 _plane_products and one _multimodular_product, with
+    one change of basis and one CRT, to D^j times their product.  The
+    remaining factors go stepwise: the running product goes through
+    _planes, the factor's gathered planes are the right operand, and k
+    comes from the operand bound, which reads only their coordinates.
+
+    With rho_closed the oracle shares the sqrt(2n) table in both its
+    forms, the C = 1 exponents, _multimodular_product and the identity
+    sqrt(2n)^2 = 2n, through _chain_bound, which sizes both leading CRTs
+    (rho_closed's is the run j = 2); the test of that bound checks the
+    identity on the table itself.  It shares nothing of rho_closed's
+    factorization r = W S^-1 T^-k through T^k S, and that is what
+    closed_vs_word cross-checks.
     """
     if not isinstance(word, STWord):
         raise TypeError(f"evaluate_word needs an STWord, got {type(word).__name__}")
@@ -584,19 +610,30 @@ def evaluate_word(word, n):
     if len(ys) == 1:
         return _theorem1_gather(first, n)
     M, dim, tab = 8 * n, n - 1, _sqrt_table(n)
-    acc = None
-    for y in ys[1:]:
-        if acc is None:
-            k = _num_primes(M, _product_bound(tab["arow"], tab["bmax"], M))
-            left, den = _gathered_planes(first, n, k), tab["den"]
-        else:
-            amax, arow = _norms(acc.arr)
-            k = _num_primes(M, _product_bound(arow, tab["bmax"], M))
-            left, den = _planes(acc.arr.reshape(dim * dim, -1), amax, M, k).reshape(-1, dim, dim), acc.den
-        arr = _multimodular_product(M, k, left, _gathered_planes(ResidueMatrix(N, 0, -1, 1, y), n, k))
-        # released before normalizing, as in rho_closed (verify-all --level 48: 0.13 M minor faults, 0.51 M without)
+    factors = [ResidueMatrix(N, 0, -1, 1, y) for y in ys[1:]]
+    k, j = tab["closed_primes"], min(len(ys), tab["chain_len"])
+    left, right = _gathered_planes(first, n, k), _gathered_planes(factors[0], n, k)
+    # The run reuses its own three arrays: each product goes into the one
+    # the step before freed, and each factor into right.  That third array
+    # is kept to the return.  verify-all --level 29 and 48 on a 2-core Xeon
+    # VM read 0.03 M and 0.10 M minor faults so, 0.43 M at both with a
+    # fresh product and factor per step, and 0.13 M and 0.43 M with the
+    # third array released along with left.
+    spare = None
+    for r in factors[1 : j - 1]:
+        left, spare = _plane_product(M, k, left, right, spare), left
+        _gathered_planes(r, n, k, right)
+    arr = _multimodular_product(M, k, left, right)
+    # released before normalizing, as in rho_closed (verify-all --level 48: 0.13 M minor faults, 0.51 M without)
+    del left
+    acc = RepMatrix(n, arr, tab["den"] ** j)
+    for r in factors[j - 1 :]:
+        amax, arow = _norms(acc.arr)
+        k = _num_primes(M, _product_bound(arow, tab["bmax"], M))
+        left = _planes(acc.arr.reshape(dim * dim, -1), amax, M, k).reshape(-1, dim, dim)
+        arr = _multimodular_product(M, k, left, _gathered_planes(r, n, k))
         del left
-        acc = RepMatrix(n, arr, den * tab["den"])
+        acc = RepMatrix(n, arr, acc.den * tab["den"])
     return acc
 
 
@@ -652,37 +689,64 @@ def _sqrt_table(n):
     squares x^2 = k mod M.  The table is int8 at every level measured
     (max |Q| <= 26 for n = 3..130, 200, 210, 330 and 401).
 
-    "arow" = dim 2 max_e ||Q_e||_1 and "bmax" = 2 max |Q| are the norms of
-    _product_bound for a gather over D, before division by g (see
-    _gathered_planes): each entry is a difference of two table rows, and a
-    row of the matrix has dim of them.
+    "bmax" = 2 max |Q| bounds every coordinate of a gather over D, before
+    division by g (see _gathered_planes): each entry is a difference of two
+    table rows.  It is the right operand's norm of _product_bound.
 
-    "closed_bound" bounds every coordinate of rho_closed's product, and
-    "closed_primes" is the number of primes that product takes.  The
-    product is D^2 rho(r) (see rho_closed), and entry (a, b) of each of its
-    two gathers is D sqrt(2n)/(2n) (zeta^p - zeta^q).  As sqrt(2n)^2 = 2n,
-    an entry of the product is D^2/(2n) times a signed sum of 4(n - 1)
-    powers of zeta, each with coordinates of magnitude at most rowmax (see
-    _tables), so every coordinate is at most D^2 2 (n - 1) rowmax / n, and
-    below that floored plus 1.  The bound needs no unitarity, no float and
-    no operand norm, and gives one prime for every n <= 272.  Counting the
-    primes builds the level's first prime table, which every product at
-    the level takes.
+    "closed_primes" is the number of primes of every product that
+    _chain_bound sizes: rho_closed's, of two gathers, and the word
+    oracle's leading run.  "chain_len" is the largest m such that the
+    product of m gathers, and of every shorter run, stays within those
+    primes: 2 _chain_bound(n, m, D, max |Q|) is below their product.  Both
+    rest on sqrt(2n)^2 = 2n, and closed_primes is 1 for every n <= 272.
+    Counting them builds the level's first prime table, which every
+    product at the level takes, and no other.
     """
     M = 8 * n
     w = np.bincount(np.arange(M) ** 2 % M, minlength=M)
     start = (w + np.roll(w, 6 * n)) @ _tables(M)["rows"]
     table, D, g = _gather_form(n, _zeta_orbit(start, M, M), M)
-    bound = D * D * 2 * (n - 1) * _tables(M)["rowmax"] // n + 1
+    qmax = _max_abs(table)
+    k = _num_primes(M, _chain_bound(n, 2, D, qmax))
+    modulus = prod(_prime_tables(M, s)[0] for s in range(k))
+    m = 2
+    while 2 * _chain_bound(n, m + 1, D, qmax) < modulus:
+        m += 1
     return {
         "table": _read_only(table),
         "den": D,
         "g": g,
-        "arow": (n - 1) * 2 * int(np.abs(table, dtype=np.int64).sum(axis=1).max()),
-        "bmax": 2 * _max_abs(table),
-        "closed_bound": bound,
-        "closed_primes": _num_primes(M, bound),
+        "bmax": 2 * qmax,
+        "closed_primes": k,
+        "chain_len": m,
     }
+
+
+def _chain_bound(n, m, D, qmax):
+    """Bound on every coordinate of a product of m >= 1 theorem1 gathers over D, from sqrt(2n)^2 = 2n.
+
+    D is the denominator of _sqrt_table's rows Q_e, which hold
+    D s zeta^e with s = sqrt(2n)/(2n), and qmax = max |Q|.
+
+    Proof.  Entry (a, b) of a gather over D is D s (zeta^p - zeta^q), up to
+    a Jacobi sign (see rho_theorem1).  Entry (a, b) of the product of m of
+    them sums, over the dim^(m - 1) paths a = i_0, i_1, ..., i_m = b, the
+    products of m such entries: it is D^m s^m times a signed sum of
+    dim^(m - 1) 2^m powers zeta^e.  As sqrt(2n)^2 = 2n, s^2 = 1/(2n).  For
+    even m, D^m s^m zeta^e = D^m/(2n)^(m/2) zeta^e has coordinates at most
+    D^m rowmax/(2n)^(m/2) (see _tables).  For odd m, it is
+    D^(m - 1)/(2n)^((m - 1)/2) times D s zeta^e, the table row Q_e, so its
+    coordinates are at most D^(m - 1) qmax/(2n)^((m - 1)/2).  Every
+    coordinate of the product is thus at most
+        D^m dim^(m - 1) 2^m rowmax / (2n)^(m/2)              (m even),
+        D^(m - 1) dim^(m - 1) 2^m qmax / (2n)^((m - 1)/2)    (m odd),
+    and below that floored plus 1.  For m = 2 this is rho_closed's bound,
+    D^2 2 (n - 1) rowmax / n, on its product D^2 rho(r).  The bound needs
+    no unitarity, no float and no operand norm.
+    """
+    h = m // 2
+    top = qmax if m % 2 else _tables(8 * n)["rowmax"]
+    return D ** (2 * h) * (n - 1) ** (m - 1) * 2**m * top // (2 * n) ** h + 1
 
 
 def _gather_form(n, table, D):
@@ -714,8 +778,9 @@ def _gather_form(n, table, D):
     return table.astype(dtype), D, g
 
 
-# one entry per level for the one prime of rho_closed, and a second where the
-# word oracle's products take two (many levels from n = 55 on)
+# one entry per level for the one prime of rho_closed and the word oracle's
+# leading run, and a second where a later oracle product takes two (n = 55
+# and 105 among the levels n <= 12, 20, 31, 50, 55, 61, 101 and 105)
 @lru_cache(maxsize=2 * MAX_LEVELS)
 def _sqrt_planes(n, k):
     """_sqrt_table(n)'s table in evaluation form, mod the first k primes.
@@ -728,18 +793,21 @@ def _sqrt_planes(n, k):
     return _read_only(_planes(table, _max_abs(table), 8 * n, k))
 
 
-def _gathered_planes(r, n, k):
-    """The (k phi, dim, dim) evaluation planes of D rho_theorem1(r), mod the first k primes.
+def _gathered_planes(r, n, k, out=None):
+    """The (k phi, dim, dim) evaluation planes of D rho_theorem1(r), mod the first k primes, into out if given.
 
     r is a ResidueMatrix with gcd(c, N) = 1, and D the table's
     denominator: entry (a, b) is the difference of the planes of two table
     rows (see _theorem1_exponents), a difference of two centered residues,
-    |d| <= p - 1 (see _PRIME_LIMIT).  Its norms are _sqrt_table's "arow" and
-    "bmax".  np.take keeps the result contiguous for the batched matmul.
+    |d| <= p - 1 (see _PRIME_LIMIT).  D rho_theorem1(r) has coordinates at
+    most _sqrt_table's "bmax", and _chain_bound bounds a product of such
+    gathers.  np.take keeps the result contiguous for the batched matmul.
     """
     planes = _sqrt_planes(n, k)
     p, q = _theorem1_exponents(r.a, r.c, r.d, n)
-    out = np.take(planes, p, axis=1)
+    # the exponents lie in [0, 8n), so "clip" clips nothing; it spares the
+    # buffered copy that np.take makes of out in its default mode
+    out = np.take(planes, p, axis=1, out=out, mode="clip")
     out -= np.take(planes, q, axis=1)
     return out
 
@@ -880,7 +948,8 @@ def rho_closed(r, n):
     as S^-1 T^-k = -(0, -1; 1, -k) and rho(-1) = rho(S)^2 = 1: two gathers
     and one product.  Both factors are gathered straight into evaluation
     planes (_gathered_planes), and their product, D^2 rho(r), takes
-    _sqrt_table's "closed_primes": one prime for every n <= 272.  The
+    _sqrt_table's "closed_primes", sized by _chain_bound(n, 2): one prime
+    for every n <= 272, as for the word oracle's leading run.  The
     paper's other closed forms live in identities, checked against the word
     oracle; none is a route of this function.
     """

@@ -35,6 +35,7 @@ from affinesl2.modgroup import ResidueMatrix, STWord, decompose, lift, random_ma
 from affinesl2.wzwrep import (
     _FLOAT_EXACT,
     RepMatrix,
+    _chain_bound,
     _crt,
     _gather_form,
     _gathered_planes,
@@ -229,18 +230,27 @@ def test_word_oracle_factor_matches_the_identity_loop(n):
 def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
     """A word with m odd S tokens makes max(0, m - 1) products, none by a diagonal or the identity.
 
-    Every product is one _multimodular_product, and its right operand is
-    the gathered planes of rho(S T^y) over the table's denominator D, with y
-    the T powers between that odd S and the next: mod each prime, the
-    planes of rho_S(n).scale_cols(...) with its numerators brought over D.
+    Every product is one _plane_product, and the result equals the
+    identity-led loop.  With m >= 2 the leading run of j = min(m,
+    chain_len) factors stays in planes, so 1 + m - j of the products go on
+    through _multimodular_product: the run's last and each stepwise one.
+    The right operand of each of those is the gathered planes of
+    rho(S T^y) over the table's denominator D, with y the T powers between
+    that odd S and the next: mod each prime, the planes of
+    rho_S(n).scale_cols(...) with its numerators brought over D.
     """
-    products = []
-    product = wzwrep._multimodular_product
+    planes, products = [], []
+    plane_product, product = wzwrep._plane_product, wzwrep._multimodular_product
+
+    def counted_plane_product(M, k, a, b, out=None):
+        planes.append(k)
+        return plane_product(M, k, a, b, out)
 
     def counted_product(M, k, a, b):
         products.append((k, b.copy()))
         return product(M, k, a, b)
 
+    monkeypatch.setattr(wzwrep, "_plane_product", counted_plane_product)
     monkeypatch.setattr(wzwrep, "_multimodular_product", counted_product)
 
     def right_operand_of(k, planes, y, n):
@@ -251,11 +261,17 @@ def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
         primes = np.array([_prime_tables(M, s)[0] for s in range(k)])[:, np.newaxis]
         return not ((planes.reshape(k, -1) - want) % primes).any()
 
-    most = 0
-    for n in (3, 4, 5, 6, 7):
+    S, T = STWord.S, STWord.T
+    runs = set()
+    for n in (3, 4, 5, 6, 7, 11):
         rng = random.Random(100 + n)
         # the decomposed words of random matrices carry up to four odd S
         words = _oracle_words(n, rng, 12) + [decompose(lift(random_matrix(conductor(n), rng))) for _ in range(8)]
+        if n == 11:
+            # chain_len is 3 here: a word that fills the run and one that goes past it
+            words.append(T(5) * S() * T(-7) * S(3) * T(2) * S())
+            words.append(T(1) * S() * T(9) * S(-1) * T(4) * S(2) * T(3) * S() * T(6) * S())
+        chain_len = _sqrt_table(n)["chain_len"]
         for word in words:
             ys = []
             for letter, e in word.tokens:
@@ -263,12 +279,23 @@ def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
                     ys.append(0)
                 elif letter == "T" and ys:
                     ys[-1] += e
+            m = len(ys)
+            want = _word_by_identity_loop(word, n)
+            planes.clear()
             products.clear()
-            evaluate_word(word, n)
-            assert len(products) == max(0, len(ys) - 1), (n, word)
-            assert all(right_operand_of(k, b, y, n) for (k, b), y in zip(products, ys[1:])), (n, word)
-            most = max(most, len(products))
-    assert most >= 2
+            assert evaluate_word(word, n) == want, (n, word)
+            assert len(planes) == max(0, m - 1), (n, word)
+            if m < 2:
+                assert not products, (n, word)
+                continue
+            j = min(m, chain_len)
+            assert len(products) == 1 + m - j, (n, word)
+            assert products[0][0] == _sqrt_table(n)["closed_primes"], (n, word)
+            assert all(right_operand_of(k, b, y, n) for (k, b), y in zip(products, ys[j - 1 :])), (n, word)
+            runs.add((j, m > chain_len))
+    # some run of four gathers took two plane products, the second into the
+    # array the first freed, and some word went past its run
+    assert max(runs)[0] >= 4 and any(past for _, past in runs)
     # the Bantay word T S T S T: one product, not two
     products.clear()
     evaluate_word(STWord.T(3) * STWord.S() * STWord.T(7) * STWord.S() * STWord.T(3), 5)
@@ -1070,21 +1097,24 @@ def test_dense_reduction_level_n105_in_a_subprocess():
 
     The first printed line is the primes the operand bound asks for on two
     gathers: two.  rho_closed's product takes one prime on each seeded
-    off-stratum sample all the same (see _sqrt_table).  It also checks one
-    Bantay word and sigma covariance for three units.  The run took about
-    3.5 s and 230 MB peak on a 2-core Xeon VM; the 15 s bound leaves room
-    for a loaded machine.
+    off-stratum sample all the same (see _chain_bound), and so does the
+    word oracle's one product on a Bantay word, whose two gathers form its
+    leading run.  It also checks sigma covariance for three units.  The
+    run took about 3.5 s and 230 MB peak on a 2-core Xeon VM; the 15 s
+    bound leaves room for a loaded machine.
     """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affinesl2.__file__)))
     code = """
 import random
 from math import gcd
+import numpy as np
 from affinesl2 import wzwrep
 from affinesl2.galois_kernel import bantay_sigma_S_identity, sigma_covariance_check
 from affinesl2.modgroup import decompose, lift, random_matrix
 n, N, M = 105, 840, 840
 tab = wzwrep._sqrt_table(n)
-print(wzwrep._tables(M)["tail"], wzwrep._num_primes(M, wzwrep._product_bound(tab["arow"], tab["bmax"], M)))
+arow = (n - 1) * 2 * int(np.abs(tab["table"], dtype=np.int64).sum(axis=1).max())
+print(wzwrep._tables(M)["tail"], wzwrep._num_primes(M, wzwrep._product_bound(arow, tab["bmax"], M)))
 primes, product = [], wzwrep._multimodular_product
 def counted(M, k, a, b):
     primes.append(k)
@@ -1100,7 +1130,8 @@ closed = [wzwrep.rho_closed(r, n) for r in samples]
 print(primes)
 print(all(m == wzwrep.evaluate_word(decompose(lift(r)), n) for m, r in zip(closed, samples)))
 units = [L for L in range(2, N) if gcd(L, N) == 1]
-print(bantay_sigma_S_identity(rng.choice(units), n))
+primes.clear()
+print(bantay_sigma_S_identity(rng.choice(units), n), primes)
 print(all(sigma_covariance_check(L, samples[0], n) for L in rng.sample(units, 3)))
 """
     start = time.monotonic()
@@ -1112,7 +1143,7 @@ print(all(sigma_covariance_check(L, samples[0], n) for L in rng.sample(units, 3)
         out, err = (b.decode(errors="replace") if isinstance(b, bytes) else b for b in (exc.stdout, exc.stderr))
         pytest.fail(f"timed out after {time.monotonic() - start:.1f} s\nstdout:\n{out}\nstderr:\n{err}")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["29 2", "[1, 1]", "True", "True", "True"], done.stdout
+    assert done.stdout.splitlines() == ["29 2", "[1, 1]", "True", "True [1]", "True"], done.stdout
 
 
 def _exact_product_top(a, b, M):
@@ -1202,6 +1233,36 @@ def test_exact_results_match_the_pinned_digest():
     float deviation, so its hash does not pin them across machines.
     """
     assert _exact_results_digest() == "806684286ed0047f4978c7cb8f3af92c49448c393e4b698b70ec582362ae6a7f"
+
+
+def _long_words_digest():
+    """One sha256 over (numerators as little-endian int64, den) of the word oracle on seeded words of 3, 4 and 5 odd S at n = 50 and 55.
+
+    chain_len is 3 at n = 50 and 2 at n = 55, so these words fill the
+    oracle's leading run of gathers and go past it.
+    """
+    digest = hashlib.sha256()
+    for n in (50, 55):
+        N = conductor(n)
+        rng = random.Random(950 + n)
+        for odd in (3, 4, 5):
+            tokens = [("T", rng.randrange(-2 * N, 2 * N))]
+            for _ in range(odd):
+                tokens.append(("S", rng.choice((-1, 1, 3))))
+                tokens.append(("T", rng.choice((-1, 1)) * rng.randint(1, 2 * N)))
+                if rng.random() < 0.4:
+                    tokens += [("S", 2), ("T", rng.randint(1, N))]
+            word = STWord(tokens)
+            assert sum(letter == "S" and e % 2 for letter, e in word.tokens) == odd
+            m = evaluate_word(word, n)
+            digest.update(m.arr.astype("<i8").tobytes())
+            digest.update(str(m.den).encode())
+    return digest.hexdigest()
+
+
+def test_long_words_match_the_pinned_digest():
+    """The word oracle gives, bit for bit, the results pinned here on words longer than its leading run."""
+    assert _long_words_digest() == "f8c39c848c92293c03500c8955b690f44964346e2efc85532737dffc8117b1c7"
 
 
 def test_rho_S_at_n101_stays_within_20_mb():
@@ -1443,22 +1504,61 @@ def test_prime_tables_evaluate_at_the_roots_of_phi(n):
         assert np.array_equal(ident, np.eye(phi, dtype=np.int64))
 
 
+# chain_len: the longest run of gathers within rho_closed's one prime
+_CHAIN_LEN = {3: 6, 4: 7, 5: 4, 6: 5, 7: 4, 8: 5, 9: 5, 10: 4, 11: 3, 12: 4, 20: 3, 31: 3, 50: 3, 55: 2}
+
+
+def _gathers_product(n, factors, k):
+    """D^m times the product of the theorem1 gathers of m factors, on the first k primes."""
+    if len(factors) == 1:
+        table = _sqrt_table(n)["table"].astype(np.int64)
+        p, q = _theorem1_exponents(factors[0].a, factors[0].c, factors[0].d, n)
+        return table[p] - table[q]
+    M = 8 * n
+    left = _gathered_planes(factors[0], n, k)
+    for r in factors[1:-1]:
+        left = wzwrep._plane_product(M, k, left, _gathered_planes(r, n, k))
+    return _multimodular_product(M, k, left, _gathered_planes(factors[-1], n, k))
+
+
 @pytest.mark.parametrize("n", [*range(3, 13), 20, 31, 50, 55])
 def test_closed_bound_covers_two_gathers_and_gives_one_prime(n):
-    """rho_closed's bound rests on (sqrt(2n)/(2n))^2 = 1/(2n), covers its product, and gives one prime.
+    """_chain_bound rests on (sqrt(2n)/(2n))^2 = 1/(2n), covers runs of gathers, and gives rho_closed one prime.
 
-    The product on two primes is exact by the operand bound on two
-    gathers, which asks for at most two here, so it does not rest on
-    "closed_bound"; it must equal rho_closed and stay within that bound.
-    At n = 55 the operand bound asks for two primes, and "closed_bound"
-    for one.
+    Runs of m = 1..6 gathers, a W with a Jacobi sign as in rho_closed
+    followed by word-oracle factors (0, -1; 1, y), are multiplied on
+    enough primes to be exact by the operand bound, bmax^m (dim phi
+    tail)^(m - 1), so they do not rest on _chain_bound; every coordinate
+    must stay within _chain_bound(n, m).  Two gathers on two primes, exact
+    by the operand bound, which asks for at most two here, must equal
+    rho_closed.  At n = 55 the operand bound on two gathers asks for two
+    primes, and _chain_bound for one.
     """
     N, M = conductor(n), 8 * n
     tab = _sqrt_table(n)
-    assert Cyclotomic(M, tab["table"][0].tolist(), tab["den"]) ** 2 == Fraction(1, 2 * n)
-    assert tab["closed_primes"] == _num_primes(M, tab["closed_bound"]) == 1
-    assert _num_primes(M, _product_bound(tab["arow"], tab["bmax"], M)) == (2 if n == 55 else 1)
+    table, D, rowmax = tab["table"], tab["den"], _tables(M)["rowmax"]
+    qmax = _max_abs(table)
+    assert Cyclotomic(M, table[0].tolist(), D) ** 2 == Fraction(1, 2 * n)
+    assert _chain_bound(n, 2, D, qmax) == D * D * 2 * (n - 1) * rowmax // n + 1
+    assert tab["closed_primes"] == _num_primes(M, _chain_bound(n, 2, D, qmax)) == 1
+    assert tab["chain_len"] == _CHAIN_LEN[n]
+    p0 = _prime_tables(M, 0)[0]
+    assert 2 * _chain_bound(n, _CHAIN_LEN[n], D, qmax) < p0 <= 2 * _chain_bound(n, _CHAIN_LEN[n] + 1, D, qmax)
+    arow = (n - 1) * 2 * int(np.abs(table, dtype=np.int64).sum(axis=1).max())
+    assert _num_primes(M, _product_bound(arow, tab["bmax"], M)) == (2 if n == 55 else 1)
     rng = random.Random(n)
+    units = [C for C in range(N) if gcd(C, N) == 1]
+    dim_phi_tail = (n - 1) * _tables(M)["phi"] * _tables(M)["tail"]
+    by_sign = {s: [C for C in units if jacobi(2 * n, pow(C, -1, M)) == s] for s in (-1, 1)}
+    # the Jacobi sign is -1 on odd runs, where one exists: never where 2n is a square
+    assert bool(by_sign[-1]) == (math.isqrt(2 * n) ** 2 != 2 * n)
+    for m in range(1, 7):
+        C = rng.choice(by_sign[-1 if m % 2 and by_sign[-1] else 1])
+        A, Dw = rng.randrange(N), rng.randrange(N)
+        w = ResidueMatrix(N, A, (A * Dw - 1) * pow(C, -1, N), C, Dw)
+        factors = [w] + [ResidueMatrix(N, 0, -1, 1, rng.randrange(N)) for _ in range(m - 1)]
+        k = _num_primes(M, tab["bmax"] ** m * dim_phi_tail ** (m - 1))
+        assert _max_abs(_gathers_product(n, factors, k)) <= _chain_bound(n, m, D, qmax), (n, m)
     seen = 0
     while seen < 3:
         r = random_matrix(N, rng)
@@ -1466,10 +1566,9 @@ def test_closed_bound_covers_two_gathers_and_gives_one_prime(n):
             continue
         seen += 1
         k, w = _unit_shift(r, n)
-        factors = [_gathered_planes(x, n, 2) for x in (w, ResidueMatrix(N, 0, -1, 1, -k))]
-        arr = _multimodular_product(M, 2, *factors)
-        assert _max_abs(arr) <= tab["closed_bound"]
-        assert RepMatrix(n, arr, tab["den"] ** 2) == rho_closed(r, n)
+        arr = _gathers_product(n, [w, ResidueMatrix(N, 0, -1, 1, -k)], 2)
+        assert _max_abs(arr) <= _chain_bound(n, 2, D, qmax)
+        assert RepMatrix(n, arr, D**2) == rho_closed(r, n)
 
 
 @pytest.mark.parametrize("n", [20, 31, 50])
