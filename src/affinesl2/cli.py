@@ -8,7 +8,7 @@ import sys
 from math import gcd
 
 from .galois_kernel import _twisted, bantay_sigma_S_identity, enumerate_kernel, genus, image_order
-from .modgroup import ResidueMatrix, decompose, format_matrix, lift, parse_matrix, random_matrix
+from .modgroup import ResidueMatrix, decompose, format_matrix, lift, mat_det, parse_matrix, random_matrix
 from .qseries import (
     _characters,
     log_eta_expansion_check,
@@ -75,7 +75,7 @@ def _cmd_eval(args):
         m = parse_matrix(args.matrix)
     except ValueError as exc:
         raise UsageError(f"bad --matrix: {exc}")
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    det = mat_det(m)
     if det % N != 1 % N:
         raise UsageError(f"matrix determinant {det} is not 1 mod {N}")
     r = ResidueMatrix.from_list(N, m)

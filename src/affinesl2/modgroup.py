@@ -218,8 +218,10 @@ def decompose(m):
 
     Euclid on the bottom row: repeatedly strip T^q and S factors from the
     right until the bottom-left entry vanishes, then emit the remaining
-    (+-)T^b prefix, with -1 rendered as S^2.
+    (+-)T^b prefix, with -1 rendered as S^2.  A non-integer entry raises
+    ValueError (see _integer).
     """
+    m = [[_integer("a decompose entry", x) for x in row] for row in m]
     if mat_det(m) != 1:
         raise ValueError(f"decompose needs determinant 1, got {mat_det(m)}")
     tail = []

@@ -118,11 +118,11 @@ def _center(x, p, tmp=None):
     return x
 
 
-# rho_closed's product and the word oracle's leading run take one prime for
-# every n <= 272 (see _chain_bound).  The oracle's later products and
-# is_unitary's take one at n <= 12, 20, 31, 50, 61 and 101, and one or two at
-# n = 55 and 105; products of large numerators take more, so four per level
-# keep the primes of MAX_LEVELS levels.
+# Every _gather_run, rho_closed's product and each run of the word oracle,
+# takes one prime for every n <= 272 (see _chain_bound).  __mul__, the
+# oracle's joins of its runs and is_unitary, takes one at n <= 12, 20, 31,
+# 50, 61 and 101, and one or two at n = 55 and 105; products of large
+# numerators take more, so four per level keep the primes of MAX_LEVELS levels.
 @lru_cache(maxsize=4 * MAX_LEVELS)
 def _prime_tables(M, i):
     """(p, x, V, Vinv) for the i-th largest prime p = 1 (mod M) below 2^21.
@@ -197,8 +197,8 @@ def _product_bound(arow, bmax, M):
     zeta^t times rows[t] for t = phi .. 2 phi - 2, so coordinate u is at
     most arow bmax (1 + sum_t |rows[t][u]|) <= arow bmax tail_M (see
     _tables).  The bound assumes nothing about the operands, so it covers
-    every product, the word oracle's past its leading run among them; a
-    product of gathers has a sharper bound of its own (see _chain_bound).
+    every __mul__, the word oracle's joins of its runs among them; a
+    _gather_run has a sharper bound of its own (see _chain_bound).
     """
     return arow * bmax * _tables(M)["tail"]
 
@@ -334,17 +334,16 @@ class RepMatrix:
     coordinates, and CRT combines the primes.  Every value stays an integer
     below 2^53, which float64 holds exactly (see _PRIME_LIMIT), so the
     result is exact whatever the summation order, FMA use or thread count.
-    Every exact product in the library ends in one such
-    _multimodular_product.  A theorem1 factor enters it as planes gathered
-    straight from the sqrt(2n) table's evaluation form, with no change of
-    basis (_gathered_planes): both factors of rho_closed, every factor of
-    the word oracle's leading run, whose planes multiply by _plane_product
-    up to its last product, and the right operand of each later oracle
-    product.  Only computed matrices go through _planes: the oracle's
-    running product past its run and both operands of __mul__, which
-    is_unitary uses.  A product of gathers takes a sharper bound, from
-    sqrt(2n)^2 = 2n (see _chain_bound): rho_closed's and the oracle's run
-    take one prime for every n <= 272.
+    Every exact product in the library is either __mul__ or a
+    _gather_run, and each ends in one such _multimodular_product.
+    __mul__ takes both operands through _planes; is_unitary and the word
+    oracle's joins of its runs use it.  A _gather_run, the product of
+    rho_closed's two factors and each run of the oracle, gathers its
+    theorem1 factors as planes straight from the sqrt(2n) table's
+    evaluation form, with no change of basis (_gathered_planes), and
+    multiplies them by _plane_product up to its last product.  It takes a
+    sharper bound, from sqrt(2n)^2 = 2n (see _chain_bound): one prime for
+    every n <= 272.
 
     A column scaling right-multiplies by diag(zeta^e_j): one batched matmul
     takes column j's coordinates through the matrix of "multiply by
@@ -576,18 +575,15 @@ def evaluate_word(word, n):
     single odd S is a gather, and one with none a column scaling of the
     identity.
 
-    A leading run of j = min(m, chain_len) factors stays in evaluation
-    planes: their gathered planes, on _sqrt_table's "closed_primes",
-    multiply by j - 2 _plane_products and one _multimodular_product, with
-    one change of basis and one CRT, to D^j times their product.  The
-    remaining factors go stepwise: the running product goes through
-    _planes, the factor's gathered planes are the right operand, and k
-    comes from the operand bound, which reads only their coordinates.
+    The factors go in runs of _sqrt_table's "chain_len", the last run
+    possibly shorter.  Each run is one _gather_run, which multiplies its
+    gathers in evaluation planes with one change of basis and one CRT, and
+    RepMatrix.__mul__ joins the runs, sized by the operand bound.
 
     With rho_closed the oracle shares the sqrt(2n) table in both its
-    forms, the C = 1 exponents, _multimodular_product and the identity
-    sqrt(2n)^2 = 2n, through _chain_bound, which sizes both leading CRTs
-    (rho_closed's is the run j = 2); the test of that bound checks the
+    forms, the C = 1 exponents and _gather_run, and so the identity
+    sqrt(2n)^2 = 2n, through _chain_bound, which sizes every run
+    (rho_closed's is a run of two); the test of that bound checks the
     identity on the table itself.  It shares nothing of rho_closed's
     factorization r = W S^-1 T^-k through T^k S, and that is what
     closed_vs_word cross-checks.
@@ -606,34 +602,12 @@ def evaluate_word(word, n):
             ys.append(0)
     if not ys:
         return RepMatrix.identity(n).scale_cols(_t_exponents(n, lead))
-    first = ResidueMatrix(N, lead, lead * ys[0] - 1, 1, ys[0])
-    if len(ys) == 1:
-        return _theorem1_gather(first, n)
-    M, dim, tab = 8 * n, n - 1, _sqrt_table(n)
-    factors = [ResidueMatrix(N, 0, -1, 1, y) for y in ys[1:]]
-    k, j = tab["closed_primes"], min(len(ys), tab["chain_len"])
-    left, right = _gathered_planes(first, n, k), _gathered_planes(factors[0], n, k)
-    # The run reuses its own three arrays: each product goes into the one
-    # the step before freed, and each factor into right.  That third array
-    # is kept to the return.  verify-all --level 29 and 48 on a 2-core Xeon
-    # VM read 0.03 M and 0.10 M minor faults so, 0.43 M at both with a
-    # fresh product and factor per step, and 0.13 M and 0.43 M with the
-    # third array released along with left.
-    spare = None
-    for r in factors[1 : j - 1]:
-        left, spare = _plane_product(M, k, left, right, spare), left
-        _gathered_planes(r, n, k, right)
-    arr = _multimodular_product(M, k, left, right)
-    # released before normalizing, as in rho_closed (verify-all --level 48: 0.13 M minor faults, 0.51 M without)
-    del left
-    acc = RepMatrix(n, arr, tab["den"] ** j)
-    for r in factors[j - 1 :]:
-        amax, arow = _norms(acc.arr)
-        k = _num_primes(M, _product_bound(arow, tab["bmax"], M))
-        left = _planes(acc.arr.reshape(dim * dim, -1), amax, M, k).reshape(-1, dim, dim)
-        arr = _multimodular_product(M, k, left, _gathered_planes(r, n, k))
-        del left
-        acc = RepMatrix(n, arr, acc.den * tab["den"])
+    factors = [ResidueMatrix(N, lead, lead * ys[0] - 1, 1, ys[0])]
+    factors += [ResidueMatrix(N, 0, -1, 1, y) for y in ys[1:]]
+    j = _sqrt_table(n)["chain_len"]
+    acc = _gather_run(factors[:j], n)
+    for i in range(j, len(factors), j):
+        acc = acc * _gather_run(factors[i : i + j], n)
     return acc
 
 
@@ -689,13 +663,9 @@ def _sqrt_table(n):
     squares x^2 = k mod M.  The table is int8 at every level measured
     (max |Q| <= 26 for n = 3..130, 200, 210, 330 and 401).
 
-    "bmax" = 2 max |Q| bounds every coordinate of a gather over D, before
-    division by g (see _gathered_planes): each entry is a difference of two
-    table rows.  It is the right operand's norm of _product_bound.
-
     "closed_primes" is the number of primes of every product that
-    _chain_bound sizes: rho_closed's, of two gathers, and the word
-    oracle's leading run.  "chain_len" is the largest m such that the
+    _chain_bound sizes, every _gather_run: rho_closed's, of two gathers,
+    and each run of the word oracle.  "chain_len" is the largest m such that the
     product of m gathers, and of every shorter run, stays within those
     primes: 2 _chain_bound(n, m, D, max |Q|) is below their product.  Both
     rest on sqrt(2n)^2 = 2n, and closed_primes is 1 for every n <= 272.
@@ -716,7 +686,6 @@ def _sqrt_table(n):
         "table": _read_only(table),
         "den": D,
         "g": g,
-        "bmax": 2 * qmax,
         "closed_primes": k,
         "chain_len": m,
     }
@@ -778,10 +747,10 @@ def _gather_form(n, table, D):
     return table.astype(dtype), D, g
 
 
-# one entry per level for the one prime of rho_closed and the word oracle's
-# leading run, and a second where a later oracle product takes two (n = 55
-# and 105 among the levels n <= 12, 20, 31, 50, 55, 61, 101 and 105)
-@lru_cache(maxsize=2 * MAX_LEVELS)
+# one entry per level: the library gathers planes only in _gather_run, on
+# "closed_primes", one prime at every n <= 272 (n <= 12, 20, 31, 50, 55, 61,
+# 101 and 105 measured); other k are for tests
+@lru_cache(maxsize=MAX_LEVELS)
 def _sqrt_planes(n, k):
     """_sqrt_table(n)'s table in evaluation form, mod the first k primes.
 
@@ -799,9 +768,9 @@ def _gathered_planes(r, n, k, out=None):
     r is a ResidueMatrix with gcd(c, N) = 1, and D the table's
     denominator: entry (a, b) is the difference of the planes of two table
     rows (see _theorem1_exponents), a difference of two centered residues,
-    |d| <= p - 1 (see _PRIME_LIMIT).  D rho_theorem1(r) has coordinates at
-    most _sqrt_table's "bmax", and _chain_bound bounds a product of such
-    gathers.  np.take keeps the result contiguous for the batched matmul.
+    |d| <= p - 1 (see _PRIME_LIMIT).  _chain_bound bounds a product of
+    such gathers, which _gather_run forms.  np.take keeps the result
+    contiguous for the batched matmul.
     """
     planes = _sqrt_planes(n, k)
     p, q = _theorem1_exponents(r.a, r.c, r.d, n)
@@ -810,6 +779,37 @@ def _gathered_planes(r, n, k, out=None):
     out = np.take(planes, p, axis=1, out=out, mode="clip")
     out -= np.take(planes, q, axis=1)
     return out
+
+
+def _gather_run(rs, n):
+    """D^j rho_theorem1(rs[0]) ... rho_theorem1(rs[j - 1]) over D^j, for 1 <= j <= chain_len.
+
+    Each rs[i] is a ResidueMatrix with gcd(c, N) = 1, unchecked.  One
+    factor is its gather.  Two or more are gathered into evaluation planes
+    on _sqrt_table's "closed_primes", which _chain_bound(n, j) fits, and
+    multiplied by j - 2 _plane_products and one _multimodular_product:
+    one change of basis and one CRT for the whole run.
+    """
+    if len(rs) == 1:
+        return _theorem1_gather(rs[0], n)
+    M, tab = 8 * n, _sqrt_table(n)
+    k = tab["closed_primes"]
+    left, right = _gathered_planes(rs[0], n, k), _gathered_planes(rs[1], n, k)
+    # The run reuses its own three arrays: each product goes into the one
+    # the step before freed, and each factor into right.  That third array
+    # is kept to the return.  verify-all --level 29 and 48 on a 2-core Xeon
+    # VM read 0.03 M and 0.10 M minor faults so, 0.43 M at both with a
+    # fresh product and factor per step, and 0.13 M and 0.43 M with the
+    # third array released along with left.
+    spare = None
+    for r in rs[2:]:
+        left, spare = _plane_product(M, k, left, right, spare), left
+        _gathered_planes(r, n, k, right)
+    arr = _multimodular_product(M, k, left, right)
+    # released before normalizing, as planes before _crt: in this order glibc reuses the memory, not faulting it
+    # in anew (verify-all --level 48, 2-core VM: 0.10 M minor faults; 1.26 M without)
+    del left
+    return RepMatrix(n, arr, tab["den"] ** len(rs))
 
 
 @lru_cache(maxsize=MAX_LEVELS)
@@ -946,10 +946,10 @@ def rho_closed(r, n):
     W = r T^k S in that stratum (see _unit_shift), and
     rho(r) = rho(W) rho(S^-1 T^-k) = rho_theorem1(W) rho_theorem1(0, -1; 1, -k),
     as S^-1 T^-k = -(0, -1; 1, -k) and rho(-1) = rho(S)^2 = 1: two gathers
-    and one product.  Both factors are gathered straight into evaluation
-    planes (_gathered_planes), and their product, D^2 rho(r), takes
+    and one product, a _gather_run of two: both factors are gathered
+    straight into evaluation planes, and their product, D^2 rho(r), takes
     _sqrt_table's "closed_primes", sized by _chain_bound(n, 2): one prime
-    for every n <= 272, as for the word oracle's leading run.  The
+    for every n <= 272, as for each run of the word oracle.  The
     paper's other closed forms live in identities, checked against the word
     oracle; none is a route of this function.
     """
@@ -957,14 +957,7 @@ def rho_closed(r, n):
     if gcd(r.c, r.N) == 1:
         return _theorem1_gather(r, n)
     k, w = _unit_shift(r, n)
-    tab = _sqrt_table(n)
-    nprimes = tab["closed_primes"]
-    factors = [_gathered_planes(x, n, nprimes) for x in (w, ResidueMatrix(w.N, 0, -1, 1, -k))]
-    arr = _multimodular_product(8 * n, nprimes, *factors)
-    # released before normalizing, as planes before _crt: in this order glibc reuses the memory, not faulting it
-    # in anew (verify-all --level 48, 2-core VM: 0.09 M minor faults; 1.8 M without, 0.66 M if __mul__ also does)
-    del factors
-    return RepMatrix(n, arr, tab["den"] ** 2)
+    return _gather_run([w, ResidueMatrix(w.N, 0, -1, 1, -k)], n)
 
 
 def g_parity_check(n):

@@ -1,6 +1,7 @@
 """Tests for SL2 words, residue matrices, and lifting."""
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -86,6 +87,14 @@ def test_decompose_word_length_is_logarithmic():
 def test_minus_identity_decomposes_through_s_squared():
     w = decompose([[-1, 0], [0, -1]])
     assert word_matrix(w) == [[-1, 0], [0, -1]]
+
+
+def test_decompose_rejects_non_integer_entries():
+    """A Fraction or float entry raises ValueError, not an assert: diag(1/2, 2) has determinant 1 and no word."""
+    for m in ([[Fraction(1, 2), 0], [0, 2]], [[0.5, 0], [0, 2]], [[1.0, 0], [0, 1]], [[2, 1], [Fraction(1), 1]]):
+        with pytest.raises(ValueError, match="integer"):
+            decompose(m)
+    assert word_matrix(decompose([[np.int64(2), 1], [1, np.int8(1)]])) == [[2, 1], [1, 1]]
 
 
 def test_residue_matrix_group_ops():

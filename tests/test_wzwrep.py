@@ -231,13 +231,14 @@ def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
     """A word with m odd S tokens makes max(0, m - 1) products, none by a diagonal or the identity.
 
     Every product is one _plane_product, and the result equals the
-    identity-led loop.  With m >= 2 the leading run of j = min(m,
-    chain_len) factors stays in planes, so 1 + m - j of the products go on
-    through _multimodular_product: the run's last and each stepwise one.
-    The right operand of each of those is the gathered planes of
+    identity-led loop.  The factors go in runs of chain_len.  A run of
+    j >= 2 factors ends in one _multimodular_product on "closed_primes",
+    whose right operand is the gathered planes of the run's last factor:
     rho(S T^y) over the table's denominator D, with y the T powers between
-    that odd S and the next: mod each prime, the planes of
-    rho_S(n).scale_cols(...) with its numerators brought over D.
+    that odd S and the next, so mod each prime the planes of
+    rho_S(n).scale_cols(...) with its numerators brought over D.  Each
+    later run is joined by RepMatrix.__mul__, one more
+    _multimodular_product: (runs of j >= 2) + (runs - 1) in all.
     """
     planes, products = [], []
     plane_product, product = wzwrep._plane_product, wzwrep._multimodular_product
@@ -268,10 +269,13 @@ def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
         # the decomposed words of random matrices carry up to four odd S
         words = _oracle_words(n, rng, 12) + [decompose(lift(random_matrix(conductor(n), rng))) for _ in range(8)]
         if n == 11:
-            # chain_len is 3 here: a word that fills the run and one that goes past it
+            # chain_len is 3 here: words of 3, 4, 6 and 7 odd S take runs
+            # 3, 3 + 1, 3 + 3 and 3 + 3 + 1
             words.append(T(5) * S() * T(-7) * S(3) * T(2) * S())
             words.append(T(1) * S() * T(9) * S(-1) * T(4) * S(2) * T(3) * S() * T(6) * S())
-        chain_len = _sqrt_table(n)["chain_len"]
+            words.append(S() * T(2) * S() * T(-3) * S() * T(8) * S(3) * T(1) * S() * T(-5) * S() * T(7))
+            words.append(T(4) * S() * T(1) * S() * T(6) * S(-1) * T(2) * S() * T(9) * S(2) * T(3) * S() * T(-2) * S() * T(5) * S())
+        chain_len, closed_primes = _sqrt_table(n)["chain_len"], _sqrt_table(n)["closed_primes"]
         for word in words:
             ys = []
             for letter, e in word.tokens:
@@ -288,14 +292,24 @@ def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
             if m < 2:
                 assert not products, (n, word)
                 continue
-            j = min(m, chain_len)
-            assert len(products) == 1 + m - j, (n, word)
-            assert products[0][0] == _sqrt_table(n)["closed_primes"], (n, word)
-            assert all(right_operand_of(k, b, y, n) for (k, b), y in zip(products, ys[j - 1 :])), (n, word)
-            runs.add((j, m > chain_len))
+            # the calls in order: each run of two or more (by the index of its last factor), then its join
+            lengths = tuple(min(chain_len, m - i) for i in range(0, m, chain_len))
+            calls, end = [], 0
+            for i, j in enumerate(lengths):
+                end += j
+                if j >= 2:
+                    calls.append(end - 1)
+                if i:
+                    calls.append(None)
+            assert len(products) == len(calls), (n, word)
+            for (k, b), last in zip(products, calls):
+                if last is not None:
+                    assert k == closed_primes and right_operand_of(k, b, ys[last], n), (n, word, last)
+            runs.add(lengths)
     # some run of four gathers took two plane products, the second into the
-    # array the first freed, and some word went past its run
-    assert max(runs)[0] >= 4 and any(past for _, past in runs)
+    # array the first freed; a second full run and a run of one occurred
+    assert any(max(lengths) >= 4 for lengths in runs)
+    assert {(3, 3), (3, 3, 1), (3, 1)} <= runs
     # the Bantay word T S T S T: one product, not two
     products.clear()
     evaluate_word(STWord.T(3) * STWord.S() * STWord.T(7) * STWord.S() * STWord.T(3), 5)
@@ -1114,7 +1128,7 @@ from affinesl2.modgroup import decompose, lift, random_matrix
 n, N, M = 105, 840, 840
 tab = wzwrep._sqrt_table(n)
 arow = (n - 1) * 2 * int(np.abs(tab["table"], dtype=np.int64).sum(axis=1).max())
-print(wzwrep._tables(M)["tail"], wzwrep._num_primes(M, wzwrep._product_bound(arow, tab["bmax"], M)))
+print(wzwrep._tables(M)["tail"], wzwrep._num_primes(M, wzwrep._product_bound(arow, 2 * wzwrep._max_abs(tab["table"]), M)))
 primes, product = [], wzwrep._multimodular_product
 def counted(M, k, a, b):
     primes.append(k)
@@ -1235,17 +1249,17 @@ def test_exact_results_match_the_pinned_digest():
     assert _exact_results_digest() == "806684286ed0047f4978c7cb8f3af92c49448c393e4b698b70ec582362ae6a7f"
 
 
-def _long_words_digest():
-    """One sha256 over (numerators as little-endian int64, den) of the word oracle on seeded words of 3, 4 and 5 odd S at n = 50 and 55.
+def _long_words_digest(odds):
+    """One sha256 over (numerators as little-endian int64, den) of the word oracle on seeded words of each count of odd S in odds, at n = 50 and 55.
 
-    chain_len is 3 at n = 50 and 2 at n = 55, so these words fill the
-    oracle's leading run of gathers and go past it.
+    chain_len is 3 at n = 50 and 2 at n = 55, so words of 3 to 7 odd S
+    take one to four runs of gathers, the last full or shorter.
     """
     digest = hashlib.sha256()
     for n in (50, 55):
         N = conductor(n)
         rng = random.Random(950 + n)
-        for odd in (3, 4, 5):
+        for odd in odds:
             tokens = [("T", rng.randrange(-2 * N, 2 * N))]
             for _ in range(odd):
                 tokens.append(("S", rng.choice((-1, 1, 3))))
@@ -1261,8 +1275,13 @@ def _long_words_digest():
 
 
 def test_long_words_match_the_pinned_digest():
-    """The word oracle gives, bit for bit, the results pinned here on words longer than its leading run."""
-    assert _long_words_digest() == "f8c39c848c92293c03500c8955b690f44964346e2efc85532737dffc8117b1c7"
+    """The word oracle gives, bit for bit, the results pinned here on words longer than one run of gathers."""
+    assert _long_words_digest((3, 4, 5)) == "f8c39c848c92293c03500c8955b690f44964346e2efc85532737dffc8117b1c7"
+
+
+def test_longer_words_match_the_pinned_digest():
+    """The same on words of 6 and 7 odd S, which take runs 3 + 3 and 3 + 3 + 1 at n = 50, and 2 + 2 + 2 and 2 + 2 + 2 + 1 at n = 55."""
+    assert _long_words_digest((6, 7)) == "03c12c8660dda86ff1fb51a9d215032699f219872deb83b950a85ef161bca0e6"
 
 
 def test_rho_S_at_n101_stays_within_20_mb():
@@ -1538,6 +1557,8 @@ def test_closed_bound_covers_two_gathers_and_gives_one_prime(n):
     tab = _sqrt_table(n)
     table, D, rowmax = tab["table"], tab["den"], _tables(M)["rowmax"]
     qmax = _max_abs(table)
+    # every coordinate of a gather over D, a difference of two table rows
+    bmax = 2 * qmax
     assert Cyclotomic(M, table[0].tolist(), D) ** 2 == Fraction(1, 2 * n)
     assert _chain_bound(n, 2, D, qmax) == D * D * 2 * (n - 1) * rowmax // n + 1
     assert tab["closed_primes"] == _num_primes(M, _chain_bound(n, 2, D, qmax)) == 1
@@ -1545,7 +1566,7 @@ def test_closed_bound_covers_two_gathers_and_gives_one_prime(n):
     p0 = _prime_tables(M, 0)[0]
     assert 2 * _chain_bound(n, _CHAIN_LEN[n], D, qmax) < p0 <= 2 * _chain_bound(n, _CHAIN_LEN[n] + 1, D, qmax)
     arow = (n - 1) * 2 * int(np.abs(table, dtype=np.int64).sum(axis=1).max())
-    assert _num_primes(M, _product_bound(arow, tab["bmax"], M)) == (2 if n == 55 else 1)
+    assert _num_primes(M, _product_bound(arow, bmax, M)) == (2 if n == 55 else 1)
     rng = random.Random(n)
     units = [C for C in range(N) if gcd(C, N) == 1]
     dim_phi_tail = (n - 1) * _tables(M)["phi"] * _tables(M)["tail"]
@@ -1557,7 +1578,7 @@ def test_closed_bound_covers_two_gathers_and_gives_one_prime(n):
         A, Dw = rng.randrange(N), rng.randrange(N)
         w = ResidueMatrix(N, A, (A * Dw - 1) * pow(C, -1, N), C, Dw)
         factors = [w] + [ResidueMatrix(N, 0, -1, 1, rng.randrange(N)) for _ in range(m - 1)]
-        k = _num_primes(M, tab["bmax"] ** m * dim_phi_tail ** (m - 1))
+        k = _num_primes(M, bmax**m * dim_phi_tail ** (m - 1))
         assert _max_abs(_gathers_product(n, factors, k)) <= _chain_bound(n, m, D, qmax), (n, m)
     seen = 0
     while seen < 3:
