@@ -344,8 +344,18 @@ def one(M):
     return from_rational(M, 1)
 
 
+def _integer(name, value):
+    """value as an int by operator.index; ValueError for a float or any other non-integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def from_rational(M, q):
-    """Return the rational number q as an element of Q(zeta_M)."""
+    """Return the rational number q, an int or a Fraction, as an element of Q(zeta_M)."""
+    if not isinstance(q, (int, Fraction)):
+        raise ValueError(f"from_rational needs an int or a Fraction, got {q!r}")
     q = Fraction(q)
     num = [0] * euler_phi(M)
     num[0] = q.numerator
@@ -355,7 +365,7 @@ def from_rational(M, q):
 def root_of_unity(M, k):
     """Return zeta_M^k for zeta_M = exp(2*pi*i/M)."""
     rows = reduction_rows(M)
-    return Cyclotomic(M, rows[k % M], 1)
+    return Cyclotomic(M, rows[_integer("k", k) % M], 1)
 
 
 def _substituted(num, M, step):
@@ -373,7 +383,7 @@ def _substituted(num, M, step):
 def galois(L, x):
     """Apply the field morphism zeta_M -> zeta_M^L to x; requires gcd(L, M) = 1."""
     M = x.order
-    L %= M
+    L = _integer("L", L) % M
     if gcd(L, M) != 1:
         raise ValueError(f"galois conjugation needs gcd(L, M) = 1, got L = {L}, M = {M}")
     return Cyclotomic(M, _substituted(x.num, M, L), x.den)

@@ -4,11 +4,10 @@ from math import gcd
 
 import numpy as np
 
-from .cyclotomic import factorize, jacobi
+from .cyclotomic import _integer, factorize, jacobi
 from .modgroup import (
     ResidueMatrix,
     STWord,
-    _integer,
     idempotents,
     sl2_order,
     unimodular_rows,

@@ -8,7 +8,7 @@ from operator import index
 
 import numpy as np
 
-from .cyclotomic import factorize, xgcd
+from .cyclotomic import _integer, factorize, xgcd
 
 __all__ = [
     "STWord",
@@ -26,14 +26,6 @@ __all__ = [
     "unimodular_rows",
     "complete_row",
 ]
-
-
-def _integer(name, value):
-    """value as an int by operator.index; ValueError for a float or any other non-integer."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class STWord:

@@ -3,7 +3,7 @@
 import cmath
 from fractions import Fraction
 from math import isqrt, lcm
-from .modgroup import _integer
+from .cyclotomic import _integer
 from .wzwrep import conductor, rho_S
 
 __all__ = [

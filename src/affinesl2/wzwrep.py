@@ -6,8 +6,8 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _zeta_orbit, cyclotomic_poly, euler_phi, factorize, jacobi
-from .modgroup import ResidueMatrix, STWord, _integer, random_matrix
+from .cyclotomic import Cyclotomic, _integer, _zeta_orbit, cyclotomic_poly, euler_phi, factorize, jacobi
+from .modgroup import ResidueMatrix, STWord, random_matrix
 
 __all__ = [
     "conductor",
@@ -345,20 +345,20 @@ class RepMatrix:
     sharper bound, from sqrt(2n)^2 = 2n (see _chain_bound): one prime for
     every n <= 272.
 
-    A column scaling right-multiplies by diag(zeta^e_j): one batched matmul
-    takes column j's coordinates through the matrix of "multiply by
-    zeta^e_j", gathered from the reduction rows.  A Galois map sigma_L is
-    one matmul against the matrix of sigma_L.  Both run in float64 BLAS and
-    raise ValueError when max |numerator| phi rowmax, their bound on every
-    product and partial sum, reaches 2^53 (see _float_coords).  Their
-    results, and dagger's, skip the gcd pass: these maps have integer
-    inverses, so they keep the stored form normalized (see _unit_image).
-    So do theorem1 gathers, which divide by one divisor per level (see
-    rho_theorem1), and identity.  Products and every other construction
-    normalize by one confirmed divisor: g0 = gcd(den, content of row 0),
-    which the normalizing divisor divides, is checked to divide every
-    numerator in one exact pass; only where it does not (or row 0 is zero)
-    does the gcd pass over every numerator run.
+    A column scaling, rho_T's route and no word's, right-multiplies by
+    diag(zeta^e_j): one batched matmul takes column j's coordinates through
+    the matrix of "multiply by zeta^e_j", gathered from the reduction rows.
+    A Galois map sigma_L is one matmul against the matrix of sigma_L.  Both
+    run in float64 BLAS and raise ValueError when max |numerator| phi
+    rowmax, their bound on every product and partial sum, reaches 2^53 (see
+    _float_coords).  Their results, and dagger's, skip the gcd pass: these
+    maps have integer inverses, so they keep the stored form normalized (see
+    _unit_image).  So do theorem1 gathers, which divide by one divisor per
+    level (see rho_theorem1), and identity.  Products and every other
+    construction normalize by one confirmed divisor: g0 = gcd(den, content
+    of row 0), which the normalizing divisor divides, is checked to divide
+    every numerator in one exact pass; only where it does not (or row 0 is
+    zero) does the gcd pass over every numerator run.
     """
 
     __slots__ = ("n", "arr", "den")
@@ -571,9 +571,9 @@ def evaluate_word(word, n):
     T power for the first factor and 0 for the rest, and y sums the T
     powers up to the next odd S, across even S.  T^x S T^y = (x, xy - 1;
     1, y) has C = 1, so the factor is one theorem1 gather with L = 1 and no
-    Jacobi sign.  So a word with m odd S costs m - 1 products; one with a
-    single odd S is a gather, and one with none a column scaling of the
-    identity.
+    Jacobi sign.  So a word with m >= 1 odd S costs m - 1 products; one
+    with none is T^x = -(T^x S) S, two factors with y = 0, and one
+    product: the oracle shares no column scaling with rho_T.
 
     The factors go in runs of _sqrt_table's "chain_len", the last run
     possibly shorter.  Each run is one _gather_run, which multiplies its
@@ -601,7 +601,7 @@ def evaluate_word(word, n):
         elif e % 2:
             ys.append(0)
     if not ys:
-        return RepMatrix.identity(n).scale_cols(_t_exponents(n, lead))
+        ys = [0, 0]
     factors = [ResidueMatrix(N, lead, lead * ys[0] - 1, 1, ys[0])]
     factors += [ResidueMatrix(N, 0, -1, 1, y) for y in ys[1:]]
     j = _sqrt_table(n)["chain_len"]
@@ -663,14 +663,14 @@ def _sqrt_table(n):
     squares x^2 = k mod M.  The table is int8 at every level measured
     (max |Q| <= 26 for n = 3..130, 200, 210, 330 and 401).
 
-    "closed_primes" is the number of primes of every product that
-    _chain_bound sizes, every _gather_run: rho_closed's, of two gathers,
-    and each run of the word oracle.  "chain_len" is the largest m such that the
-    product of m gathers, and of every shorter run, stays within those
-    primes: 2 _chain_bound(n, m, D, max |Q|) is below their product.  Both
-    rest on sqrt(2n)^2 = 2n, and closed_primes is 1 for every n <= 272.
-    Counting them builds the level's first prime table, which every
-    product at the level takes, and no other.
+    "closed_primes" is the number of primes of _sqrt_planes and of every
+    product that _chain_bound sizes, every _gather_run: rho_closed's, of two
+    gathers, and each run of the word oracle.  "chain_len" is the largest m
+    such that the product of m gathers, and of every shorter run, stays
+    within those primes: 2 _chain_bound(n, m, D, max |Q|) is below their
+    product.  Both rest on sqrt(2n)^2 = 2n, and closed_primes is 1 for every
+    n <= 272.  Counting them builds the level's first prime table, which
+    every product at the level takes, and no other.
     """
     M = 8 * n
     w = np.bincount(np.arange(M) ** 2 % M, minlength=M)
@@ -747,23 +747,22 @@ def _gather_form(n, table, D):
     return table.astype(dtype), D, g
 
 
-# one entry per level: the library gathers planes only in _gather_run, on
-# "closed_primes", one prime at every n <= 272 (n <= 12, 20, 31, 50, 55, 61,
-# 101 and 105 measured); other k are for tests
+# one entry per level, on "closed_primes": one prime at every n <= 272
+# (n <= 12, 20, 31, 50, 55, 61, 101 and 105 measured)
 @lru_cache(maxsize=MAX_LEVELS)
-def _sqrt_planes(n, k):
-    """_sqrt_table(n)'s table in evaluation form, mod the first k primes.
+def _sqrt_planes(n):
+    """_sqrt_table(n)'s table in evaluation form, mod each of its k = "closed_primes" primes.
 
     Row s phi + j holds, in column e < 8n, the image of
     D sqrt(2n)/(2n) zeta_8n^e at the j-th evaluation point mod the s-th
     prime, as a centered residue in float64.
     """
-    table = _sqrt_table(n)["table"]
-    return _read_only(_planes(table, _max_abs(table), 8 * n, k))
+    tab = _sqrt_table(n)
+    return _read_only(_planes(tab["table"], _max_abs(tab["table"]), 8 * n, tab["closed_primes"]))
 
 
-def _gathered_planes(r, n, k, out=None):
-    """The (k phi, dim, dim) evaluation planes of D rho_theorem1(r), mod the first k primes, into out if given.
+def _gathered_planes(r, n, out=None):
+    """The (k phi, dim, dim) evaluation planes of D rho_theorem1(r) on _sqrt_planes, into out if given.
 
     r is a ResidueMatrix with gcd(c, N) = 1, and D the table's
     denominator: entry (a, b) is the difference of the planes of two table
@@ -772,7 +771,7 @@ def _gathered_planes(r, n, k, out=None):
     such gathers, which _gather_run forms.  np.take keeps the result
     contiguous for the batched matmul.
     """
-    planes = _sqrt_planes(n, k)
+    planes = _sqrt_planes(n)
     p, q = _theorem1_exponents(r.a, r.c, r.d, n)
     # the exponents lie in [0, 8n), so "clip" clips nothing; it spares the
     # buffered copy that np.take makes of out in its default mode
@@ -786,7 +785,7 @@ def _gather_run(rs, n):
 
     Each rs[i] is a ResidueMatrix with gcd(c, N) = 1, unchecked.  One
     factor is its gather.  Two or more are gathered into evaluation planes
-    on _sqrt_table's "closed_primes", which _chain_bound(n, j) fits, and
+    from _sqrt_planes, whose primes _chain_bound(n, j) fits, and
     multiplied by j - 2 _plane_products and one _multimodular_product:
     one change of basis and one CRT for the whole run.
     """
@@ -794,7 +793,7 @@ def _gather_run(rs, n):
         return _theorem1_gather(rs[0], n)
     M, tab = 8 * n, _sqrt_table(n)
     k = tab["closed_primes"]
-    left, right = _gathered_planes(rs[0], n, k), _gathered_planes(rs[1], n, k)
+    left, right = _gathered_planes(rs[0], n), _gathered_planes(rs[1], n)
     # The run reuses its own three arrays: each product goes into the one
     # the step before freed, and each factor into right.  That third array
     # is kept to the return.  verify-all --level 29 and 48 on a 2-core Xeon
@@ -804,7 +803,7 @@ def _gather_run(rs, n):
     spare = None
     for r in rs[2:]:
         left, spare = _plane_product(M, k, left, right, spare), left
-        _gathered_planes(r, n, k, right)
+        _gathered_planes(r, n, right)
     arr = _multimodular_product(M, k, left, right)
     # released before normalizing, as planes before _crt: in this order glibc reuses the memory, not faulting it
     # in anew (verify-all --level 48, 2-core VM: 0.10 M minor faults; 1.26 M without)

@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -53,14 +54,20 @@ def test_eval_level_one_s_matrix(capsys):
 
 
 def test_eval_paths_agree(capsys):
-    outs = []
-    for path in ("closed", "word"):
-        code, lines = _capture(
-            capsys, ["eval", "--level", "2", "--matrix", "[[2,1],[7,4]]", "--path", path, "--format", "exact"]
-        )
-        assert code == 0
-        outs.append([l for l in lines if l.startswith("rho ")])
-    assert outs[0] == outs[1]
+    """--path closed and --path word print the same rho lines, also for T^5 and -T^-3, words with no odd S."""
+    for level, matrix, fmt in (
+        ("2", "[[2,1],[7,4]]", "exact"),
+        ("3", "[[1,5],[0,1]]", "both"),
+        ("3", "[[-1,3],[0,-1]]", "both"),
+    ):
+        outs = []
+        for path in ("closed", "word"):
+            code, lines = _capture(
+                capsys, ["eval", "--level", level, "--matrix", matrix, "--path", path, "--format", fmt]
+            )
+            assert code == 0
+            outs.append([l for l in lines if l.startswith("rho ")])
+        assert outs[0] == outs[1] and len(outs[0]) == (int(level) + 1) ** 2, matrix
 
 
 def test_eval_usage_errors(capsys):
@@ -212,6 +219,13 @@ def test_verify_all_checks_the_kernel_above_the_old_size_limit(capsys):
     assert code == 0
     assert "kernel size=4 image=62208 pass" in lines
     assert "kernel_known_list pass" in lines
+
+
+@pytest.mark.parametrize("level, prefix", [(1, "671cc33c73e59b2c"), (10, "328091d09b342e59")])
+def test_verify_all_stdout_matches_the_pinned_digest(capsys, level, prefix):
+    """verify-all --level L --samples 20 --seed 1 prints, byte for byte, the stdout pinned here by its sha256 prefix."""
+    assert run(["verify-all", "--level", str(level), "--samples", "20", "--seed", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == prefix
 
 
 def test_verify_all_is_deterministic(capsys):

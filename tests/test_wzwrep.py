@@ -38,7 +38,6 @@ from affinesl2.wzwrep import (
     _chain_bound,
     _crt,
     _gather_form,
-    _gathered_planes,
     _max_abs,
     _multimodular_product,
     _norms,
@@ -228,10 +227,13 @@ def test_word_oracle_factor_matches_the_identity_loop(n):
 
 
 def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
-    """A word with m odd S tokens makes max(0, m - 1) products, none by a diagonal or the identity.
+    """A word with m >= 1 odd S tokens makes m - 1 products, and one with none makes one; none scales columns.
 
-    Every product is one _plane_product, and the result equals the
-    identity-led loop.  The factors go in runs of chain_len.  A run of
+    A word with no odd S is T^x = -(T^x S) S, a run of the two factors
+    (x, -1; 1, 0) and (0, -1; 1, 0), so it counts as m = 2 with y = 0 for
+    both.  No word calls scale_cols or RepMatrix.identity.  Every product
+    is one _plane_product, and the result equals the identity-led loop.
+    The factors go in runs of chain_len.  A run of
     j >= 2 factors ends in one _multimodular_product on "closed_primes",
     whose right operand is the gathered planes of the run's last factor:
     rho(S T^y) over the table's denominator D, with y the T powers between
@@ -253,6 +255,19 @@ def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
 
     monkeypatch.setattr(wzwrep, "_plane_product", counted_plane_product)
     monkeypatch.setattr(wzwrep, "_multimodular_product", counted_product)
+    diagonals = []
+    scale_cols, identity = RepMatrix.scale_cols, RepMatrix.identity
+
+    def counted_scale_cols(self, exps):
+        diagonals.append("scale_cols")
+        return scale_cols(self, exps)
+
+    def counted_identity(n):
+        diagonals.append("identity")
+        return identity(n)
+
+    monkeypatch.setattr(RepMatrix, "scale_cols", counted_scale_cols)
+    monkeypatch.setattr(RepMatrix, "identity", staticmethod(counted_identity))
 
     def right_operand_of(k, planes, y, n):
         M, D = 8 * n, _sqrt_table(n)["den"]
@@ -283,12 +298,15 @@ def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
                     ys.append(0)
                 elif letter == "T" and ys:
                     ys[-1] += e
+            ys = ys or [0, 0]
             m = len(ys)
             want = _word_by_identity_loop(word, n)
             planes.clear()
             products.clear()
+            diagonals.clear()
             assert evaluate_word(word, n) == want, (n, word)
-            assert len(planes) == max(0, m - 1), (n, word)
+            assert not diagonals, (n, word, diagonals)
+            assert len(planes) == m - 1, (n, word)
             if m < 2:
                 assert not products, (n, word)
                 continue
@@ -314,6 +332,17 @@ def test_word_oracle_makes_one_product_fewer_than_its_odd_s(monkeypatch):
     products.clear()
     evaluate_word(STWord.T(3) * STWord.S() * STWord.T(7) * STWord.S() * STWord.T(3), 5)
     assert len(products) == 1
+    # T^7, no odd S: one run of two, one _plane_product and one _multimodular_product, on closed_primes
+    planes.clear()
+    products.clear()
+    evaluate_word(STWord.T(7), 5)
+    assert planes == [k for k, _ in products] == [_sqrt_table(5)["closed_primes"]]
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 20, 31])
+def test_rho_T_matches_the_word_oracle(n):
+    """rho_T's column scaling of the identity equals the oracle's run of two gathers on the word T."""
+    assert rho_T(n) == evaluate_word(STWord.T(1), n)
 
 
 def test_scale_cols_takes_integer_exponents_of_any_kind():
@@ -345,7 +374,7 @@ def test_cached_level_arrays_are_read_only():
     want = RepMatrix.from_entries(n, [[root * sin_value(n, a * b) / n for b in range(1, n)] for a in range(1, n)])
     assert rho_S(n) == want
     tab = _tables(8 * n)
-    cached = [tab["rows"], tab["frows"], _sqrt_table(n)["table"], _sqrt_planes(n, 1), *_prime_tables(8 * n, 0)[1:]]
+    cached = [tab["rows"], tab["frows"], _sqrt_table(n)["table"], _sqrt_planes(n), *_prime_tables(8 * n, 0)[1:]]
     cached += list(_theorem1_tables(n).values())
     assert not any(arr.flags.writeable for arr in cached)
 
@@ -727,7 +756,7 @@ import numpy as np
 from affinesl2.cyclotomic import cyclotomic_poly, factorize, jacobi
 from affinesl2.qseries import log_eta_expansion_check, sigma1, verify_k1_identity, verify_t_parametrization
 from affinesl2.galois_kernel import KernelReport, enumerate_kernel, expected_kernel_slice, factor_kernel_sl2z8, genus
-from affinesl2.cyclotomic import Cyclotomic, galois, one, root_of_unity, sqrt_int
+from affinesl2.cyclotomic import Cyclotomic, from_rational, galois, one, root_of_unity, sqrt_int
 from affinesl2.modgroup import ResidueMatrix, STWord, complete_row, decompose, idempotents, lift
 from affinesl2.modgroup import parse_matrix, sl2_order
 from affinesl2.qseries import QSeries, _characters, character, eta_inverse_cubed, numeric_eval, s_transform_check
@@ -736,7 +765,7 @@ from affinesl2.galois_kernel import phi2_image_is_normal, sigma_on_matrix, sigma
 from affinesl2.wzwrep import RepMatrix, _unit_shift, conductor, g_parity_check, rho_closed, rho_float, rho_S
 from affinesl2.wzwrep import _gather_form, _sqrt_table, evaluate_word, rho_T, rho_theorem1
 from affinesl2.identities import gauss_sum, gauss_sum_closed, kernel_sum, rho_coprime_closed, rho_coprime_legendre
-from affinesl2.identities import rho_unit_d_closed, rho_upper_triangular
+from affinesl2.identities import rho_unit_d_closed, rho_upper_triangular, sin_value
 from group_enumeration import enumerate_group
 cases = [
     lambda: ResidueMatrix(40, 2, 0, 0, 2),
@@ -877,6 +906,14 @@ cases = [
     lambda: rho_S(5).galois_map(2.5),
     lambda: Cyclotomic(4, [0.5, 1.9]),
     lambda: QSeries(1, 0, [0.5, 1]),
+    lambda: root_of_unity(8, 1.5),
+    lambda: root_of_unity(8, 2.0),
+    lambda: galois(1.5, root_of_unity(8, 1)),
+    lambda: galois(3.0, root_of_unity(8, 1)),
+    lambda: from_rational(8, 0.1),
+    lambda: from_rational(8, "1/2"),
+    lambda: gauss_sum(1.5, 8),
+    lambda: sin_value(5, 1.5),
 ]
 type_cases = [
     lambda: SignedPermutation(5, (1, 2, 3, 4), (1, 1, 1, 1)).applied_to_rows(rho_S(5).arr),
@@ -1528,16 +1565,25 @@ _CHAIN_LEN = {3: 6, 4: 7, 5: 4, 6: 5, 7: 4, 8: 5, 9: 5, 10: 4, 11: 3, 12: 4, 20:
 
 
 def _gathers_product(n, factors, k):
-    """D^m times the product of the theorem1 gathers of m factors, on the first k primes."""
+    """D^m times the product of the theorem1 gathers of m factors, on the first k primes.
+
+    The factors are gathered, as _gathered_planes does, from the table's
+    evaluation planes mod k primes of the test's own choosing.
+    """
+    M, table = 8 * n, _sqrt_table(n)["table"].astype(np.int64)
     if len(factors) == 1:
-        table = _sqrt_table(n)["table"].astype(np.int64)
         p, q = _theorem1_exponents(factors[0].a, factors[0].c, factors[0].d, n)
         return table[p] - table[q]
-    M = 8 * n
-    left = _gathered_planes(factors[0], n, k)
+    planes = wzwrep._planes(table, _max_abs(table), M, k)
+
+    def gathered(r):
+        p, q = _theorem1_exponents(r.a, r.c, r.d, n)
+        return planes[:, p] - planes[:, q]
+
+    left = gathered(factors[0])
     for r in factors[1:-1]:
-        left = wzwrep._plane_product(M, k, left, _gathered_planes(r, n, k))
-    return _multimodular_product(M, k, left, _gathered_planes(factors[-1], n, k))
+        left = wzwrep._plane_product(M, k, left, gathered(r))
+    return _multimodular_product(M, k, left, gathered(factors[-1]))
 
 
 @pytest.mark.parametrize("n", [*range(3, 13), 20, 31, 50, 55])
