@@ -15,14 +15,20 @@ from .modgroup import (
 from .wzwrep import (
     RepMatrix,
     _as_residue,
+    _closed_run,
+    _galois_slots,
+    _gathered_planes,
+    _plane_primes,
+    _plane_product,
+    _run_planes,
+    _same_planes,
     _signed_fold,
+    _sqrt_table,
     _theorem1_exponents,
     _theorem1_tables,
     _unit_shift,
+    _word_factors,
     conductor,
-    evaluate_word,
-    rho_S,
-    rho_closed,
 )
 
 __all__ = [
@@ -113,24 +119,91 @@ def _twisted(r, L):
 
 
 def sigma_covariance_check(L, r, n):
-    """Check sigma_L(rho(R)) = rho of R with B scaled by L and C by L^{-1}."""
+    """Check sigma_L(rho(R)) = rho of R with B scaled by L and C by L^{-1}, exactly.
+
+    This is Coste and Gannon's Galois symmetry (Remarks on Galois symmetry
+    in RCFT, 1994).  It is decided with no galois_map, no change of basis,
+    no CRT and no RepMatrix: see _covariant for the two routes and their proofs.
+    """
     N = conductor(n)
     r = _as_residue(r, n)
     L = _integer("L", L)
     if gcd(L, N) != 1:
         raise ValueError(f"L = {L} is not coprime to N = {N}")
-    return sigma_on_matrix(L, rho_closed(r, n)) == rho_closed(_twisted(r, L), n)
+    return _covariant(L, r, _twisted(r, L), n)
+
+
+def _covariant(L, r, t, n):
+    """Whether sigma_L(rho(r)) = rho(t), for L a unit mod 8n and r, t both on the theorem1 stratum or both off it.
+
+    Theorem1 (gcd(c, N) = 1): entry (a, b) of rho(r) is
+    s (zeta^p - zeta^q), s = sqrt(2n)/(2n) and zeta = zeta_8n, with (p, q)
+    from _theorem1_exponents.  As sigma_L(sqrt(2n)) = (2n|L) sqrt(2n),
+    sigma_L sends it to (2n|L) s (zeta^(Lp) - zeta^(Lq)): exponents L p and
+    L q, traded where the Jacobi sign is -1.  Entry (a, b) of rho(t) has
+    exponents from _theorem1_exponents too, and _same_difference decides
+    every entry from the two pairs alone, as in _kernel_mask.
+
+    Off it: with D the table's denominator, X = D^2 rho(r) and
+    Y = D^2 rho(t) are each a product of two matrices of gather entries
+    D s (zeta^p - zeta^q) (rho_closed's run, _closed_run).  sigma_L sends
+    such an entry to +-D s (zeta^(Lp) - zeta^(Lq)), again one, so
+    _chain_bound(n, 2) bounds the coordinates of sigma_L(X) as well as Y's,
+    whether or not they are equal.  The planes of X and Y are _run_planes'
+    product, and sigma_L(X)'s are X's permuted by _galois_slots.  They agree
+    with Y's mod every prime exactly when sigma_L(X) = Y (_plane_primes).
+    """
+    M = 8 * n
+    L %= M
+    if gcd(r.c, r.N) == 1:
+        p, q = _theorem1_exponents(r.a, r.c, r.d, n)
+        g, h = _theorem1_exponents(t.a, t.c, t.d, n)
+        e, f = p * L % M, q * L % M
+        if jacobi(2 * n, L) < 0:
+            e, f = f, e
+        return bool(_same_difference(e, f, g, h, M).all())
+    k = _plane_primes(n)
+    x = _plane_product(M, k, *_run_planes(_closed_run(r, n), n))
+    y = _plane_product(M, k, *_run_planes(_closed_run(t, n), n))
+    return _same_planes(M, k, x[_galois_slots(M, k, L)], y)
 
 
 def bantay_sigma_S_identity(C, n):
-    """Check sigma_{C^{-1}}(S) = T^{C^{-1}} S T^C S T^{C^{-1}} exactly."""
+    """Check sigma_{C^{-1}}(S) = T^{C^{-1}} S T^C S T^{C^{-1}} exactly (Bantay); see _sigma_S_is.
+
+    No galois_map, change of basis, CRT or RepMatrix: the word's two
+    factors, from _word_factors as evaluate_word parses it, are compared on
+    evaluation planes.
+    """
     N = conductor(n)
     C = _integer("C", C)
     if gcd(C, N) != 1:
         raise ValueError(f"C = {C} is not coprime to N = {N}")
     L = pow(C % N, -1, N)
     word = STWord.T(L) * STWord.S() * STWord.T(C % N) * STWord.S() * STWord.T(L)
-    return rho_S(n).galois_map(L) == evaluate_word(word, n)
+    return _sigma_S_is(L, word, n)
+
+
+def _sigma_S_is(L, word, n):
+    """Whether sigma_L(rho(S)) = rho(word), for L a unit mod 8n and a word of two odd S.
+
+    With D the table's denominator, the word's two factors (_word_factors)
+    make D^2 rho(word) a run of two, whose coordinates _chain_bound(n, 2)
+    bounds; _run_planes and one _plane_product give its planes.
+    D^2 sigma_L(rho(S)) = D sigma_L(G), for G = D rho(S) the gather of S:
+    sigma_L sends each entry D s (zeta^p - zeta^q) of G to
+    +-D s (zeta^(Lp) - zeta^(Lq)), the difference of two table rows, so
+    its coordinates are at most 2 D max |Q|.  Its planes are D times G's,
+    permuted by _galois_slots.  D divides 8n and the planes are below 2^21,
+    so every difference stays far below 2^52.  They agree with the word's
+    mod every prime exactly when the two sides are equal (_plane_primes).
+    """
+    M, D = 8 * n, _sqrt_table(n)["den"]
+    k = _plane_primes(n)
+    y = _plane_product(M, k, *_run_planes(_word_factors(word, n), n))
+    x = _gathered_planes(ResidueMatrix(conductor(n), 0, -1, 1, 0), n)[_galois_slots(M, k, L)]
+    x *= D
+    return _same_planes(M, k, x, y)
 
 
 def in_kernel(r, n):

@@ -57,11 +57,14 @@ def _tables(M):
     rows in float64, the operand of the exact float64 maps of RepMatrix.
     tail = 1 + max_u sum_(t = phi .. 2 phi - 2) |rows[t][u]| is the factor
     by which reduction mod Phi_M can grow a coordinate (see _product_bound).
-    M is even, so 2 phi - 2 < M.
+    M is even, so 2 phi - 2 < M.  units holds the e < M coprime to M,
+    ascending: evaluation plane j of every prime is the value at x_j = w^e_j
+    (see _prime_tables).
     """
     phi = euler_phi(M)
     rows = _zeta_orbit(np.eye(1, phi, dtype=np.int64)[0], M, M)
     return {
+        "units": _read_only(np.flatnonzero(np.gcd(np.arange(M), M) == 1)),
         "rows": _read_only(rows),
         "frows": _read_only(rows.astype(np.float64)),
         "phi": phi,
@@ -128,10 +131,12 @@ def _prime_tables(M, i):
     """(p, x, V, Vinv) for the i-th largest prime p = 1 (mod M) below 2^21.
 
     x holds the phi(M) primitive M-th roots of unity mod p, the roots of
-    Phi_M mod p.  V[u, j] = x_j^u takes power-basis coordinates to the values
-    at the x_j, and Vinv takes them back: row j of Vinv holds the
-    coefficients of the Lagrange polynomial Phi_M(t) / ((t - x_j) Phi_M'(x_j)),
-    found by synthetic division.  V and Vinv are centered residues in float64.
+    Phi_M mod p: x_j = w^e_j for one w of order M and e_j the j-th of
+    _tables(M)["units"].  V[u, j] = x_j^u takes power-basis coordinates to
+    the values at the x_j, and Vinv takes them back: row j of Vinv holds
+    the coefficients of the Lagrange polynomial
+    Phi_M(t) / ((t - x_j) Phi_M'(x_j)), found by synthetic division.  V and
+    Vinv are centered residues in float64.
     """
     top = _prime_tables(M, i - 1)[0] if i else _PRIME_LIMIT
     # the candidates q = 1 (mod M) below top, largest first
@@ -148,7 +153,7 @@ def _prime_tables(M, i):
         w = pow(c, (p - 1) // M, p)
         if all(pow(w, M // f, p) != 1 for f in prime_factors):
             break
-    x = np.array([pow(w, e, p) for e in range(1, M) if gcd(e, M) == 1], dtype=np.int64)
+    x = np.array([pow(w, e, p) for e in _tables(M)["units"].tolist()], dtype=np.int64)
     V = np.ones((phi, phi), dtype=np.int64)
     for u in range(1, phi):
         V[u] = V[u - 1] * x % p
@@ -301,6 +306,33 @@ def _multimodular_product(M, k, a, b):
     return _crt(residues, primes, work[0]).reshape(dim, dim, phi)
 
 
+def _galois_slots(M, k, L):
+    """The index array that takes (k phi, ...) evaluation planes of X to those of sigma_L(X), for L a unit mod M.
+
+    Plane j of each prime's block is the value at x_j = w^e_j (see
+    _prime_tables).  sigma_L(X) is X with zeta_M -> zeta_M^L, and x_j is a
+    root of Phi_M mod p, so its value there is X's at x_j^L = w^(e_j L):
+    the plane of e_j L mod M, in the same prime's block.  This is the
+    action of the Galois group on the CRT slots (Smart and Vercauteren,
+    Fully homomorphic SIMD operations, DCC 2014).
+    """
+    units = _tables(M)["units"]
+    perm = np.searchsorted(units, units * (L % M) % M)
+    return (len(units) * np.arange(k)[:, np.newaxis] + perm).ravel()
+
+
+def _same_planes(M, k, x, y):
+    """Whether the (k phi, ...) float64 planes x and y agree mod each of the k primes; both are overwritten.
+
+    Every |x - y| must be below 2^52.  Then _center takes x - y exactly to
+    its residue in [-(p - 1)/2, (p - 1)/2] (see _PRIME_LIMIT), which is 0
+    exactly where x = y (mod p).
+    """
+    x -= y
+    flat, work = x.reshape(k, -1), y.reshape(k, -1)
+    return not any(_center(flat[s], _prime_tables(M, s)[0], work[s]).any() for s in range(k))
+
+
 class RepMatrix:
     """A square matrix over Q(zeta_{8n}) with one shared denominator.
 
@@ -343,7 +375,8 @@ class RepMatrix:
     evaluation form, with no change of basis (_gathered_planes), and
     multiplies them by _plane_product up to its last product.  It takes a
     sharper bound, from sqrt(2n)^2 = 2n (see _chain_bound): one prime for
-    every n <= 272.
+    every n <= 272.  The Galois checks of galois_kernel multiply runs in
+    planes too (_run_planes), but compare the planes and return no matrix.
 
     A column scaling, rho_T's route and no word's, right-multiplies by
     diag(zeta^e_j): one batched matmul takes column j's coordinates through
@@ -588,6 +621,19 @@ def evaluate_word(word, n):
     factorization r = W S^-1 T^-k through T^k S, and that is what
     closed_vs_word cross-checks.
     """
+    factors = _word_factors(word, n)
+    j = _sqrt_table(n)["chain_len"]
+    acc = _gather_run(factors[:j], n)
+    for i in range(j, len(factors), j):
+        acc = acc * _gather_run(factors[i : i + j], n)
+    return acc
+
+
+def _word_factors(word, n):
+    """The factors rho(T^x S T^y) of evaluate_word's product, as ResidueMatrix with C = 1, in order.
+
+    The Bantay check shares them, so it parses its STWord as the oracle does.
+    """
     if not isinstance(word, STWord):
         raise TypeError(f"evaluate_word needs an STWord, got {type(word).__name__}")
     N = conductor(n)
@@ -603,12 +649,7 @@ def evaluate_word(word, n):
     if not ys:
         ys = [0, 0]
     factors = [ResidueMatrix(N, lead, lead * ys[0] - 1, 1, ys[0])]
-    factors += [ResidueMatrix(N, 0, -1, 1, y) for y in ys[1:]]
-    j = _sqrt_table(n)["chain_len"]
-    acc = _gather_run(factors[:j], n)
-    for i in range(j, len(factors), j):
-        acc = acc * _gather_run(factors[i : i + j], n)
-    return acc
+    return factors + [ResidueMatrix(N, 0, -1, 1, y) for y in ys[1:]]
 
 
 def dispatch_path(r, n):
@@ -651,11 +692,11 @@ def _legendre_g(C, n):
 def _sqrt_table(n):
     """The table of sqrt(2n)/(2n) zeta_8n^j, with what its gathers and their products need.
 
-    A dict: row j < 8n of "table" over "den" = D holds the power-basis
-    coordinates of sqrt(2n)/(2n) zeta_8n^j, and "g" is the normalizing
-    divisor of every theorem1 gather (see rho_theorem1 and _gather_form).
-    Row j is the zeta-orbit (see cyclotomic._zeta_orbit) of row 0, and row 0
-    comes from the quadratic Gauss sum mod M = 8n,
+    A dict: row j < 8n of "table" Q over "den" = D holds the power-basis
+    coordinates of sqrt(2n)/(2n) zeta_8n^j, "qmax" is max |Q|, and "g" is
+    the normalizing divisor of every theorem1 gather (see rho_theorem1 and
+    _gather_form).  Row j is the zeta-orbit (see cyclotomic._zeta_orbit)
+    of row 0, and row 0 comes from the quadratic Gauss sum mod M = 8n,
     sum_(x mod M) zeta^(x^2) = (1 + i) sqrt(M) (Berndt, Evans and Williams,
     Gauss and Jacobi Sums, 1998, Thm 1.2.4).  With -i = zeta^(6n) it gives
         M sqrt(2n)/(2n) = (1 - i) (1 + i) sqrt(M) = sum_(x mod M) (zeta^(x^2) + zeta^(x^2 + 6n)),
@@ -686,6 +727,7 @@ def _sqrt_table(n):
         "table": _read_only(table),
         "den": D,
         "g": g,
+        "qmax": qmax,
         "closed_primes": k,
         "chain_len": m,
     }
@@ -758,7 +800,7 @@ def _sqrt_planes(n):
     prime, as a centered residue in float64.
     """
     tab = _sqrt_table(n)
-    return _read_only(_planes(tab["table"], _max_abs(tab["table"]), 8 * n, tab["closed_primes"]))
+    return _read_only(_planes(tab["table"], tab["qmax"], 8 * n, tab["closed_primes"]))
 
 
 def _gathered_planes(r, n, out=None):
@@ -780,35 +822,70 @@ def _gathered_planes(r, n, out=None):
     return out
 
 
-def _gather_run(rs, n):
-    """D^j rho_theorem1(rs[0]) ... rho_theorem1(rs[j - 1]) over D^j, for 1 <= j <= chain_len.
+def _run_planes(rs, n):
+    """The two operands of the last product of a run of 2 <= j <= chain_len gathers, as evaluation planes.
 
-    Each rs[i] is a ResidueMatrix with gcd(c, N) = 1, unchecked.  One
-    factor is its gather.  Two or more are gathered into evaluation planes
-    from _sqrt_planes, whose primes _chain_bound(n, j) fits, and
-    multiplied by j - 2 _plane_products and one _multimodular_product:
-    one change of basis and one CRT for the whole run.
+    Each rs[i] is a ResidueMatrix with gcd(c, N) = 1, unchecked.  The
+    factors are gathered into (k phi, dim, dim) planes from _sqrt_planes,
+    on its k = "closed_primes" primes, and the first j - 1 are multiplied
+    by j - 2 _plane_products.  The operands are the planes of
+    D^(j - 1) rho_theorem1(rs[0]) ... rho_theorem1(rs[j - 2]) and of
+    D rho_theorem1(rs[j - 1]); _plane_product of the two gives the planes
+    of D^j times the run, each a centered residue of its value at x_j.
+    _gather_run takes them back to coordinates, and the Galois checks of
+    galois_kernel compare them as they are.
     """
-    if len(rs) == 1:
-        return _theorem1_gather(rs[0], n)
-    M, tab = 8 * n, _sqrt_table(n)
-    k = tab["closed_primes"]
+    M, k = 8 * n, _sqrt_table(n)["closed_primes"]
     left, right = _gathered_planes(rs[0], n), _gathered_planes(rs[1], n)
     # The run reuses its own three arrays: each product goes into the one
-    # the step before freed, and each factor into right.  That third array
-    # is kept to the return.  verify-all --level 29 and 48 on a 2-core Xeon
-    # VM read 0.03 M and 0.10 M minor faults so, 0.43 M at both with a
-    # fresh product and factor per step, and 0.13 M and 0.43 M with the
-    # third array released along with left.
+    # the step before freed, and each factor into right.  The third is
+    # released at the return, and the last product takes its memory.
+    # verify-all --level 29 and 48 on a 2-core Xeon VM read 0.03 M and
+    # 0.10 M minor faults so, and 0.43 M at both with a fresh product and
+    # factor per step.
     spare = None
     for r in rs[2:]:
         left, spare = _plane_product(M, k, left, right, spare), left
         _gathered_planes(r, n, right)
-    arr = _multimodular_product(M, k, left, right)
+    return left, right
+
+
+def _gather_run(rs, n):
+    """D^j rho_theorem1(rs[0]) ... rho_theorem1(rs[j - 1]) over D^j, for 1 <= j <= chain_len.
+
+    Each rs[i] is a ResidueMatrix with gcd(c, N) = 1, unchecked.  One
+    factor is its gather.  Two or more take _run_planes, whose primes
+    _chain_bound(n, j) fits, and one _multimodular_product: one change of
+    basis and one CRT for the whole run.
+    """
+    if len(rs) == 1:
+        return _theorem1_gather(rs[0], n)
+    tab = _sqrt_table(n)
+    left, right = _run_planes(rs, n)
+    arr = _multimodular_product(8 * n, tab["closed_primes"], left, right)
     # released before normalizing, as planes before _crt: in this order glibc reuses the memory, not faulting it
     # in anew (verify-all --level 48, 2-core VM: 0.10 M minor faults; 1.26 M without)
     del left
     return RepMatrix(n, arr, tab["den"] ** len(rs))
+
+
+def _plane_primes(n):
+    """The number k of _sqrt_planes' primes, once 2 B is checked to be below their product P.
+
+    B = max(_chain_bound(n, 2), 2 D max |Q|) bounds every coordinate that
+    the Galois checks of galois_kernel decide on evaluation planes: of a
+    product of two matrices with gather entries +-D s (zeta^p - zeta^q),
+    and of D times one such matrix.  Two such X and Y with X = Y at every
+    x_j mod every prime are equal: V is invertible mod p, so each
+    coordinate of X - Y is 0 mod p, hence mod P, and below P in magnitude.
+    Raises ValueError where 2 B reaches P, which no measured level does.
+    """
+    tab = _sqrt_table(n)
+    D, qmax, k = tab["den"], tab["qmax"], tab["closed_primes"]
+    bound = max(_chain_bound(n, 2, D, qmax), 2 * D * qmax)
+    if 2 * bound >= prod(_prime_tables(8 * n, s)[0] for s in range(k)):
+        raise ValueError(f"at n = {n}, twice the bound {bound} reaches the product of the plane primes")
+    return k
 
 
 @lru_cache(maxsize=MAX_LEVELS)
@@ -955,8 +1032,13 @@ def rho_closed(r, n):
     r = _as_residue(r, n)
     if gcd(r.c, r.N) == 1:
         return _theorem1_gather(r, n)
+    return _gather_run(_closed_run(r, n), n)
+
+
+def _closed_run(r, n):
+    """rho_closed's run of two for r off the theorem1 stratum: [W, (0, -1; 1, -k)] with W = r T^k S."""
     k, w = _unit_shift(r, n)
-    return _gather_run([w, ResidueMatrix(w.N, 0, -1, 1, -k)], n)
+    return [w, ResidueMatrix(w.N, 0, -1, 1, -k)]
 
 
 def g_parity_check(n):

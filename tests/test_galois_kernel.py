@@ -15,6 +15,7 @@ from affinesl2 import galois_kernel, wzwrep
 from affinesl2.cyclotomic import root_of_unity
 from affinesl2.modgroup import (
     ResidueMatrix,
+    STWord,
     idempotents,
     local_generators,
     random_matrix,
@@ -26,6 +27,7 @@ from affinesl2.wzwrep import (
     _theorem1_exponents,
     _theorem1_tables,
     conductor,
+    dispatch_path,
     evaluate_word,
     rho_closed,
     rho_S,
@@ -36,6 +38,7 @@ from affinesl2.galois_kernel import (
     _least_shifts,
     _same_difference,
     _sweep_rows,
+    _twisted,
     SignedPermutation,
     bantay_sigma_S_identity,
     enumerate_kernel,
@@ -105,6 +108,162 @@ def test_bantay_word_identity(n):
     for C in range(1, N):
         if gcd(C, N) == 1:
             assert bantay_sigma_S_identity(C, n), (n, C)
+
+
+def _stratum_samples(n, rng):
+    """One seeded matrix of each stratum that 400 draws reach, and an upper one (c = 0) if they reach none."""
+    N = conductor(n)
+    found = {}
+    for _ in range(400):
+        r = random_matrix(N, rng)
+        found.setdefault(dispatch_path(r, n), r)
+    a = rng.choice([x for x in range(N) if gcd(x, N) == 1])
+    found.setdefault("upper", ResidueMatrix(N, a, rng.randrange(N), 0, pow(a, -1, N)))
+    assert {"theorem1", "upper", "unit_d"} <= set(found), (n, sorted(found))
+    return found
+
+
+def _covariance_oracle(L, r, t, n):
+    """sigma_L(rho(r)) == rho(t), compared in coordinates: galois_map against rho_closed."""
+    return rho_closed(r, n).galois_map(L) == rho_closed(t, n)
+
+
+def _bantay_word(L, C):
+    return STWord.T(L) * STWord.S() * STWord.T(C) * STWord.S() * STWord.T(L)
+
+
+def _bantay_oracle(L, word, n):
+    """sigma_L(rho(S)) == rho(word), compared in coordinates: galois_map against the word oracle."""
+    return rho_S(n).galois_map(L) == evaluate_word(word, n)
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 31, 50, 55])
+def test_galois_checks_equal_the_coordinate_oracles(n):
+    """Both checks give the coordinate comparison's verdict, with negative controls that must fail.
+
+    Covariance: every unit L at n <= 12, and three seeded ones beyond, on a
+    seeded matrix of every stratum: the theorem1 stratum takes exponents,
+    the others evaluation planes.  Controls pair sigma_L with the twist by
+    an L' != L where the oracle says the two sides differ, on both routes.
+    Bantay: every unit C at n <= 12, three seeded ones beyond, and the word
+    with its middle T power raised by one as the control.
+    """
+    N = conductor(n)
+    rng = random.Random(n)
+    units = [L for L in range(1, N) if gcd(L, N) == 1]
+    # the control twists by L' = L step, step the least unit above 1
+    step = units[1]
+    if n > 12:
+        units = rng.sample(units, 3)
+    samples = _stratum_samples(n, rng)
+    controls = dict.fromkeys(("theorem1", "planes"), 0)
+    for stratum, r in samples.items():
+        for L in units:
+            assert sigma_covariance_check(L, r, n) and _covariance_oracle(L, r, _twisted(r, L), n), (n, L, r)
+            other = _twisted(r, L * step % N)
+            if not _covariance_oracle(L, r, other, n):
+                assert not galois_kernel._covariant(L, r, other, n), (n, L, r)
+                controls["theorem1" if stratum == "theorem1" else "planes"] += 1
+    assert all(controls.values()), controls
+    for C in units:
+        L = pow(C, -1, N)
+        assert bantay_sigma_S_identity(C, n) and _bantay_oracle(L, _bantay_word(L, C), n), (n, C)
+        changed = _bantay_word(L, C + 1)
+        assert not _bantay_oracle(L, changed, n) and not galois_kernel._sigma_S_is(L, changed, n), (n, C)
+
+
+def test_plane_comparison_on_a_two_prime_stack():
+    """_same_planes compares every prime's block, and _galois_slots permutes planes as sigma_L acts on coordinates.
+
+    The planes of rho_S(n) and of a seeded integer matrix are built on two
+    primes here, by _planes from their coordinates.  The planes of
+    galois_map's image agree with the slot-permuted planes, and for the
+    seeded matrix not with the unpermuted ones (rho(S) is real, so sigma_-1
+    fixes it); a change of one residue by 1, or by the other block's prime,
+    in either block is caught, and a change by its own prime is not.
+    """
+    n = 7
+    M, k = 8 * n, 2
+    primes = [wzwrep._prime_tables(M, s)[0] for s in range(k)]
+    rng = np.random.default_rng(7)
+    phi = wzwrep._tables(M)["phi"]
+    coords = [rho_S(n).arr, rng.integers(-1000, 1000, size=(n - 1, n - 1, phi))]
+
+    def planes(arr):
+        flat = arr.reshape(-1, phi)
+        return wzwrep._planes(flat, wzwrep._max_abs(flat), M, k).reshape(k * phi, n - 1, n - 1)
+
+    for seeded, arr in enumerate(coords):
+        x = planes(arr)
+        for L in (1, 3, 5, 13, M - 1):
+            image = planes(RepMatrix._unit_image(n, arr, 1).galois_map(L).arr)
+            assert wzwrep._same_planes(M, k, x[wzwrep._galois_slots(M, k, L)], image.copy()), L
+            if seeded:
+                assert wzwrep._same_planes(M, k, x.copy(), image.copy()) == (L == 1), L
+        for s in range(k):
+            for step, same in ((1, False), (primes[s], True), (primes[1 - s], False)):
+                y = x.copy()
+                y[s * phi + 3, 1, 2] += step
+                assert wzwrep._same_planes(M, k, x.copy(), y) == same, (s, step)
+
+
+def test_galois_checks_make_no_change_of_basis(monkeypatch):
+    """Neither check reaches galois_map, _multimodular_product, _crt or the RepMatrix constructor."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Galois check reached a coordinate route")
+
+    n = 11
+    samples = _stratum_samples(n, random.Random(11))
+    with monkeypatch.context() as m:
+        for name in ("_multimodular_product", "_crt"):
+            m.setattr(wzwrep, name, refuse)
+        for name in ("__init__", "galois_map"):
+            m.setattr(RepMatrix, name, refuse)
+        for r in samples.values():
+            assert sigma_covariance_check(3, r, n) and sigma_covariance_check(13, r, n)
+        assert bantay_sigma_S_identity(3, n) and bantay_sigma_S_identity(13, n)
+
+
+def test_plane_checks_raise_where_the_bound_reaches_the_primes(monkeypatch):
+    """Where 2 B reaches the product of the plane primes, the plane routes raise ValueError; the exponent route needs no bound."""
+    n = 5
+    N = conductor(n)
+    upper, theorem1 = ResidueMatrix(N, 1, 1, 0, 1), ResidueMatrix(N, 0, -1, 1, 0)
+    monkeypatch.setattr(wzwrep, "_chain_bound", lambda *args: wzwrep._prime_tables(8 * n, 0)[0])
+    with pytest.raises(ValueError, match="plane primes"):
+        sigma_covariance_check(3, upper, n)
+    with pytest.raises(ValueError, match="plane primes"):
+        bantay_sigma_S_identity(3, n)
+    assert sigma_covariance_check(3, theorem1, n)
+
+
+def test_off_stratum_covariance_at_n101_stays_within_150_mb():
+    """One sigma_covariance_check off the theorem1 stratum at n = 101 holds, and grows peak RSS by under 150 MB.
+
+    r = (1, 0; 2, 1) mod 808 and L = 3: both sides are runs of two on
+    evaluation planes, 32 MB per plane stack, four of them at once.  The
+    check grew the peak by about 138 MB on a 2-core Xeon VM; the earlier
+    route through galois_map and rho_closed grew it by about 188 MB.  The
+    child reads its peak as VmHWM, in KB: Linux starts a child's ru_maxrss
+    at its parent's RSS, so under a large test process ru_maxrss would hide
+    the growth.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(galois_kernel.__file__)))
+    code = """
+from affinesl2.galois_kernel import sigma_covariance_check
+from affinesl2.modgroup import ResidueMatrix
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+base = peak_kb()
+ok = sigma_covariance_check(3, ResidueMatrix(808, 1, 0, 2, 1), 101)
+grown = peak_kb() - base
+print(ok, grown < 150 * 1024, grown)
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[:2] == ["True", "True"], done.stdout
 
 
 def test_in_kernel_detects_scalars():
@@ -325,7 +484,8 @@ def test_kernel_confirmation_is_guarded_and_needs_no_product(monkeypatch):
         raise AssertionError("the kernel path reached a product")
 
     with monkeypatch.context() as m:
-        m.setattr(galois_kernel, "rho_closed", refuse)
+        m.setattr(galois_kernel, "_plane_product", refuse)
+        m.setattr(wzwrep, "_multimodular_product", refuse)
         m.setattr(RepMatrix, "__mul__", refuse)
         assert len(enumerate_kernel(4).kernel) == 8
         assert len(factor_kernel_sl2z8(7)) == 4

@@ -374,7 +374,8 @@ def test_cached_level_arrays_are_read_only():
     want = RepMatrix.from_entries(n, [[root * sin_value(n, a * b) / n for b in range(1, n)] for a in range(1, n)])
     assert rho_S(n) == want
     tab = _tables(8 * n)
-    cached = [tab["rows"], tab["frows"], _sqrt_table(n)["table"], _sqrt_planes(n), *_prime_tables(8 * n, 0)[1:]]
+    cached = [tab["units"], tab["rows"], tab["frows"], _sqrt_table(n)["table"], _sqrt_planes(n)]
+    cached += _prime_tables(8 * n, 0)[1:]
     cached += list(_theorem1_tables(n).values())
     assert not any(arr.flags.writeable for arr in cached)
 
@@ -835,6 +836,11 @@ cases = [
     lambda: sigma_perm(3.0, 5),
     lambda: sigma_covariance_check(3.0, ResidueMatrix(40, 1, 0, 0, 1), 5),
     lambda: bantay_sigma_S_identity(3.0, 5),
+    lambda: sigma_covariance_check(5, ResidueMatrix(40, 1, 0, 2, 1), 5),
+    lambda: sigma_covariance_check(1.5, ResidueMatrix(40, 1, 0, 2, 1), 5),
+    lambda: sigma_covariance_check(5, ResidueMatrix(40, 0, 39, 1, 0), 5),
+    lambda: sigma_covariance_check(3.0, ResidueMatrix(40, 0, 39, 1, 0), 5),
+    lambda: bantay_sigma_S_identity(10, 5),
     lambda: RepMatrix(5, rho_S(3).arr, 1),
     lambda: RepMatrix(np.int64(3), rho_S(3).arr, 1),
     lambda: RepMatrix(3.0, rho_S(3).arr, 1),
@@ -1148,18 +1154,19 @@ def test_dense_reduction_level_n105_in_a_subprocess():
 
     The first printed line is the primes the operand bound asks for on two
     gathers: two.  rho_closed's product takes one prime on each seeded
-    off-stratum sample all the same (see _chain_bound), and so does the
-    word oracle's one product on a Bantay word, whose two gathers form its
-    leading run.  It also checks sigma covariance for three units.  The
-    run took about 3.5 s and 230 MB peak on a 2-core Xeon VM; the 15 s
-    bound leaves room for a loaded machine.
+    off-stratum sample all the same (see _chain_bound).  The Bantay check
+    compares its word's run of two gathers with sigma_L(rho(S)) on the
+    planes of one prime, the one block that _same_planes compares, and
+    makes no _multimodular_product.  It also checks sigma covariance for
+    three units, on the planes.  The run took about 1.9 s idle on a 2-core
+    Xeon VM; the 15 s bound leaves room for a loaded machine.
     """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affinesl2.__file__)))
     code = """
 import random
 from math import gcd
 import numpy as np
-from affinesl2 import wzwrep
+from affinesl2 import galois_kernel, wzwrep
 from affinesl2.galois_kernel import bantay_sigma_S_identity, sigma_covariance_check
 from affinesl2.modgroup import decompose, lift, random_matrix
 n, N, M = 105, 840, 840
@@ -1171,6 +1178,11 @@ def counted(M, k, a, b):
     primes.append(k)
     return product(M, k, a, b)
 wzwrep._multimodular_product = counted
+blocks, same = [], galois_kernel._same_planes
+def compared(M, k, x, y):
+    blocks.append(k)
+    return same(M, k, x, y)
+galois_kernel._same_planes = compared
 rng = random.Random(105)
 samples = []
 while len(samples) < 2:
@@ -1182,7 +1194,7 @@ print(primes)
 print(all(m == wzwrep.evaluate_word(decompose(lift(r)), n) for m, r in zip(closed, samples)))
 units = [L for L in range(2, N) if gcd(L, N) == 1]
 primes.clear()
-print(bantay_sigma_S_identity(rng.choice(units), n), primes)
+print(bantay_sigma_S_identity(rng.choice(units), n), blocks, primes)
 print(all(sigma_covariance_check(L, samples[0], n) for L in rng.sample(units, 3)))
 """
     start = time.monotonic()
@@ -1194,7 +1206,7 @@ print(all(sigma_covariance_check(L, samples[0], n) for L in rng.sample(units, 3)
         out, err = (b.decode(errors="replace") if isinstance(b, bytes) else b for b in (exc.stdout, exc.stderr))
         pytest.fail(f"timed out after {time.monotonic() - start:.1f} s\nstdout:\n{out}\nstderr:\n{err}")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["29 2", "[1, 1]", "True", "True [1]", "True"], done.stdout
+    assert done.stdout.splitlines() == ["29 2", "[1, 1]", "True", "True [1] []", "True"], done.stdout
 
 
 def _exact_product_top(a, b, M):
